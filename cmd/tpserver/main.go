@@ -391,144 +391,153 @@ type fleetParams struct {
 	policy    sessionPolicy
 }
 
-// buildFleetEngine runs N shards behind a consistent-hash router. Each
-// shard is a primary plus `followers` replicas fed by synchronous WAL
-// shipping; with -data every role journals under
-// <data>/shard-<i>/{manifest,primary,follower-<j>} and a restart
-// follows the shard manifest to whichever role holds the current
-// lineage at the recorded epoch. A primary that dies is failed over
-// transparently by the router; the straddling client request surfaces
-// as a connection reset, which the client transport retries against the
-// promoted follower.
+// buildFleetEngine runs N shards behind a consistent-hash router, every
+// shard member a fleet.Node in this process: a primary plus `followers`
+// replicas fed by synchronous WAL shipping. With
+// -data member j of shard i keeps its WAL and snapshots under
+// <data>/shard-<i>/member-<j>/state and its role/epoch manifest under
+// .../manifest — the layout the supervisor's child processes use — and
+// a restart resumes whatever role each manifest records. A primary that
+// dies is failed over transparently by the router; the straddling
+// client request surfaces as a connection reset, which the client
+// transport retries against the promoted follower.
 func buildFleetEngine(p fleetParams) (engine, error) {
 	if p.followers < 1 {
 		return engine{}, fmt.Errorf("fleet mode needs at least 1 follower per shard (got %d)", p.followers)
 	}
-	shards := make([]*fleet.Shard, 0, p.shards)
+	ln := &fleet.LocalNet{}
+	handles := make([]*fleet.ShardHandle, 0, p.shards)
 	for i := 0; i < p.shards; i++ {
-		s, err := buildFleetShard(i, p)
+		h, err := startFleetShard(ln, i, p)
 		if err != nil {
 			return engine{}, err
 		}
-		shards = append(shards, s)
+		handles = append(handles, h)
 	}
-	router := fleet.NewRouter(shards, 0, p.registry)
+	router := fleet.NewRouter(handles, 0, p.registry)
 	p.logger.Info("fleet assembled", "shards", p.shards, "followers_per_shard", p.followers)
 
 	return engine{
 		topology: fmt.Sprintf("fleet(%d shards × %d followers)", p.shards, p.followers),
-		handle: func(req []byte) ([]byte, error) {
-			resp, err := router.Handle(req)
-			if err != nil && (errors.Is(err, store.ErrCrashed) || fleet.FailoverTrigger(err)) {
-				// A residual primary death is transient to the client —
-				// exactly like a single provider's crash — so let the
-				// transport retry through the failed-over router.
-				return nil, netsim.ErrReset
-			}
-			return resp, err
-		},
-		ready: func() obs.Readiness {
-			ready := true
-			detail := map[string]any{}
-			for i, s := range shards {
-				h := s.Primary().Health()
-				ready = ready && h.Ready
-				detail[fmt.Sprintf("shard%d", i)] = map[string]any{
-					"ready":     h.Ready,
-					"epoch":     s.Epoch(),
-					"failovers": s.Failovers(),
-					"followers": s.FollowerApplied(),
-					"links":     linkHealthDetail(s.LinkHealth(), p.clock),
-				}
-			}
-			return obs.Readiness{Ready: ready, Detail: detail}
-		},
-		finish: func() error {
-			for i, s := range shards {
-				if err := flushProvider(s.Primary()); err != nil {
-					return fmt.Errorf("shard %d: %w", i, err)
-				}
-			}
-			return nil
-		},
+		handle:   fleetHandler(router),
+		ready:    func() obs.Readiness { return fleetReadiness(handles) },
+		finish:   ln.Finish,
 		stats: func() string {
 			out := ""
-			for i, s := range shards {
+			for i, h := range handles {
 				out += fmt.Sprintf("shard%d{epoch=%d failovers=%d applied=%v} ",
-					i, s.Epoch(), s.Failovers(), s.FollowerApplied())
+					i, h.Epoch(), h.Failovers(), h.FollowerApplied())
 			}
 			return out
 		},
 	}, nil
 }
 
-// buildFleetShard assembles one shard: its own provider key and random
-// stream, the shared CA and demo accounts, and per-role durable
-// backends when -data is set.
-func buildFleetShard(i int, p fleetParams) (*fleet.Shard, error) {
+// startFleetShard starts one shard's members: its own provider key and
+// random stream, the shared CA and demo accounts, and per-member
+// durable backends when -data is set. A data dir still in the layout of
+// the retired in-process shard (one shard MANIFEST naming the active
+// role) is refused rather than silently started over.
+func startFleetShard(ln *fleet.LocalNet, i int, p fleetParams) (*fleet.ShardHandle, error) {
+	shardDir := filepath.Join(p.dataDir, fmt.Sprintf("shard-%d", i))
+	if p.dataDir != "" {
+		old := filepath.Join(shardDir, "manifest", "MANIFEST")
+		if _, err := os.Stat(old); err == nil {
+			return nil, fmt.Errorf("shard %d: %s is a shard manifest from the old in-process fleet layout; "+
+				"this server keeps one manifest per member under %s/member-<j>/, so move that data dir aside", i, old, shardDir)
+		}
+	}
 	provKey, err := cryptoutil.GenerateRSAKey(rand.Reader, cryptoutil.DefaultRSABits)
 	if err != nil {
 		return nil, err
 	}
-	pcfg := core.ProviderConfig{
-		Name:                  fmt.Sprintf("tpserver-shard%d", i),
-		CAPub:                 p.ca.PublicKey(),
-		Key:                   provKey,
-		Clock:                 p.clock,
-		ConfirmThresholdCents: p.threshold,
-		SnapshotEvery:         p.snapEvery,
-		Metrics:               p.registry,
-		Tracer:                p.tracer,
+	life := func(epoch uint64) core.ProviderConfig {
+		pc := core.ProviderConfig{
+			Name:                  fmt.Sprintf("tpserver-shard%d", i),
+			CAPub:                 p.ca.PublicKey(),
+			Key:                   provKey,
+			Clock:                 p.clock,
+			Random:                p.rng.Fork(fmt.Sprintf("shard%d-life-%d", i, epoch)),
+			Epoch:                 epoch,
+			ConfirmThresholdCents: p.threshold,
+			SnapshotEvery:         p.snapEvery,
+			Metrics:               p.registry,
+			Tracer:                p.tracer,
+		}
+		p.policy.apply(&pc)
+		return pc
 	}
-	p.policy.apply(&pcfg)
-	return fleet.NewShard(fleet.ShardConfig{
-		Index:     i,
-		Followers: p.followers,
-		Metrics:   p.registry,
-		Tracer:    p.tracer,
-		Clock:     p.clock,
-		NewBackend: func(role string) (store.Backend, error) {
-			if p.dataDir == "" {
-				return store.NewMemBackend(), nil
-			}
-			return store.OpenDir(filepath.Join(p.dataDir, fmt.Sprintf("shard-%d", i), role))
-		},
-		BuildPrimary: func(epoch uint64) (*core.Provider, error) {
-			pc := pcfg
-			pc.Epoch = epoch
-			pc.Random = p.rng.Fork(fmt.Sprintf("shard%d-life-%d", i, epoch))
-			prov := core.NewProvider(pc)
-			approvePALs(prov)
-			// Every shard seeds the full demo account set; the ring
-			// decides which shard's copy a user actually lives on.
-			for _, acct := range []struct {
-				name  string
-				cents int64
-			}{{"alice", 1_000_000}, {"bob", 0}, {"mallory", 0}} {
-				if err := prov.Ledger().CreateAccount(acct.name, acct.cents); err != nil {
+	return ln.StartShard(i, p.followers, func(m int) fleet.NodeConfig {
+		return fleet.NodeConfig{
+			NewBackend: func(role string) (store.Backend, error) {
+				if p.dataDir == "" {
+					return store.NewMemBackend(), nil
+				}
+				return store.OpenDir(filepath.Join(shardDir, fmt.Sprintf("member-%d", m), role))
+			},
+			Build: func(epoch uint64) (*core.Provider, error) {
+				prov := core.NewProvider(life(epoch))
+				approvePALs(prov)
+				// Every shard seeds the full demo account set; the ring
+				// decides which shard's copy a user actually lives on.
+				return prov, seedNodeAccounts(prov, 0)
+			},
+			Restore: func(epoch uint64, st *store.Store) (*core.Provider, error) {
+				// Accounts, credentials, and caches travel in the durable
+				// state; only configuration that is not state — the key and
+				// the PAL approvals — is re-applied.
+				prov, err := core.RestoreProvider(life(epoch), st)
+				if err != nil {
 					return nil, err
 				}
-			}
-			if err := prov.EnrollCredential("alice", "2468"); err != nil {
-				return nil, err
-			}
-			return prov, nil
-		},
-		RestorePrimary: func(epoch uint64, st *store.Store) (*core.Provider, error) {
-			// Accounts, credentials, and caches travel in the durable
-			// state; only configuration that is not state — the key and
-			// the PAL approvals — is re-applied.
-			pc := pcfg
-			pc.Epoch = epoch
-			pc.Random = p.rng.Fork(fmt.Sprintf("shard%d-life-%d", i, epoch))
-			prov, err := core.RestoreProvider(pc, st)
-			if err != nil {
-				return nil, err
-			}
-			approvePALs(prov)
-			return prov, nil
-		},
-	})
+				approvePALs(prov)
+				return prov, nil
+			},
+			Metrics: p.registry,
+			Logger:  p.logger,
+			Clock:   p.clock,
+		}
+	}, fleet.ShardHandleConfig{Metrics: p.registry, Tracer: p.tracer, Logger: p.logger, Clock: p.clock})
+}
+
+// fleetHandler serves client frames through the fleet router. A
+// residual primary death is transient to the client — exactly like a
+// single provider's crash — so it surfaces as a reset the client
+// transport retries through the failed-over router.
+func fleetHandler(router *fleet.Router) netsim.Handler {
+	return func(req []byte) ([]byte, error) {
+		resp, err := router.Handle(req)
+		if err != nil && (errors.Is(err, store.ErrCrashed) || fleet.FailoverTrigger(err)) {
+			return nil, netsim.ErrReset
+		}
+		return resp, err
+	}
+}
+
+// fleetReadiness is /readyz for a fleet, in-process or distributed: per
+// shard the handle's epoch, believed primary, failovers, and the
+// primary's replication links, probed live.
+func fleetReadiness(handles []*fleet.ShardHandle) obs.Readiness {
+	ready := true
+	detail := map[string]any{}
+	for i, h := range handles {
+		st, member, failovers, err := h.Status()
+		shardReady := err == nil && st.Healthy && !st.Fenced
+		ready = ready && shardReady
+		d := map[string]any{
+			"ready":     shardReady,
+			"epoch":     h.Epoch(),
+			"primary":   member,
+			"failovers": failovers,
+		}
+		if err != nil {
+			d["error"] = err.Error()
+		} else {
+			d["links"] = linkDetail(st.Links)
+		}
+		detail[fmt.Sprintf("shard%d", i)] = d
+	}
+	return obs.Readiness{Ready: ready, Detail: detail}
 }
 
 // approvePALs records the measurement whitelist every provider expects

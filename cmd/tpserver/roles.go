@@ -18,7 +18,6 @@ package main
 
 import (
 	"crypto/rand"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net"
@@ -167,12 +166,10 @@ func runNode(p roleParams) error {
 			approvePALs(prov)
 			return prov, nil
 		},
-		KillBeforeShip: p.killBefore,
-		KillAfterShip:  p.killAfter,
-		Metrics:        registry,
-		Tracer:         tracer,
-		Logger:         p.logger,
-		Clock:          clock,
+		Kill:    fleet.KillAtOffsets(p.killBefore, p.killAfter, p.logger),
+		Metrics: registry,
+		Logger:  p.logger,
+		Clock:   clock,
 	})
 	if err != nil {
 		return err
@@ -226,25 +223,23 @@ func runRouter(p roleParams) error {
 	registry := obs.NewRegistry()
 	tracer := obs.NewTracer(256)
 
-	remotes := make([]*fleet.RemoteShard, len(specs))
-	refs := make([]fleet.ShardRef, len(specs))
+	handles := make([]*fleet.ShardHandle, len(specs))
 	for i, members := range specs {
-		rs, err := fleet.NewRemoteShard(fleet.RemoteShardConfig{
+		h, err := fleet.NewShardHandle(fleet.ShardHandleConfig{
 			Shard:   i,
 			Members: members,
-			Primary: members[0].Member,
 			Scheme:  p.scheme.ID(),
 			Metrics: registry,
+			Tracer:  tracer,
 			Logger:  p.logger,
 		})
 		if err != nil {
 			return err
 		}
-		remotes[i] = rs
-		refs[i] = rs
+		handles[i] = h
 	}
-	router := fleet.NewRouterRefs(refs, 0, registry)
-	warden := fleet.NewWarden(remotes, p.healthEvery, p.logger)
+	router := fleet.NewRouter(handles, 0, registry)
+	warden := fleet.NewWarden(handles, p.healthEvery, p.logger)
 	warden.Start()
 	p.logger.Info("fleet router assembled", "shards", len(specs), "health_every", p.healthEvery.String())
 
@@ -257,29 +252,9 @@ func runRouter(p roleParams) error {
 		"role", "router",
 		"topology", fmt.Sprintf("router(%d remote shards)", len(specs)))
 
-	startAdmin(p, registry, tracer, func() obs.Readiness {
-		ready := true
-		detail := map[string]any{}
-		for i, rs := range remotes {
-			st, member, failovers, err := rs.Status()
-			shardReady := err == nil && st.Healthy && !st.Fenced
-			ready = ready && shardReady
-			d := map[string]any{
-				"ready":     shardReady,
-				"epoch":     rs.Epoch(),
-				"primary":   member,
-				"failovers": failovers,
-			}
-			if err != nil {
-				d["error"] = err.Error()
-			} else {
-				d["links"] = linkDetail(st.Links)
-			}
-			detail[fmt.Sprintf("shard%d", i)] = d
-		}
-		return obs.Readiness{Ready: ready, Detail: detail}
-	})
+	startAdmin(p, registry, tracer, func() obs.Readiness { return fleetReadiness(handles) })
 
+	serve := fleetHandler(router)
 	wsrv := wire.NewServer(wire.ServerConfig{
 		// The distributed demo serves the transaction plane without the
 		// enrollment handshake (attestation against a fleet needs the
@@ -295,13 +270,7 @@ func runRouter(p roleParams) error {
 					Code: netsim.ErrCodePermanent,
 				}
 			}
-			resp, err := router.Handle(req)
-			if err != nil && (errors.Is(err, store.ErrCrashed) || fleet.FailoverTrigger(err)) {
-				// Residual primary death is transient to the client; let
-				// the transport retry through the failed-over router.
-				return nil, netsim.ErrReset
-			}
-			return resp, err
+			return serve(req)
 		},
 		Workers: p.workers,
 		Metrics: registry,
@@ -309,8 +278,8 @@ func runRouter(p roleParams) error {
 	})
 	return serveUntilSignal(wsrv, ln, p.logger, func() error {
 		warden.Stop()
-		for _, rs := range remotes {
-			rs.Close()
+		for _, h := range handles {
+			h.Close()
 		}
 		return nil
 	}, "router")
@@ -510,30 +479,14 @@ func startAdmin(p roleParams, registry *obs.Registry, tracer *obs.Tracer, ready 
 }
 
 // linkDetail renders replication link freshness for /readyz.
-func linkDetail(links []fleet.LinkStatus) []map[string]any {
+func linkDetail(links []fleet.LinkHealth) []map[string]any {
 	out := make([]map[string]any, 0, len(links))
 	for _, l := range links {
 		out = append(out, map[string]any{
 			"member":     l.Member,
 			"acked":      l.Acked,
 			"lag":        l.Lag,
-			"ack_age_ms": l.AckAgeMS,
-		})
-	}
-	return out
-}
-
-// linkHealthDetail renders the in-process fleet's replication link
-// freshness for /readyz.
-func linkHealthDetail(links []fleet.LinkHealth, clock sim.Clock) []map[string]any {
-	now := clock.Now()
-	out := make([]map[string]any, 0, len(links))
-	for _, l := range links {
-		out = append(out, map[string]any{
-			"member":     l.Member,
-			"acked":      l.Acked,
-			"lag":        l.Lag,
-			"ack_age_ms": now.Sub(l.LastAck).Milliseconds(),
+			"ack_age_ms": l.AckAge.Milliseconds(),
 		})
 	}
 	return out

@@ -11,21 +11,20 @@ import (
 	"unitp/internal/core"
 	"unitp/internal/cryptoutil"
 	"unitp/internal/flicker"
-	"unitp/internal/netsim"
 	"unitp/internal/platform"
 	"unitp/internal/sim"
 	"unitp/internal/tpm"
+	"unitp/internal/wire"
 )
 
-// tcpFixture runs a provider on a real TCP listener and builds a client
-// machine connected to it — the full stack the cmd/ tools use, inside
-// one test process.
+// tcpFixture runs a provider behind a wire.Server on a real TCP
+// listener and builds a client machine connected to it through a
+// wire.Client — the full stack the cmd/ tools use, inside one test
+// process.
 type tcpFixture struct {
 	provider *core.Provider
 	client   *core.Client
 	machine  *platform.Machine
-	addr     string
-	done     chan struct{}
 }
 
 func newTCPFixture(t *testing.T) *tcpFixture {
@@ -62,21 +61,13 @@ func newTCPFixture(t *testing.T) *tcpFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				_ = netsim.Serve(conn, provider.Handle)
-			}()
-		}
-	}()
+	srv := wire.NewServer(wire.ServerConfig{Handler: provider.Handle})
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		srv.Shutdown()
+		<-served
+	})
 
 	machine, err := platform.New(platform.Config{Clock: clock, Random: rng.Fork("machine")})
 	if err != nil {
@@ -93,24 +84,18 @@ func newTCPFixture(t *testing.T) *tcpFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := wire.NewClient(wire.ClientConfig{Addr: ln.Addr().String()})
 	t.Cleanup(func() { conn.Close() })
 	client, err := core.NewClient(core.ClientConfig{
 		Manager:   flicker.NewManager(machine),
-		Transport: netsim.NewConnTransport(conn),
+		Transport: conn,
 		AIK:       aik,
 		Cert:      cert,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &tcpFixture{
-		provider: provider, client: client, machine: machine,
-		addr: ln.Addr().String(), done: done,
-	}
+	return &tcpFixture{provider: provider, client: client, machine: machine}
 }
 
 func TestFullStackOverRealTCP(t *testing.T) {

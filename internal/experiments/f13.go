@@ -96,9 +96,9 @@ func f13MatrixCases() []f13MatrixCase {
 		{name: "kill primary after ship", wantFailovers: 1,
 			arm: func(p *faults.FleetPlan, h, txs int) { p.KillPrimary(h, faults.KillAfterShip, kill1(txs)) }},
 		{name: "replication partition", wantFailovers: 1,
-			arm: func(p *faults.FleetPlan, h, txs int) { p.PartitionLink(h, 0, kill1(txs)+1, kill1(txs)+4) }},
+			arm: func(p *faults.FleetPlan, h, txs int) { p.PartitionLink(h, 1, kill1(txs)+1, kill1(txs)+4) }},
 		{name: "slow follower", wantFailovers: 0,
-			arm: func(p *faults.FleetPlan, h, txs int) { p.SlowLink(h, 0, 2, 5, 50*time.Millisecond) }},
+			arm: func(p *faults.FleetPlan, h, txs int) { p.SlowLink(h, 1, 2, 5, 50*time.Millisecond) }},
 		{name: "kill twice (both phases)", wantFailovers: 2,
 			arm: func(p *faults.FleetPlan, h, txs int) {
 				p.KillPrimary(h, faults.KillBeforeShip, kill1(txs))
@@ -290,46 +290,42 @@ func newF13Fleet(shards, followers int, homed [][]string, plan *faults.FleetPlan
 		all = append(all, names...)
 	}
 	reg := obs.NewRegistry()
-	shardList := make([]*fleet.Shard, 0, shards)
+	ln := &fleet.LocalNet{}
+	shardList := make([]*fleet.ShardHandle, 0, shards)
 	for s := 0; s < shards; s++ {
-		s := s
-		pcfg := core.ProviderConfig{
-			Name:                  fmt.Sprintf("f13-shard%d", s),
-			Clock:                 sim.WallClock{},
-			ConfirmThresholdCents: 1_000_000, // every drain tx auto-accepts
-		}
-		build := func(epoch uint64) (*core.Provider, error) {
-			pc := pcfg
-			pc.Epoch = epoch
-			pc.Random = sim.NewRand(seedFor(tag, s*100+int(epoch)))
-			p := core.NewProvider(pc)
-			for _, name := range all {
-				if err := p.Ledger().CreateAccount(name, 1<<40); err != nil {
-					return nil, err
-				}
+		life := func(epoch uint64) core.ProviderConfig {
+			return core.ProviderConfig{
+				Name:                  fmt.Sprintf("f13-shard%d", s),
+				Clock:                 sim.WallClock{},
+				ConfirmThresholdCents: 1_000_000, // every drain tx auto-accepts
+				Epoch:                 epoch,
+				Random:                sim.NewRand(seedFor(tag, s*100+int(epoch))),
 			}
-			return p, nil
 		}
-		sh, err := fleet.NewShard(fleet.ShardConfig{
-			Index:     s,
-			Followers: followers,
-			Plan:      plan,
-			Metrics:   reg,
-			Clock:     sim.WallClock{},
-			NewBackend: func(role string) (store.Backend, error) {
-				if !onDisk {
-					return store.NewMemBackend(), nil
-				}
-				return store.OpenDir(filepath.Join(baseDir, fmt.Sprintf("shard-%d", s), role))
-			},
-			BuildPrimary: build,
-			RestorePrimary: func(epoch uint64, st *store.Store) (*core.Provider, error) {
-				pc := pcfg
-				pc.Epoch = epoch
-				pc.Random = sim.NewRand(seedFor(tag, s*100+int(epoch)))
-				return core.RestoreProvider(pc, st)
-			},
-		})
+		sh, err := ln.StartShard(s, followers, func(m int) fleet.NodeConfig {
+			return fleet.NodeConfig{
+				NewBackend: func(role string) (store.Backend, error) {
+					if !onDisk {
+						return store.NewMemBackend(), nil
+					}
+					return store.OpenDir(filepath.Join(baseDir, fmt.Sprintf("shard-%d", s), fmt.Sprintf("member-%d", m), role))
+				},
+				Build: func(epoch uint64) (*core.Provider, error) {
+					p := core.NewProvider(life(epoch))
+					for _, name := range all {
+						if err := p.Ledger().CreateAccount(name, 1<<40); err != nil {
+							return nil, err
+						}
+					}
+					return p, nil
+				},
+				Restore: func(epoch uint64, st *store.Store) (*core.Provider, error) {
+					return core.RestoreProvider(life(epoch), st)
+				},
+				Kill:    plan.Killer(s),
+				Metrics: reg,
+			}
+		}, fleet.ShardHandleConfig{Metrics: reg})
 		if err != nil {
 			if baseDir != "" {
 				os.RemoveAll(baseDir)

@@ -126,8 +126,8 @@ func (p *FleetPlan) KillPrimary(shard int, phase KillPhase, afterGroups uint64) 
 }
 
 // PartitionLink drops shipping attempts [fromShip, toShip] (1-based,
-// inclusive) on shard's replication link to follower — a replication
-// partition window.
+// inclusive) on shard's replication link to the follower whose member
+// index is follower — a replication partition window.
 func (p *FleetPlan) PartitionLink(shard, follower int, fromShip, toShip uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -136,8 +136,8 @@ func (p *FleetPlan) PartitionLink(shard, follower int, fromShip, toShip uint64) 
 }
 
 // SlowLink delays shipping attempts [fromShip, toShip] (1-based,
-// inclusive) on shard's link to follower by delay each — a slow
-// follower window.
+// inclusive) on shard's link to the follower whose member index is
+// follower by delay each — a slow follower window.
 func (p *FleetPlan) SlowLink(shard, follower int, fromShip, toShip uint64, delay time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -164,6 +164,22 @@ func (p *FleetPlan) OnCommit(shard int, phase KillPhase, batchGroups int) bool {
 		}
 	}
 	return false
+}
+
+// Killer adapts the plan's kills of shard's primary into a commit-hook
+// kill check (fleet.NodeConfig.Kill): in each phase of every batch it
+// consults OnCommit and, when a kill fires, returns ErrKilled so the
+// provider dies without answering the batch. A nil plan kills nothing.
+func (p *FleetPlan) Killer(shard int) func(phase KillPhase, from, to uint64) error {
+	if p == nil {
+		return nil
+	}
+	return func(phase KillPhase, from, to uint64) error {
+		if p.OnCommit(shard, phase, int(to-from)) {
+			return fmt.Errorf("%w: shard %d primary %s, batch [%d, %d)", ErrKilled, shard, phase, from, to)
+		}
+		return nil
+	}
 }
 
 // OnShip advances the shipping-attempt counter for shard's link to

@@ -9,17 +9,19 @@ import (
 	"unitp/internal/netsim"
 )
 
-// The control protocol is the fleet's supervision channel: short-lived
-// connections opened with a HelloCtl handshake, carrying one request
-// frame and one response. The router's warden uses it to probe member
-// health (status), to drive failover (promote against the most
-// caught-up follower), to re-attach orphaned followers to the current
-// primary (adopt), and to stand down stale primaries it discovers
-// (demote). Every command carries or returns epochs, so a command from
-// a stale observer is refused or collapses into a no-op — the same
-// idempotence discipline Failover(observedEpoch) has in-process.
+// The control protocol is the fleet's supervision channel. The shard
+// handle and its warden use it to probe member health (status), to
+// drive failover (promote against the most caught-up follower), to
+// re-attach orphaned followers to the current primary (adopt), and to
+// stand down stale primaries it discovers (demote). Over the wire each
+// command is a short-lived connection opened with a HelloCtl handshake,
+// carrying one request frame and one response; in-process it is a
+// direct Node.control call. Every command carries or returns epochs, so
+// a command from a stale observer is refused or collapses into a no-op
+// — the same discipline as ShardHandle.Failover(observedEpoch).
 
-// Control frame tags (requests 0x21.., responses 0x41..).
+// Control frame tags (requests 0x21.., the status response 0x41).
+// Every command is answered with the member's status after it.
 const (
 	ctlStatus  uint8 = 0x21
 	ctlPromote uint8 = 0x22
@@ -27,7 +29,6 @@ const (
 	ctlDemote  uint8 = 0x24
 
 	ctlStatusResp uint8 = 0x41
-	ctlOK         uint8 = 0x42
 )
 
 // MemberStatus is one shard member's self-reported state, served over
@@ -39,16 +40,7 @@ type MemberStatus struct {
 	Applied uint64 // follower: applied stream offset; primary: ship frontier
 	Healthy bool   // primary: provider alive and ready; follower: process up
 	Fenced  bool   // the member's provider was fenced (deposed primary)
-	Links   []LinkStatus
-}
-
-// LinkStatus is one replication link's position as seen by the primary,
-// with freshness expressed as an age (wire-friendly, clock-skew-free).
-type LinkStatus struct {
-	Member   int
-	Acked    uint64
-	Lag      uint64
-	AckAgeMS int64
+	Links   []LinkHealth
 }
 
 // promoteCmd orders a follower to restore a primary at NewEpoch from
@@ -77,12 +69,6 @@ type PeerAddr struct {
 	Addr   string
 }
 
-func encodeStatusReq() []byte {
-	b := cryptoutil.NewBuffer(4)
-	b.PutUint8(ctlStatus)
-	return b.Bytes()
-}
-
 func encodeStatusResp(st MemberStatus) []byte {
 	b := cryptoutil.NewBuffer(64)
 	b.PutUint8(ctlStatusResp)
@@ -97,7 +83,7 @@ func encodeStatusResp(st MemberStatus) []byte {
 		b.PutUint32(uint32(l.Member))
 		b.PutUint64(l.Acked)
 		b.PutUint64(l.Lag)
-		b.PutUint64(uint64(l.AckAgeMS))
+		b.PutUint64(uint64(l.AckAge.Milliseconds()))
 	}
 	return b.Bytes()
 }
@@ -117,8 +103,9 @@ func decodeStatusResp(data []byte) (MemberStatus, error) {
 		return MemberStatus{}, fmt.Errorf("fleet: ctl status: %w", r.Err())
 	}
 	for i := 0; i < n; i++ {
-		st.Links = append(st.Links, LinkStatus{
-			Member: int(r.Uint32()), Acked: r.Uint64(), Lag: r.Uint64(), AckAgeMS: int64(r.Uint64()),
+		st.Links = append(st.Links, LinkHealth{
+			Member: int(r.Uint32()), Acked: r.Uint64(), Lag: r.Uint64(),
+			AckAge: time.Duration(r.Uint64()) * time.Millisecond,
 		})
 	}
 	if err := r.ExpectEOF(); err != nil {
@@ -127,48 +114,40 @@ func decodeStatusResp(data []byte) (MemberStatus, error) {
 	return st, nil
 }
 
-func encodePromote(cmd promoteCmd) []byte {
+// encodeCtlReq encodes one control request.
+func encodeCtlReq(cmd ctlReq) []byte {
 	b := cryptoutil.NewBuffer(64)
-	b.PutUint8(ctlPromote)
-	b.PutUint64(cmd.NewEpoch)
-	b.PutUint32(uint32(len(cmd.Survivors)))
-	for _, p := range cmd.Survivors {
-		b.PutUint32(uint32(p.Member))
-		b.PutString(p.Addr)
+	switch {
+	case cmd.promote != nil:
+		b.PutUint8(ctlPromote)
+		b.PutUint64(cmd.promote.NewEpoch)
+		b.PutUint32(uint32(len(cmd.promote.Survivors)))
+		for _, p := range cmd.promote.Survivors {
+			b.PutUint32(uint32(p.Member))
+			b.PutString(p.Addr)
+		}
+	case cmd.adopt != nil:
+		b.PutUint8(ctlAdopt)
+		b.PutUint32(uint32(cmd.adopt.Member))
+		b.PutString(cmd.adopt.Addr)
+	case cmd.demote != nil:
+		b.PutUint8(ctlDemote)
+		b.PutUint64(cmd.demote.Epoch)
+	default:
+		b.PutUint8(ctlStatus)
 	}
 	return b.Bytes()
 }
 
-func encodeAdopt(cmd adoptCmd) []byte {
-	b := cryptoutil.NewBuffer(32)
-	b.PutUint8(ctlAdopt)
-	b.PutUint32(uint32(cmd.Member))
-	b.PutString(cmd.Addr)
-	return b.Bytes()
-}
-
-func encodeDemote(cmd demoteCmd) []byte {
-	b := cryptoutil.NewBuffer(16)
-	b.PutUint8(ctlDemote)
-	b.PutUint64(cmd.Epoch)
-	return b.Bytes()
-}
-
-func encodeCtlOK() []byte {
-	b := cryptoutil.NewBuffer(4)
-	b.PutUint8(ctlOK)
-	return b.Bytes()
-}
-
-// decodeCtlReq decodes one control request; exactly one of the result
-// fields is set.
+// ctlReq is one control request: at most one command is set, and none
+// is a status probe.
 type ctlReq struct {
-	status  bool
 	promote *promoteCmd
 	adopt   *adoptCmd
 	demote  *demoteCmd
 }
 
+// decodeCtlReq decodes one control request.
 func decodeCtlReq(data []byte) (ctlReq, error) {
 	r := cryptoutil.NewReader(data)
 	switch tag := r.Uint8(); tag {
@@ -176,7 +155,7 @@ func decodeCtlReq(data []byte) (ctlReq, error) {
 		if err := r.ExpectEOF(); err != nil {
 			return ctlReq{}, fmt.Errorf("fleet: ctl status req: %w", err)
 		}
-		return ctlReq{status: true}, nil
+		return ctlReq{}, nil
 	case ctlPromote:
 		cmd := &promoteCmd{NewEpoch: r.Uint64()}
 		n := int(r.Uint32())
@@ -210,39 +189,28 @@ func decodeCtlReq(data []byte) (ctlReq, error) {
 // ctlRoundTrip opens a one-shot control connection: dial, HelloCtl
 // handshake, one request, one response. Refusals and remote errors
 // surface as *netsim.RemoteError with their wire code intact.
-func ctlRoundTrip(addr string, shard int, req []byte, timeout time.Duration) ([]byte, Welcome, error) {
+func ctlRoundTrip(addr string, shard int, req []byte, timeout time.Duration) ([]byte, error) {
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
-		return nil, Welcome{}, fmt.Errorf("fleet: ctl dial %s: %w", addr, err)
+		return nil, fmt.Errorf("fleet: ctl dial %s: %w", addr, err)
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(timeout))
-	w, err := sendHello(conn, Hello{Kind: HelloCtl, Shard: uint32(shard)})
-	if err != nil {
-		return nil, Welcome{}, err
+	if _, err := sendHello(conn, Hello{Kind: HelloCtl, Shard: uint32(shard)}); err != nil {
+		return nil, err
 	}
 	if err := netsim.WriteFrame(conn, req); err != nil {
-		return nil, Welcome{}, fmt.Errorf("fleet: ctl write: %w", err)
+		return nil, fmt.Errorf("fleet: ctl write: %w", err)
 	}
 	resp, err := netsim.ReadFrame(conn)
 	if err != nil {
-		return nil, Welcome{}, fmt.Errorf("fleet: ctl read: %w", err)
+		return nil, fmt.Errorf("fleet: ctl read: %w", err)
 	}
 	if code, msg, isErr := netsim.DecodeErrorFrameCode(resp); isErr {
-		return nil, w, &netsim.RemoteError{Msg: msg, Code: code}
+		return nil, &netsim.RemoteError{Msg: msg, Code: code}
 	}
-	return resp, w, nil
-}
-
-// Probe asks one member for its status over the control channel —
-// exported for harnesses and operational tooling.
-func Probe(addr string, shard int, timeout time.Duration) (MemberStatus, error) {
-	resp, _, err := ctlRoundTrip(addr, shard, encodeStatusReq(), timeout)
-	if err != nil {
-		return MemberStatus{}, err
-	}
-	return decodeStatusResp(resp)
+	return resp, nil
 }

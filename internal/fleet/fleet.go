@@ -5,6 +5,11 @@
 // failure is survived by fencing the dead epoch and promoting the most
 // caught-up follower through core.RestoreProvider.
 //
+// Every shard member is a Node, and the router's handle on a shard is
+// a ShardHandle, which owns the one failover path. Members and handle
+// reach each other through a Net: Wire when each member is its own OS
+// process, LocalNet when all of them share one process.
+//
 // The replication unit is the committed WAL group — exactly the bytes
 // the primary's group committer syncs (internal/core's journal groups
 // over internal/store's CRC-framed records). The primary's commit hook

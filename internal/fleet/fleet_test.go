@@ -245,7 +245,7 @@ func TestFollowerUnbootstrappedAndRetired(t *testing.T) {
 // where the other accounts don't exist, a silent wrong-shard rejection
 // for a perfectly valid batch.
 func TestRouterRejectsCrossShardBatch(t *testing.T) {
-	r := NewRouter([]*Shard{nil, nil, nil, nil}, 0, nil)
+	r := NewRouter([]*ShardHandle{nil, nil, nil, nil}, 0, nil)
 
 	// Find two accounts the ring places on different shards.
 	a := "acct-0"
@@ -343,30 +343,25 @@ func TestPinTableBounded(t *testing.T) {
 func TestManifestRoundTrip(t *testing.T) {
 	b := store.NewMemBackend()
 
-	if _, ok, err := readManifest(b); err != nil || ok {
+	if _, ok, err := ReadNodeManifest(b); err != nil || ok {
 		t.Fatalf("virgin backend: ok=%v err=%v, want absent", ok, err)
 	}
 
-	m := shardManifest{Epoch: 7, Active: "follower-2", Followers: []int{0, 3}, NextFollower: 4}
-	if err := writeManifest(b, m); err != nil {
+	m := NodeManifest{Epoch: 7, Role: NodeRoleFollower}
+	if err := WriteNodeManifest(b, m); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	got, ok, err := readManifest(b)
-	if err != nil || !ok {
-		t.Fatalf("read: ok=%v err=%v", ok, err)
-	}
-	if got.Epoch != 7 || got.Active != "follower-2" || got.NextFollower != 4 ||
-		len(got.Followers) != 2 || got.Followers[0] != 0 || got.Followers[1] != 3 {
-		t.Fatalf("round trip mangled: %+v", got)
+	got, ok, err := ReadNodeManifest(b)
+	if err != nil || !ok || got != m {
+		t.Fatalf("read: %+v ok=%v err=%v, want %+v", got, ok, err, m)
 	}
 
 	// Overwrite replaces the record completely.
-	m.Epoch, m.Active, m.Followers = 8, "follower-3", nil
-	if err := writeManifest(b, m); err != nil {
+	m = NodeManifest{Epoch: 8, Role: NodeRolePrimary}
+	if err := WriteNodeManifest(b, m); err != nil {
 		t.Fatalf("rewrite: %v", err)
 	}
-	got, _, err = readManifest(b)
-	if err != nil || got.Epoch != 8 || got.Active != "follower-3" || len(got.Followers) != 0 {
+	if got, _, err = ReadNodeManifest(b); err != nil || got != m {
 		t.Fatalf("rewrite mangled: %+v (err %v)", got, err)
 	}
 }
@@ -376,20 +371,17 @@ func TestManifestRoundTrip(t *testing.T) {
 // lineages get clobbered.
 func TestManifestRejectsGarbage(t *testing.T) {
 	for _, data := range [][]byte{{}, {0x01}, []byte("not a manifest")} {
-		if _, err := decodeManifest(data); err == nil {
-			t.Errorf("decoded garbage manifest %q", data)
+		b := store.NewMemBackend()
+		f, err := b.Create(nodeManifestName)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	b := store.NewMemBackend()
-	f, err := b.Create(manifestName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte("garbage")); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if _, _, err := readManifest(b); err == nil {
-		t.Fatal("read a garbage manifest as valid")
+		if _, err := f.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if _, _, err := ReadNodeManifest(b); err == nil {
+			t.Errorf("read garbage manifest %q as valid", data)
+		}
 	}
 }

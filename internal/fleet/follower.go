@@ -24,7 +24,6 @@ type Follower struct {
 	st      *store.Store
 	epoch   uint64
 	applied uint64 // stream offset: committed groups applied so far
-	groups  uint64 // groups physically in the current segment (diagnostics)
 	retired bool   // promoted away or dropped; refuses all frames
 }
 
@@ -33,9 +32,6 @@ type Follower struct {
 func NewFollower(shard, index int, backend store.Backend) *Follower {
 	return &Follower{shard: shard, index: index, backend: backend}
 }
-
-// Index returns the follower's index within its shard.
-func (f *Follower) Index() int { return f.index }
 
 // Applied returns the replication stream offset the follower has
 // durably applied — the promotion fitness: the most caught-up follower
@@ -130,7 +126,6 @@ func (f *Follower) applyBootstrap(boot *bootstrapFrame) ([]byte, error) {
 	f.st = st
 	f.epoch = boot.Epoch
 	f.applied = boot.UpTo
-	f.groups = uint64(len(boot.Records))
 	return encodeAck(ackFrame{Epoch: f.epoch, Applied: f.applied, Status: ackOK}), nil
 }
 
@@ -158,7 +153,6 @@ func (f *Follower) applyAppend(app *appendFrame) ([]byte, error) {
 		return nil, fmt.Errorf("fleet: follower append: %w", err)
 	}
 	f.applied += uint64(len(fresh))
-	f.groups += uint64(len(fresh))
 	return encodeAck(ackFrame{Epoch: f.epoch, Applied: f.applied, Status: ackOK}), nil
 }
 

@@ -21,19 +21,21 @@ import (
 	"unitp/internal/wire"
 )
 
-// Node is one shard member running in its own OS process: either the
+// Node is one shard member — the fleet's only member engine: either the
 // shard's primary (a live provider whose commit hook ships WAL groups
-// to follower processes over TCP) or a follower (a cold replica applying
-// shipped groups into its own durable segment, promotable on command).
+// to the followers) or a follower (a cold replica applying shipped
+// groups into its own durable segment, promotable on command). Members
+// reach each other through a Net: their own OS processes over TCP
+// (Wire), or Nodes in one process (LocalNet).
 //
 // The Node owns the member's whole lifecycle across both roles:
 //
-//   - Every inbound connection opens with the role handshake
-//     (Accept): ship and request channels from stale epochs are refused
-//     at the socket edge with a fatal fenced error frame; a ship hello
+//   - Every inbound channel opens with the role handshake (admit):
+//     ship and request channels from stale epochs are refused before a
+//     payload frame is exchanged with a fatal fenced error; a ship hello
 //     from a NEWER epoch deposes a running primary on the spot — it
 //     demotes to follower and lets the new primary bootstrap it over
-//     the very same connection.
+//     the very same channel.
 //   - Promotion (ctl) restores a provider from the follower's durable
 //     segment at the commanded epoch — core.RestoreProvider underneath,
 //     audit chain re-verified — then re-bootstraps the reachable
@@ -66,14 +68,13 @@ type Node struct {
 	epoch     uint64
 	primary   *core.Provider
 	rep       *replicator
-	links     []*shipLink
 	follower  *Follower
 	demotions int
 }
 
-// NodeConfig assembles one shard-member process.
+// NodeConfig assembles one shard member.
 type NodeConfig struct {
-	// Shard and Member identify this process in the fleet topology.
+	// Shard and Member identify this member in the fleet topology.
 	Shard, Member int
 
 	// StartRole is the role a virgin data dir starts in: "primary" or
@@ -105,39 +106,19 @@ type NodeConfig struct {
 	// epoch — core.RestoreProvider plus non-state configuration.
 	Restore func(epoch uint64, st *store.Store) (*core.Provider, error)
 
-	// KillBeforeShip / KillAfterShip arm deterministic chaos: when the
-	// primary's ship frontier crosses the absolute stream offset, the
-	// process SIGKILLs itself immediately before (after) shipping the
-	// crossing batch. 0 disarms. A promoted primary resumes the stream
-	// at its applied offset, so offsets already behind it never fire.
-	KillBeforeShip, KillAfterShip uint64
+	// Kill, when set, is consulted by the primary's commit hook in both
+	// phases of every batch, with the batch's stream offsets [from, to).
+	// A non-nil error kills the provider without answering the batch
+	// (faults.FleetPlan.Killer, in-process); KillAtOffsets instead
+	// SIGKILLs the whole process and never returns.
+	Kill func(phase faults.KillPhase, from, to uint64) error
 
-	// ShipRetry paces replication retransmissions over link flaps. The
-	// follower's offset dedupe absorbs the duplicates. Zero-valued
-	// fields normalize to a tight default (5 attempts, 3 s deadline) —
-	// a link dead longer than the deadline kills the primary, which is
-	// the fleet's consistency-over-availability contract.
-	ShipRetry netsim.RetryPolicy
-
-	// BootWait is the per-peer bootstrap budget when a virgin primary
-	// starts (processes start in any order; default 10 s). PromoteWait
-	// is the per-survivor budget during promotion (default 2 s — a
-	// partitioned survivor is skipped, not waited out).
-	BootWait, PromoteWait time.Duration
+	// Net reaches the other members: Wire (the default) or a LocalNet.
+	Net Net
 
 	Metrics *obs.Registry
-	Tracer  *obs.Tracer
 	Logger  *slog.Logger
 	Clock   sim.Clock
-}
-
-// shipLink is one follower's replication endpoint: the supervised wire
-// client (which re-sends the role handshake on every reconnect) wrapped
-// in the ship retry policy.
-type shipLink struct {
-	member int
-	client *wire.Client
-	rt     netsim.Transport
 }
 
 // Node role names (StartRole and the node manifest).
@@ -150,7 +131,7 @@ const (
 // the primary role; classified as a failover frame on the wire.
 var errNotPrimary = errors.New("fleet: member is not the primary")
 
-// NewNode starts one shard-member process engine. A virgin data dir
+// NewNode starts one shard member. A virgin data dir
 // starts in cfg.StartRole; an existing one resumes the manifest's
 // recorded role and epoch. A restarting primary whose lineage was
 // superseded while it was down is fenced by its followers' handshakes
@@ -166,14 +147,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	if cfg.BootWait <= 0 {
-		cfg.BootWait = 10 * time.Second
-	}
-	if cfg.PromoteWait <= 0 {
-		cfg.PromoteWait = 2 * time.Second
-	}
-	if cfg.ShipRetry.MaxAttempts == 0 {
-		cfg.ShipRetry = NodeShipRetry()
+	if cfg.Net == nil {
+		cfg.Net = Wire
 	}
 	if cfg.NewBackend == nil || cfg.Build == nil || cfg.Restore == nil {
 		return nil, fmt.Errorf("fleet: node %d/%d: NewBackend, Build, and Restore are required", cfg.Shard, cfg.Member)
@@ -247,10 +222,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 		// Restart resets the ship stream to 0 and re-bootstraps: the
 		// followers' segments are re-seeded from this primary's full
-		// durable state, exactly like the in-process restart path. If
-		// the lineage was superseded while this process was down, the
-		// very first bootstrap is fenced and wireLocked demotes us.
-		if err := n.wireLocked(prov, 0, cfg.Followers, cfg.BootWait); err != nil {
+		// durable state. If the lineage was superseded while this member
+		// was down, the very first bootstrap is fenced and wireLocked
+		// demotes us.
+		if err := n.wireLocked(prov, 0, cfg.Followers, cfg.Net.bootWait(false)); err != nil {
 			if errors.Is(err, ErrStaleEpoch) {
 				n.logger.Warn("deposed primary fenced at rejoin; demoted to follower",
 					"epoch", epoch, "now", n.epoch)
@@ -265,26 +240,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 }
 
-// NodeShipRetry is the default replication retry policy: quick, tightly
-// bounded retransmissions. A link flap heals transparently (reconnect +
-// re-handshake + offset-deduped resend); a link dead past the deadline
-// kills the primary.
-func NodeShipRetry() netsim.RetryPolicy {
-	return netsim.RetryPolicy{
-		MaxAttempts:    8,
-		InitialBackoff: 5 * time.Millisecond,
-		MaxBackoff:     100 * time.Millisecond,
-		Multiplier:     2,
-		Jitter:         0.2,
-		AttemptTimeout: 2 * time.Second,
-		Deadline:       3 * time.Second,
-	}
-}
-
 // wireLocked installs prov as this node's primary: ship links to every
-// peer, bootstrap at stream offset upTo, commit hook with the chaos
-// kill offsets armed. A peer that fences the bootstrap demotes this
-// node (returns ErrStaleEpoch); a peer that stays unreachable past
+// peer, bootstrap at stream offset upTo, commit hook armed. A peer that
+// fences the bootstrap demotes this node (returns ErrStaleEpoch); a
+// bootstrap that can never succeed (a segment too large for one frame)
+// fails the whole wiring; a peer that stays unreachable past
 // perPeerWait is skipped with a loud log — the warden re-adopts it once
 // it is back. Caller holds n.mu.
 func (n *Node) wireLocked(prov *core.Provider, upTo uint64, peers []PeerAddr, perPeerWait time.Duration) error {
@@ -306,23 +266,26 @@ func (n *Node) wireLocked(prov *core.Provider, upTo uint64, peers []PeerAddr, pe
 		State: seg.State, Records: seg.Records,
 	})
 
-	var links []*shipLink
 	for _, p := range peers {
-		link := n.newShipLink(p)
-		err := n.bootstrapPeer(rep, link, boot, perPeerWait)
+		conn := n.cfg.Net.ship(n, p)
+		err := n.bootstrapPeer(rep, conn, p.Member, boot, perPeerWait)
+		if err != nil {
+			conn.Close()
+		}
 		switch {
 		case err == nil:
-			links = append(links, link)
 		case errors.Is(err, ErrStaleEpoch):
 			// A follower serves a newer lineage: this primary is deposed.
-			link.client.Close()
-			for _, l := range links {
-				l.client.Close()
-			}
+			rep.close()
 			n.demoteLocked(0)
 			return fmt.Errorf("fleet: node %d/%d: %w", n.cfg.Shard, n.cfg.Member, err)
+		case errors.Is(err, netsim.ErrFrameTooLarge):
+			rep.close()
+			prov.Kill()
+			prov.Store().Close()
+			return fmt.Errorf("fleet: node %d/%d: bootstrap of member %d can never succeed: %w",
+				n.cfg.Shard, n.cfg.Member, p.Member, err)
 		default:
-			link.client.Close()
 			n.count("fleet.bootstrap_skipped")
 			n.logger.Warn("follower unreachable during bootstrap; skipped (warden will re-adopt)",
 				"member", p.Member, "addr", p.Addr, "err", err)
@@ -332,37 +295,35 @@ func (n *Node) wireLocked(prov *core.Provider, upTo uint64, peers []PeerAddr, pe
 	n.armHookLocked(prov, rep)
 	n.primary = prov
 	n.rep = rep
-	n.links = links
 	return nil
 }
 
 // bootstrapPeer retries one follower's bootstrap for up to wait
-// (processes start in any order); fencing refusals abort immediately.
-func (n *Node) bootstrapPeer(rep *replicator, link *shipLink, boot []byte, wait time.Duration) error {
+// (processes start in any order); a refusal no retry can fix — fencing,
+// a gap, an oversize frame — aborts at once.
+func (n *Node) bootstrapPeer(rep *replicator, conn memberConn, member int, boot []byte, wait time.Duration) error {
 	deadline := time.Now().Add(wait)
 	for {
-		err := rep.bootstrap(link.rt, link.member, boot)
-		if err == nil || errors.Is(err, ErrStaleEpoch) || errors.Is(err, ErrOffsetGap) {
-			return err
-		}
-		if time.Now().After(deadline) {
+		err := rep.bootstrap(conn, member, boot)
+		if err == nil || errors.Is(err, ErrStaleEpoch) || errors.Is(err, ErrOffsetGap) ||
+			errors.Is(err, netsim.ErrFrameTooLarge) || !time.Now().Before(deadline) {
 			return err
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 }
 
-// armHookLocked installs the commit hook: deterministic self-SIGKILL at
-// the armed stream offsets, synchronous shipping, and demote-on-fence.
+// armHookLocked installs the commit hook: the configured kill in both
+// phases, synchronous shipping, and demote-on-fence.
 func (n *Node) armHookLocked(prov *core.Provider, rep *replicator) {
-	kb, ka := n.cfg.KillBeforeShip, n.cfg.KillAfterShip
+	kill := n.cfg.Kill
 	prov.SetCommitHook(func(groups [][]byte) error {
 		off := rep.frontier()
 		next := off + uint64(len(groups))
-		if kb > 0 && off < kb && next >= kb {
-			n.logger.Error("chaos: self-SIGKILL before ship",
-				"shard", n.cfg.Shard, "member", n.cfg.Member, "offset", off, "kill_at", kb)
-			selfKill()
+		if kill != nil {
+			if err := kill(faults.KillBeforeShip, off, next); err != nil {
+				return err
+			}
 		}
 		if err := rep.ship(groups); err != nil {
 			if errors.Is(err, ErrStaleEpoch) {
@@ -373,69 +334,67 @@ func (n *Node) armHookLocked(prov *core.Provider, rep *replicator) {
 			}
 			return err
 		}
-		n.helloOffset.Store(rep.frontier())
-		if ka > 0 && off < ka && next >= ka {
-			n.logger.Error("chaos: self-SIGKILL after ship",
-				"shard", n.cfg.Shard, "member", n.cfg.Member, "offset", off, "kill_at", ka)
-			selfKill()
+		n.helloOffset.Store(next)
+		if kill != nil {
+			return kill(faults.KillAfterShip, off, next)
 		}
 		return nil
 	})
 }
 
-// newShipLink builds the supervised replication client to one peer. The
-// role handshake closure reads the node's LIVE epoch and frontier, so
-// every reconnect re-asserts the current lineage — a link that dropped
-// across a failover can never resume acking at the stale epoch.
-func (n *Node) newShipLink(p PeerAddr) *shipLink {
-	client := wire.NewClient(wire.ClientConfig{
-		Addr:            p.Addr,
-		Handshake:       n.shipHandshake(),
-		ResponseTimeout: 5 * time.Second,
-		// Replication links redial aggressively: the reconnect pause must
-		// stay below the ship retry backoff, or a single flap burns the
-		// whole retry budget against the backoff window and needlessly
-		// kills the primary.
-		ReconnectMin: 2 * time.Millisecond,
-		ReconnectMax: 25 * time.Millisecond,
-		Metrics:      n.cfg.Metrics,
-	})
-	rt := netsim.NewRetryTransport(client, n.cfg.ShipRetry, sim.WallClock{}, sim.NewRand(uint64(0x5319+p.Member)))
-	return &shipLink{member: p.Member, client: client, rt: rt}
-}
-
-// shipHandshake is the ship-link role handshake, re-run by wire.Client
-// on every (re)connect.
-func (n *Node) shipHandshake() func(conn net.Conn) error {
-	return func(conn net.Conn) error {
-		h := Hello{
-			Kind:   HelloShip,
-			Scheme: uint8(n.cfg.Scheme),
-			Shard:  uint32(n.cfg.Shard),
-			Member: uint32(n.cfg.Member),
-			Epoch:  n.helloEpoch.Load(),
-			Offset: n.helloOffset.Load(),
+// KillAtOffsets arms the process fleet's deterministic chaos for
+// NodeConfig.Kill: the member SIGKILLs itself immediately before (after)
+// shipping the batch that crosses the absolute stream offset before
+// (after); 0 disarms. A promoted primary resumes the stream at its
+// applied offset, so offsets already behind it never fire.
+func KillAtOffsets(before, after uint64, logger *slog.Logger) func(faults.KillPhase, uint64, uint64) error {
+	if before == 0 && after == 0 {
+		return nil
+	}
+	return func(phase faults.KillPhase, from, to uint64) error {
+		at := before
+		if phase == faults.KillAfterShip {
+			at = after
 		}
-		w, err := sendHello(conn, h)
-		if err != nil {
-			return err
-		}
-		if w.Epoch > h.Epoch {
-			// Defense in depth: a welcome from a newer lineage means we
-			// are deposed even if the peer chose not to refuse us.
-			go n.Demote(w.Epoch)
-			return &netsim.RemoteError{
-				Msg:  fmt.Sprintf("fleet: peer serves epoch %d, ours is %d", w.Epoch, h.Epoch),
-				Code: netsim.ErrCodeFenced,
-			}
+		if at > 0 && from < at && to >= at {
+			logger.Error("chaos: self-SIGKILL", "phase", phase.String(), "offset", from, "kill_at", at)
+			syscall.Kill(os.Getpid(), syscall.SIGKILL)
+			select {} // unreachable: SIGKILL cannot be caught
 		}
 		return nil
 	}
 }
 
-// Accept is the node's wire.Server handshake hook: it classifies every
-// inbound connection by its Hello and returns the per-connection
-// handler, refusing stale epochs at the socket edge.
+// shipHello is the role handshake a ship link opens with, built from the
+// node's LIVE epoch and frontier.
+func (n *Node) shipHello() Hello {
+	return Hello{
+		Kind:   HelloShip,
+		Scheme: uint8(n.cfg.Scheme),
+		Shard:  uint32(n.cfg.Shard),
+		Member: uint32(n.cfg.Member),
+		Epoch:  n.helloEpoch.Load(),
+		Offset: n.helloOffset.Load(),
+	}
+}
+
+// shipWelcomed checks a follower's welcome. Defense in depth: a welcome
+// from a newer lineage means we are deposed even if the peer chose not
+// to refuse us.
+func (n *Node) shipWelcomed(h Hello, w Welcome) error {
+	if w.Epoch > h.Epoch {
+		go n.Demote(w.Epoch)
+		return &netsim.RemoteError{
+			Msg:  fmt.Sprintf("fleet: peer serves epoch %d, ours is %d", w.Epoch, h.Epoch),
+			Code: netsim.ErrCodeFenced,
+		}
+	}
+	return nil
+}
+
+// Accept is the node's wire.Server handshake hook: it reads the Hello,
+// runs the admission decision, and answers with the Welcome or the
+// refusal's error frame.
 func (n *Node) Accept(conn net.Conn) (netsim.Handler, error) {
 	frame, err := netsim.ReadFrame(conn)
 	if err != nil {
@@ -445,8 +404,41 @@ func (n *Node) Accept(conn net.Conn) (netsim.Handler, error) {
 	if err != nil {
 		return nil, refuseHello(conn, netsim.ErrCodePermanent, err)
 	}
+	w, handler, ref := n.admit(h)
+	if ref != nil {
+		return nil, refuseHello(conn, ref.code, ref.err)
+	}
+	if err := netsim.WriteFrame(conn, EncodeWelcome(w)); err != nil {
+		return nil, fmt.Errorf("fleet: send welcome: %w", err)
+	}
+	return handler, nil
+}
+
+// refusal is an admission verdict against a Hello, with the wire error
+// code the refused caller receives.
+type refusal struct {
+	code uint8
+	err  error
+}
+
+// remote is the refusal as the caller sees it, over either backend.
+func (r *refusal) remote() error { return &netsim.RemoteError{Msg: r.err.Error(), Code: r.code} }
+
+// admit is the socket-free admission decision on one Hello: it
+// classifies the channel, refuses stale epochs (fenced) and wrong
+// shards or profiles (permanent), lets a ship hello from a NEWER epoch
+// depose a running primary — it demotes and lets the new primary
+// bootstrap it over this very channel — and returns this member's
+// Welcome plus the channel's handler.
+func (n *Node) admit(h Hello) (Welcome, netsim.Handler, *refusal) {
+	refuse := func(code uint8, err error) (Welcome, netsim.Handler, *refusal) {
+		if code == netsim.ErrCodeFenced {
+			n.count("fleet.fenced_frames")
+		}
+		return Welcome{}, nil, &refusal{code: code, err: err}
+	}
 	if int(h.Shard) != n.cfg.Shard {
-		return nil, refuseHello(conn, netsim.ErrCodePermanent,
+		return refuse(netsim.ErrCodePermanent,
 			fmt.Errorf("fleet: hello for shard %d, this member serves shard %d", h.Shard, n.cfg.Shard))
 	}
 	// Data-plane channels must agree on the crypto profile: a router or
@@ -455,7 +447,7 @@ func (n *Node) Accept(conn net.Conn) (netsim.Handler, error) {
 	// exempt — probes and promotions carry no attestation traffic.
 	if h.Kind != HelloCtl && h.Scheme != uint8(n.cfg.Scheme) {
 		n.count("fleet.scheme_mismatch")
-		return nil, refuseHello(conn, netsim.ErrCodePermanent,
+		return refuse(netsim.ErrCodePermanent,
 			fmt.Errorf("fleet: crypto profile mismatch: hello runs %s, member %d runs %s",
 				cryptoutil.SchemeID(h.Scheme), n.cfg.Member, n.cfg.Scheme))
 	}
@@ -463,32 +455,25 @@ func (n *Node) Accept(conn net.Conn) (netsim.Handler, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	floor := n.epochFloorLocked()
+	var handler netsim.Handler
 
 	switch h.Kind {
 	case HelloShip:
 		if n.role == WelcomePrimary {
-			if h.Epoch > n.epoch {
-				// A newer primary is adopting us: depose ourselves and
-				// let it bootstrap us over this very connection.
-				n.logger.Warn("deposed by ship handshake from newer epoch",
-					"ours", n.epoch, "theirs", h.Epoch, "from_member", h.Member)
-				n.demoteLocked(h.Epoch)
-			} else {
-				n.count("fleet.fenced_frames")
-				return nil, refuseHello(conn, netsim.ErrCodeFenced,
+			if h.Epoch <= n.epoch {
+				return refuse(netsim.ErrCodeFenced,
 					fmt.Errorf("fleet: member %d is primary at epoch %d; refusing ship hello at epoch %d",
 						n.cfg.Member, n.epoch, h.Epoch))
 			}
+			n.logger.Warn("deposed by ship handshake from newer epoch",
+				"ours", n.epoch, "theirs", h.Epoch, "from_member", h.Member)
+			n.demoteLocked(h.Epoch)
 		} else if h.Epoch < floor {
-			n.count("fleet.fenced_frames")
-			return nil, refuseHello(conn, netsim.ErrCodeFenced,
+			return refuse(netsim.ErrCodeFenced,
 				fmt.Errorf("fleet: member %d serves epoch %d; refusing ship hello at stale epoch %d",
 					n.cfg.Member, floor, h.Epoch))
 		}
-		if err := n.welcomeLocked(conn); err != nil {
-			return nil, err
-		}
-		return n.handleShip, nil
+		handler = n.handleShip
 
 	case HelloRouter:
 		if h.Epoch > n.epoch && n.role == WelcomePrimary {
@@ -496,36 +481,26 @@ func (n *Node) Accept(conn net.Conn) (netsim.Handler, error) {
 			n.logger.Warn("deposed by router handshake from newer epoch", "ours", n.epoch, "theirs", h.Epoch)
 			n.demoteLocked(h.Epoch)
 		}
-		if n.role != WelcomePrimary || n.primary == nil {
-			return nil, refuseHello(conn, netsim.ErrCodeFailover,
+		switch {
+		case n.role != WelcomePrimary || n.primary == nil:
+			return refuse(netsim.ErrCodeFailover,
 				fmt.Errorf("%w: member %d (epoch %d)", errNotPrimary, n.cfg.Member, floor))
-		}
-		if n.primary.Fenced() {
-			n.count("fleet.fenced_frames")
-			return nil, refuseHello(conn, netsim.ErrCodeFenced,
+		case n.primary.Fenced():
+			return refuse(netsim.ErrCodeFenced,
 				fmt.Errorf("fleet: member %d primary is fenced at epoch %d", n.cfg.Member, n.epoch))
-		}
-		if n.primary.Dead() {
-			return nil, refuseHello(conn, netsim.ErrCodeFailover,
+		case n.primary.Dead():
+			return refuse(netsim.ErrCodeFailover,
 				fmt.Errorf("fleet: member %d primary is dead at epoch %d", n.cfg.Member, n.epoch))
 		}
-		if err := n.welcomeLocked(conn); err != nil {
-			return nil, err
-		}
-		return n.handleRequest, nil
+		handler = n.handleRequest
 
 	case HelloCtl:
-		if err := n.welcomeLocked(conn); err != nil {
-			return nil, err
-		}
-		return n.handleCtl, nil
-	}
-	return nil, refuseHello(conn, netsim.ErrCodePermanent, fmt.Errorf("fleet: unknown hello kind %d", h.Kind))
-}
+		handler = n.handleCtl
 
-// welcomeLocked answers an accepted Hello with this member's current
-// role, epoch, and stream position.
-func (n *Node) welcomeLocked(conn net.Conn) error {
+	default:
+		return refuse(netsim.ErrCodePermanent, fmt.Errorf("fleet: unknown hello kind %d", h.Kind))
+	}
+
 	w := Welcome{Role: n.role, Scheme: uint8(n.cfg.Scheme), Epoch: n.epochFloorLocked()}
 	switch {
 	case n.role == WelcomePrimary && n.rep != nil:
@@ -533,10 +508,7 @@ func (n *Node) welcomeLocked(conn net.Conn) error {
 	case n.follower != nil:
 		w.Applied = n.follower.Applied()
 	}
-	if err := netsim.WriteFrame(conn, EncodeWelcome(w)); err != nil {
-		return fmt.Errorf("fleet: send welcome: %w", err)
-	}
-	return nil
+	return w, handler, nil
 }
 
 // epochFloorLocked is the newest epoch this member has accepted: its
@@ -551,7 +523,7 @@ func (n *Node) epochFloorLocked() uint64 {
 	return e
 }
 
-// handleShip serves replication frames on an accepted ship connection.
+// handleShip serves replication frames on an admitted ship channel.
 // The follower's ack discipline (offset dedupe, gap refusal, per-frame
 // epoch fencing) does the heavy lifting; fencing acks are counted so
 // the admin plane sees zombies being refused.
@@ -565,15 +537,13 @@ func (n *Node) handleShip(req []byte) ([]byte, error) {
 		return encodeAck(ackFrame{Epoch: n.helloEpoch.Load(), Applied: 0, Status: ackFenced}), nil
 	}
 	resp, err := f.Handle(req)
-	if err == nil {
-		if _, _, ack, derr := decodeRepFrame(resp); derr == nil && ack != nil && ack.Status == ackFenced {
-			n.count("fleet.fenced_frames")
-		}
+	if err == nil && isFencedAck(resp) {
+		n.count("fleet.fenced_frames")
 	}
 	return resp, err
 }
 
-// handleRequest serves client frames on an accepted router connection.
+// handleRequest serves client frames on an admitted router channel.
 func (n *Node) handleRequest(req []byte) ([]byte, error) {
 	n.mu.Lock()
 	p := n.primary
@@ -585,33 +555,35 @@ func (n *Node) handleRequest(req []byte) ([]byte, error) {
 	return p.Handle(req)
 }
 
-// handleCtl serves control frames (status, promote, adopt, demote).
+// handleCtl serves ctl frames on an admitted control channel.
 func (n *Node) handleCtl(req []byte) ([]byte, error) {
 	cmd, err := decodeCtlReq(req)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case cmd.status:
-		return encodeStatusResp(n.Status()), nil
-	case cmd.promote != nil:
-		st, err := n.Promote(*cmd.promote)
-		if err != nil {
-			return nil, err
-		}
-		return encodeStatusResp(st), nil
-	case cmd.adopt != nil:
-		if err := n.Adopt(*cmd.adopt); err != nil {
-			return nil, err
-		}
-		return encodeCtlOK(), nil
-	case cmd.demote != nil:
-		if err := n.Demote(cmd.demote.Epoch); err != nil {
-			return nil, err
-		}
-		return encodeCtlOK(), nil
+	st, err := n.control(cmd)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("fleet: empty ctl request")
+	return encodeStatusResp(st), nil
+}
+
+// control executes one control command (status, promote, adopt,
+// demote) and answers with this member's status after it.
+func (n *Node) control(cmd ctlReq) (MemberStatus, error) {
+	var err error
+	switch {
+	case cmd.promote != nil:
+		return n.Promote(*cmd.promote)
+	case cmd.adopt != nil:
+		err = n.Adopt(*cmd.adopt)
+	case cmd.demote != nil:
+		err = n.Demote(cmd.demote.Epoch)
+	}
+	if err != nil {
+		return MemberStatus{}, err
+	}
+	return n.Status(), nil
 }
 
 // Status reports this member's current role, epoch, stream position,
@@ -629,13 +601,7 @@ func (n *Node) statusLocked() MemberStatus {
 		st.Healthy = !n.primary.Fenced() && !n.primary.Dead() && n.primary.Health().Ready
 		if n.rep != nil {
 			st.Applied = n.rep.frontier()
-			now := n.cfg.Clock.Now()
-			for _, lh := range n.rep.health() {
-				st.Links = append(st.Links, LinkStatus{
-					Member: lh.Member, Acked: lh.Acked, Lag: lh.Lag,
-					AckAgeMS: now.Sub(lh.LastAck).Milliseconds(),
-				})
-			}
+			st.Links = n.rep.health()
 		}
 		return st
 	}
@@ -684,12 +650,12 @@ func (n *Node) Promote(cmd promoteCmd) (MemberStatus, error) {
 		return MemberStatus{}, err
 	}
 
-	if err := n.wireLocked(prov, applied, cmd.Survivors, n.cfg.PromoteWait); err != nil {
+	if err := n.wireLocked(prov, applied, cmd.Survivors, n.cfg.Net.bootWait(true)); err != nil {
 		return MemberStatus{}, err
 	}
 	n.count("fleet.promotions")
 	n.logger.Info("promoted to primary", "shard", n.cfg.Shard, "member", n.cfg.Member,
-		"epoch", cmd.NewEpoch, "applied", applied, "links", len(n.links))
+		"epoch", cmd.NewEpoch, "applied", applied, "links", len(n.rep.health()))
 	return n.statusLocked(), nil
 }
 
@@ -702,12 +668,12 @@ func (n *Node) Adopt(cmd adoptCmd) error {
 	if n.role != WelcomePrimary || n.primary == nil || n.rep == nil {
 		return fmt.Errorf("%w: member %d cannot adopt", errNotPrimary, n.cfg.Member)
 	}
-	for _, m := range n.rep.members() {
-		if m == cmd.Member {
+	for _, l := range n.rep.health() {
+		if l.Member == cmd.Member {
 			return nil
 		}
 	}
-	link := n.newShipLink(PeerAddr{Member: cmd.Member, Addr: cmd.Addr})
+	conn := n.cfg.Net.ship(n, PeerAddr{Member: cmd.Member, Addr: cmd.Addr})
 	err := n.primary.Quiesced(func() error {
 		seg, err := n.primary.Store().ReadSegment()
 		if err != nil {
@@ -717,13 +683,12 @@ func (n *Node) Adopt(cmd adoptCmd) error {
 			Epoch: n.epoch, UpTo: n.rep.frontier(), Gen: seg.Generation,
 			State: seg.State, Records: seg.Records,
 		})
-		return n.rep.bootstrap(link.rt, cmd.Member, boot)
+		return n.rep.bootstrap(conn, cmd.Member, boot)
 	})
 	if err != nil {
-		link.client.Close()
+		conn.Close()
 		return err
 	}
-	n.links = append(n.links, link)
 	n.count("fleet.adoptions")
 	n.logger.Info("adopted follower", "member", cmd.Member, "addr", cmd.Addr, "epoch", n.epoch)
 	return nil
@@ -766,10 +731,8 @@ func (n *Node) demoteLocked(newEpoch uint64) {
 			}
 		}
 	}
-	for _, l := range n.links {
-		l.client.Close()
-	}
-	n.primary, n.rep, n.links = nil, nil, nil
+	n.rep.close()
+	n.primary, n.rep = nil, nil
 	n.role = WelcomeFollower
 	if newEpoch > n.epoch {
 		n.epoch = newEpoch
@@ -822,9 +785,7 @@ func (n *Node) Classify(err error) uint8 {
 func (n *Node) Finish() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, l := range n.links {
-		l.client.Close()
-	}
+	n.rep.close()
 	if n.role == WelcomePrimary && n.primary != nil {
 		if st := n.primary.Store(); st != nil {
 			if err := n.primary.SnapshotNow(); err != nil && !errors.Is(err, store.ErrCrashed) {
@@ -847,6 +808,14 @@ func (n *Node) Demotions() int {
 	return n.demotions
 }
 
+// Provider returns the member's live provider while it serves as
+// primary, else nil.
+func (n *Node) Provider() *core.Provider {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.primary
+}
+
 // Role reports the member's current role name.
 func (n *Node) Role() string {
 	n.mu.Lock()
@@ -862,15 +831,6 @@ func (n *Node) count(name string) {
 	if n.cfg.Metrics != nil {
 		n.cfg.Metrics.Counter(name).Inc()
 	}
-}
-
-// selfKill is the distributed kill matrix's crash primitive: a real,
-// unhandleable SIGKILL of this process — no deferred flushes, no drain,
-// exactly what a machine losing power looks like to the rest of the
-// fleet.
-func selfKill() {
-	syscall.Kill(os.Getpid(), syscall.SIGKILL)
-	select {} // unreachable: SIGKILL cannot be caught
 }
 
 // NodeManifest is the durable (role, epoch) pointer a shard-member
@@ -910,8 +870,10 @@ func ReadNodeManifest(b store.Backend) (NodeManifest, bool, error) {
 	return m, true, nil
 }
 
-// WriteNodeManifest durably replaces a member's manifest (temp write,
-// sync, atomic rename — the shard-manifest discipline).
+// WriteNodeManifest durably replaces a member's manifest: temp write,
+// data sync, atomic rename (the backend makes the rename itself durable
+// — DirBackend fsyncs the parent directory). A crash at any point
+// leaves either the old manifest or the new one, never a torn mix.
 func WriteNodeManifest(b store.Backend, m NodeManifest) error {
 	buf := cryptoutil.NewBuffer(32)
 	buf.PutUint32(nodeManifestMagic)

@@ -15,7 +15,7 @@ import (
 	"unitp/internal/wire"
 )
 
-// testNode builds one shard-member process engine on in-memory backends
+// testNode builds one shard member on in-memory backends
 // with the lean auto-accept provider, and serves it on a real TCP
 // listener exactly like tpserver's node roles do.
 func testNode(t *testing.T, member int, startRole string, peers []PeerAddr) (*Node, string) {
@@ -58,8 +58,7 @@ func testNode(t *testing.T, member int, startRole string, peers []PeerAddr) (*No
 				ConfirmThresholdCents: 1_000_000,
 			}, st)
 		},
-		BootWait:    5 * time.Second,
-		PromoteWait: time.Second,
+		Net: wireNet{boot: 5 * time.Second, promote: time.Second, ctlTimeout: 2 * time.Second},
 	})
 	if err != nil {
 		t.Fatalf("NewNode(member %d): %v", member, err)
@@ -312,7 +311,7 @@ func TestNodePromoteRefusesStaleEpoch(t *testing.T) {
 		t.Fatalf("bootstrap ack = %+v", ack)
 	}
 
-	_, _, err := ctlRoundTrip(followerAddr, 0, encodePromote(promoteCmd{NewEpoch: 2}), time.Second)
+	_, err := ctlRoundTrip(followerAddr, 0, encodeCtlReq(ctlReq{promote: &promoteCmd{NewEpoch: 2}}), time.Second)
 	if err == nil {
 		t.Fatalf("stale promote succeeded")
 	}

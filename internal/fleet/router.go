@@ -29,8 +29,7 @@ import (
 // gives the client a well-formed retryable rejection.
 type Router struct {
 	ring    *Ring
-	refs    []ShardRef
-	shards  []*Shard // non-nil only for in-process fleets (NewRouter)
+	shards  []*ShardHandle
 	metrics *obs.Registry
 
 	mu           sync.Mutex
@@ -38,61 +37,26 @@ type Router struct {
 	captchaRoute *pinTable[uint64]
 }
 
-// ShardRef is what the router needs from a shard: dispatch, the epoch
-// observed before dispatch, and idempotent failover against that
-// observation. *Shard implements it in-process; RemoteShard implements
-// it over the wire, so the same routing and failover-retry logic fronts
-// both a single-process fleet and a fleet of separate OS processes.
-type ShardRef interface {
-	// Handle dispatches one client frame to the shard's primary.
-	Handle(req []byte) ([]byte, error)
-
-	// Epoch is the epoch the caller observes before dispatching; a
-	// failover trigger quotes it back so concurrent triggers collapse
-	// into one promotion.
-	Epoch() uint64
-
-	// Failover promotes past observedEpoch if the shard has not already
-	// moved beyond it (idempotent under concurrent routing).
-	Failover(observedEpoch uint64) error
-}
-
 // maxRoutePins bounds each pin table to 2×maxRoutePins entries — far
 // above any realistic concurrent-session count, small enough that a
 // router abandoned challenges leak into stays bounded for good.
 const maxRoutePins = 1 << 14
 
-// NewRouter fronts in-process shards with a consistent-hash ring.
-// virtualNodes <= 0 uses DefaultVirtualNodes; metrics may be nil.
-func NewRouter(shards []*Shard, virtualNodes int, metrics *obs.Registry) *Router {
-	refs := make([]ShardRef, len(shards))
-	for i, s := range shards {
-		refs[i] = s
-	}
-	r := NewRouterRefs(refs, virtualNodes, metrics)
-	r.shards = shards
-	return r
-}
-
-// NewRouterRefs fronts shard references — in-process, remote, or mixed —
-// with a consistent-hash ring. The multi-process router (tpserver
-// -role router) uses this with RemoteShard refs.
-func NewRouterRefs(refs []ShardRef, virtualNodes int, metrics *obs.Registry) *Router {
+// NewRouter fronts shard handles — in-process or over the wire — with a
+// consistent-hash ring. virtualNodes <= 0 uses DefaultVirtualNodes;
+// metrics may be nil.
+func NewRouter(shards []*ShardHandle, virtualNodes int, metrics *obs.Registry) *Router {
 	return &Router{
-		ring:         NewRing(len(refs), virtualNodes),
-		refs:         refs,
+		ring:         NewRing(len(shards), virtualNodes),
+		shards:       shards,
 		metrics:      metrics,
 		nonceRoute:   newPinTable[attest.Nonce](maxRoutePins),
 		captchaRoute: newPinTable[uint64](maxRoutePins),
 	}
 }
 
-// Shards returns the fleet's in-process shards in index order, or nil
-// for a router fronting remote shards.
-func (r *Router) Shards() []*Shard { return r.shards }
-
-// Refs returns the router's shard references in index order.
-func (r *Router) Refs() []ShardRef { return r.refs }
+// Shards returns the router's shard handles in index order.
+func (r *Router) Shards() []*ShardHandle { return r.shards }
 
 // ShardFor returns the shard index owning a routing key — exposed so
 // experiments can place accounts on chosen shards.
@@ -109,7 +73,7 @@ func (r *Router) Handle(req []byte) ([]byte, error) {
 		r.metrics.Counter("fleet.rejected_cross_shard").Inc()
 		return nil, err
 	}
-	shard := r.refs[idx]
+	shard := r.shards[idx]
 	r.metrics.Counter(fmt.Sprintf("fleet.shard%d.routed", idx)).Inc()
 
 	epoch := shard.Epoch()

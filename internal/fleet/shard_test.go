@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"unitp/internal/core"
@@ -12,48 +13,65 @@ import (
 	"unitp/internal/store"
 )
 
-// testShard builds a minimal auto-accept shard: every submitted
-// transaction is below the confirmation threshold, so a single frame
-// exercises route → ledger → group commit → replication end to end.
-func testShard(t *testing.T, index, followers int, plan *faults.FleetPlan, metrics *obs.Registry) *Shard {
-	t.Helper()
-	build := func(epoch uint64) (*core.Provider, error) {
-		p := core.NewProvider(core.ProviderConfig{
-			Name:                  fmt.Sprintf("test-shard%d", index),
+// localMember is one in-process shard member's config: the lean
+// auto-accept provider (every submitted transaction is below the
+// confirmation threshold, so a single frame exercises route → ledger →
+// group commit → replication end to end), over in-memory backends. A
+// non-nil backends map keys them by member and role, so a second
+// LocalNet over the same map simulates a process restart.
+func localMember(shard, m int, plan *faults.FleetPlan, metrics *obs.Registry, backends map[string]*store.MemBackend) NodeConfig {
+	life := func(epoch uint64) core.ProviderConfig {
+		return core.ProviderConfig{
+			Name:                  fmt.Sprintf("test-shard%d", shard),
 			Clock:                 sim.NewVirtualClock(),
-			Random:                sim.NewRand(uint64(index) + 0x51AD),
+			Random:                sim.NewRand(uint64(shard)<<16 | epoch),
 			ConfirmThresholdCents: 1_000_000,
-		})
-		if err := p.Ledger().CreateAccount("payer", 1_000_000); err != nil {
-			return nil, err
+			Epoch:                 epoch,
 		}
-		if err := p.Ledger().CreateAccount("sink", 0); err != nil {
-			return nil, err
-		}
-		return p, nil
 	}
-	s, err := NewShard(ShardConfig{
-		Index:     index,
-		Followers: followers,
-		Plan:      plan,
-		Metrics:   metrics,
-		NewBackend: func(string) (store.Backend, error) {
-			return store.NewMemBackend(), nil
+	return NodeConfig{
+		NewBackend: func(role string) (store.Backend, error) {
+			if backends == nil {
+				return store.NewMemBackend(), nil
+			}
+			key := fmt.Sprintf("%d/%s", m, role)
+			if backends[key] == nil {
+				backends[key] = store.NewMemBackend()
+			}
+			return backends[key], nil
 		},
-		BuildPrimary: build,
-		RestorePrimary: func(epoch uint64, st *store.Store) (*core.Provider, error) {
-			return core.RestoreProvider(core.ProviderConfig{
-				Name:                  fmt.Sprintf("test-shard%d", index),
-				Clock:                 sim.NewVirtualClock(),
-				Random:                sim.NewRand(uint64(index)<<8 | epoch),
-				ConfirmThresholdCents: 1_000_000,
-			}, st)
+		Build: func(epoch uint64) (*core.Provider, error) {
+			p := core.NewProvider(life(epoch))
+			if err := p.Ledger().CreateAccount("payer", 1_000_000); err != nil {
+				return nil, err
+			}
+			return p, p.Ledger().CreateAccount("sink", 0)
 		},
-	})
+		Restore: func(epoch uint64, st *store.Store) (*core.Provider, error) {
+			return core.RestoreProvider(life(epoch), st)
+		},
+		Kill:    plan.Killer(shard),
+		Metrics: metrics,
+	}
+}
+
+// startLocalShard runs one in-process shard on ln.
+func startLocalShard(t *testing.T, ln *LocalNet, shard, followers int, plan *faults.FleetPlan,
+	metrics *obs.Registry, backends map[string]*store.MemBackend) *ShardHandle {
+	t.Helper()
+	h, err := ln.StartShard(shard, followers, func(m int) NodeConfig {
+		return localMember(shard, m, plan, metrics, backends)
+	}, ShardHandleConfig{Metrics: metrics})
 	if err != nil {
-		t.Fatalf("NewShard: %v", err)
+		t.Fatalf("StartShard: %v", err)
 	}
-	return s
+	return h
+}
+
+// testShard starts one in-process shard on a fresh LocalNet.
+func testShard(t *testing.T, followers int, plan *faults.FleetPlan, metrics *obs.Registry) *ShardHandle {
+	t.Helper()
+	return startLocalShard(t, &LocalNet{}, 0, followers, plan, metrics, nil)
 }
 
 func submitFrame(t *testing.T, id string) []byte {
@@ -87,14 +105,18 @@ func expectAccepted(t *testing.T, resp []byte, err error) *core.Outcome {
 // sees an answer: after N accepted transactions the replication
 // frontier of both followers is N.
 func TestShardReplicatesEveryCommit(t *testing.T) {
-	s := testShard(t, 0, 2, nil, nil)
+	s := testShard(t, 2, nil, nil)
 	for i := 0; i < 3; i++ {
 		resp, err := s.Handle(submitFrame(t, fmt.Sprintf("tx-%d", i)))
 		expectAccepted(t, resp, err)
 	}
-	for i, applied := range s.FollowerApplied() {
-		if applied != 3 {
-			t.Errorf("follower %d applied %d of 3 groups", i, applied)
+	applied := s.FollowerApplied()
+	if len(applied) != 2 {
+		t.Fatalf("%d followers, want 2", len(applied))
+	}
+	for i, a := range applied {
+		if a != 3 {
+			t.Errorf("follower %d applied %d of 3 groups", i, a)
 		}
 	}
 }
@@ -111,7 +133,7 @@ func TestShardFailoverExactlyOnceBothPhases(t *testing.T) {
 	for _, phase := range []faults.KillPhase{faults.KillBeforeShip, faults.KillAfterShip} {
 		plan := faults.NewFleetPlan()
 		plan.KillPrimary(0, phase, 3)
-		s := testShard(t, 0, 2, plan, nil)
+		s := testShard(t, 2, plan, nil)
 
 		for i := 0; i < 2; i++ {
 			resp, err := s.Handle(submitFrame(t, fmt.Sprintf("tx-%d", i)))
@@ -131,8 +153,9 @@ func TestShardFailoverExactlyOnceBothPhases(t *testing.T) {
 		if err := s.Failover(epoch); err != nil {
 			t.Fatalf("%s: failover: %v", phase, err)
 		}
-		if s.Epoch() != epoch+1 || s.Failovers() != 1 {
-			t.Fatalf("%s: epoch=%d failovers=%d after failover", phase, s.Epoch(), s.Failovers())
+		if s.Epoch() != epoch+1 || s.Failovers() != 1 || s.PrimaryMember() != 1 {
+			t.Fatalf("%s: epoch=%d failovers=%d primary=%d after failover",
+				phase, s.Epoch(), s.Failovers(), s.PrimaryMember())
 		}
 
 		// Retransmit the straddling transaction to the new primary.
@@ -154,19 +177,30 @@ func TestShardFailoverExactlyOnceBothPhases(t *testing.T) {
 		if err != nil || bal != 1_000_000-3 {
 			t.Fatalf("%s: payer balance %d (err %v), want %d", phase, bal, err, 1_000_000-3)
 		}
+		// The deposed primary rejoined as a follower: the promote's own
+		// bootstrap demoted it, so the shard still has two replicas,
+		// both at the new primary's frontier.
+		if applied := s.FollowerApplied(); len(applied) != 2 || applied[0] != applied[1] {
+			t.Fatalf("%s: followers after failover = %v, want two in step", phase, applied)
+		}
 	}
 }
 
-// The deposed primary must be unable to answer anyone: fenced at its
-// own front door, and refused by followers on the replication channel.
+// A deposed primary that is still alive — another router promoted past
+// it — must be unable to answer anyone: fenced at its own front door
+// and demoted to follower, while the handle routes to the new primary.
 func TestShardFailoverFencesDeposedPrimary(t *testing.T) {
-	s := testShard(t, 0, 1, nil, nil)
-	resp, err := s.Handle(submitFrame(t, "tx-0"))
+	ln := &LocalNet{}
+	s := startLocalShard(t, ln, 0, 1, nil, nil, nil)
+	r := NewRouter([]*ShardHandle{s}, 0, nil)
+	resp, err := r.Handle(submitFrame(t, "tx-0"))
 	expectAccepted(t, resp, err)
 
 	old := s.Primary()
-	if err := s.Failover(s.Epoch()); err != nil {
-		t.Fatalf("failover: %v", err)
+	if _, err := ln.ctl(0, MemberAddr{Member: 1}, ctlReq{promote: &promoteCmd{
+		NewEpoch: 2, Survivors: []PeerAddr{{Member: 0}},
+	}}); err != nil {
+		t.Fatalf("promote: %v", err)
 	}
 	_, zombieErr := old.Handle(submitFrame(t, "tx-zombie"))
 	if !errors.Is(zombieErr, core.ErrFenced) {
@@ -175,13 +209,29 @@ func TestShardFailoverFencesDeposedPrimary(t *testing.T) {
 	if !FailoverTrigger(zombieErr) {
 		t.Fatal("ErrFenced must trigger failover routing")
 	}
+	if n := ln.node(0, 0); n.Role() != NodeRoleFollower || n.Demotions() != 1 {
+		t.Fatalf("deposed member role %s demotions %d, want a demoted follower", n.Role(), n.Demotions())
+	}
+
+	// The router trips over the demoted member and adopts the promoted
+	// one without a second promotion.
+	resp, err = r.Handle(submitFrame(t, "tx-1"))
+	expectAccepted(t, resp, err)
+	if s.PrimaryMember() != 1 || s.Epoch() != 2 || s.Failovers() != 0 {
+		t.Fatalf("handle at member %d epoch %d failovers %d, want member 1 epoch 2 and no promotion of its own",
+			s.PrimaryMember(), s.Epoch(), s.Failovers())
+	}
+	if applied := s.FollowerApplied(); len(applied) != 1 || applied[0] != 2 {
+		t.Fatalf("deposed member as follower applied %v, want [2]", applied)
+	}
 }
 
 // Failover is idempotent under racing observers: a second caller that
 // observed the same dead epoch must no-op, not promote twice.
 func TestShardFailoverIdempotent(t *testing.T) {
-	s := testShard(t, 0, 2, nil, nil)
+	s := testShard(t, 2, nil, nil)
 	epoch := s.Epoch()
+	s.Primary().Kill()
 	if err := s.Failover(epoch); err != nil {
 		t.Fatalf("failover: %v", err)
 	}
@@ -191,37 +241,56 @@ func TestShardFailoverIdempotent(t *testing.T) {
 	if s.Failovers() != 1 {
 		t.Fatalf("%d failovers, want 1 (second observer must no-op)", s.Failovers())
 	}
+	// A healthy primary at the observed epoch is a blip, not a failure.
+	if err := s.Failover(s.Epoch()); err != nil || s.Failovers() != 1 {
+		t.Fatalf("failover against a healthy primary: err %v, %d failovers", err, s.Failovers())
+	}
 }
 
 // A shard whose replicas are exhausted must say so, not promote nothing.
 func TestShardFailoverWithoutFollowers(t *testing.T) {
-	s := testShard(t, 0, 0, nil, nil)
+	s := testShard(t, 0, nil, nil)
+	s.Primary().Kill()
 	if err := s.Failover(s.Epoch()); !errors.Is(err, ErrNoFollower) {
 		t.Fatalf("failover with no followers: %v", err)
 	}
 }
 
-// AddFollower restores redundancy after a failover consumed a replica:
-// the fresh follower bootstraps from the live primary and then tracks
+// joinMember starts a member the shard has never had on its own fresh
+// backends and registers it on ln, as a restarted or newly provisioned
+// process would appear.
+func joinMember(t *testing.T, ln *LocalNet, m int) *Node {
+	t.Helper()
+	cfg := localMember(0, m, nil, nil, nil)
+	cfg.Member, cfg.StartRole, cfg.Net = m, NodeRoleFollower, ln
+	n, err := ln.join(cfg)
+	if err != nil {
+		t.Fatalf("join member %d: %v", m, err)
+	}
+	return n
+}
+
+// Adoption restores redundancy after a failover: a follower on a
+// never-used member bootstraps from the live primary and then tracks
 // new commits.
 func TestShardAddFollowerAfterFailover(t *testing.T) {
-	s := testShard(t, 0, 1, nil, nil)
+	ln := &LocalNet{}
+	s := startLocalShard(t, ln, 0, 1, nil, nil, nil)
 	resp, err := s.Handle(submitFrame(t, "tx-0"))
 	expectAccepted(t, resp, err)
+	s.Primary().Kill()
 	if err := s.Failover(s.Epoch()); err != nil {
 		t.Fatalf("failover: %v", err)
 	}
-	if got := len(s.FollowerApplied()); got != 0 {
-		t.Fatalf("%d followers after promotion, want 0", got)
-	}
-	if err := s.AddFollower(); err != nil {
-		t.Fatalf("add follower: %v", err)
+
+	fresh := joinMember(t, ln, 2)
+	if _, err := ln.ctl(0, MemberAddr{Member: s.PrimaryMember()}, ctlReq{adopt: &adoptCmd{Member: 2}}); err != nil {
+		t.Fatalf("adopt: %v", err)
 	}
 	resp, err = s.Handle(submitFrame(t, "tx-1"))
 	expectAccepted(t, resp, err)
-	applied := s.FollowerApplied()
-	if len(applied) != 1 || applied[0] == 0 {
-		t.Fatalf("new follower applied = %v, want it past the bootstrap", applied)
+	if st := fresh.Status(); st.Applied != 2 || st.Epoch != 2 {
+		t.Fatalf("adopted member at applied %d epoch %d, want 2 and 2", st.Applied, st.Epoch)
 	}
 }
 
@@ -230,46 +299,7 @@ func TestShardAddFollowerAfterFailover(t *testing.T) {
 // clobbering it with a freshly seeded provider.
 func TestShardRestartRestoresPrimary(t *testing.T) {
 	backends := map[string]*store.MemBackend{}
-	newShard := func() *Shard {
-		build := func(epoch uint64) (*core.Provider, error) {
-			p := core.NewProvider(core.ProviderConfig{
-				Name:                  "restart-shard",
-				Clock:                 sim.NewVirtualClock(),
-				Random:                sim.NewRand(0xBEE7),
-				ConfirmThresholdCents: 1_000_000,
-			})
-			if err := p.Ledger().CreateAccount("payer", 1_000_000); err != nil {
-				return nil, err
-			}
-			return p, p.Ledger().CreateAccount("sink", 0)
-		}
-		s, err := NewShard(ShardConfig{
-			Index:     0,
-			Followers: 1,
-			NewBackend: func(role string) (store.Backend, error) {
-				if b, ok := backends[role]; ok {
-					return b, nil
-				}
-				backends[role] = store.NewMemBackend()
-				return backends[role], nil
-			},
-			BuildPrimary: build,
-			RestorePrimary: func(epoch uint64, st *store.Store) (*core.Provider, error) {
-				return core.RestoreProvider(core.ProviderConfig{
-					Name:                  "restart-shard",
-					Clock:                 sim.NewVirtualClock(),
-					Random:                sim.NewRand(0xBEE7 ^ epoch),
-					ConfirmThresholdCents: 1_000_000,
-				}, st)
-			},
-		})
-		if err != nil {
-			t.Fatalf("NewShard: %v", err)
-		}
-		return s
-	}
-
-	first := newShard()
+	first := startLocalShard(t, &LocalNet{}, 0, 1, nil, nil, backends)
 	for i := 0; i < 3; i++ {
 		resp, err := first.Handle(submitFrame(t, fmt.Sprintf("tx-%d", i)))
 		expectAccepted(t, resp, err)
@@ -281,7 +311,7 @@ func TestShardRestartRestoresPrimary(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	second := newShard()
+	second := startLocalShard(t, &LocalNet{}, 0, 1, nil, nil, backends)
 	bal, err := second.Primary().Ledger().Balance("payer")
 	if err != nil || bal != 1_000_000-3 {
 		t.Fatalf("restarted payer balance = %d (err %v), want %d", bal, err, 1_000_000-3)
@@ -299,20 +329,28 @@ func TestShardRestartRestoresPrimary(t *testing.T) {
 
 // The router drives failover transparently: a client pushing frames
 // through a fleet whose primary dies mid-stream sees only accepted
-// outcomes, and the shard's metrics record the promotion.
+// outcomes, the shard's metrics record the promotion, and the failover
+// explains itself in one trace session.
 func TestRouterFailsOverTransparently(t *testing.T) {
 	reg := obs.NewRegistry()
+	tracer := obs.NewTracer(8)
 	plan := faults.NewFleetPlan()
 	plan.KillPrimary(0, faults.KillBeforeShip, 2)
-	shards := []*Shard{testShard(t, 0, 1, plan, reg)}
-	r := NewRouter(shards, 0, reg)
+	ln := &LocalNet{}
+	h, err := ln.StartShard(0, 1, func(m int) NodeConfig {
+		return localMember(0, m, plan, reg, nil)
+	}, ShardHandleConfig{Metrics: reg, Tracer: tracer})
+	if err != nil {
+		t.Fatalf("StartShard: %v", err)
+	}
+	r := NewRouter([]*ShardHandle{h}, 0, reg)
 
 	for i := 0; i < 4; i++ {
 		resp, err := r.Handle(submitFrame(t, fmt.Sprintf("tx-%d", i)))
 		expectAccepted(t, resp, err)
 	}
-	if shards[0].Failovers() != 1 {
-		t.Fatalf("%d failovers, want 1", shards[0].Failovers())
+	if h.Failovers() != 1 {
+		t.Fatalf("%d failovers, want 1", h.Failovers())
 	}
 	snap := reg.Snapshot()
 	if snap.Counters["fleet.failovers_triggered"] == 0 ||
@@ -322,12 +360,26 @@ func TestRouterFailsOverTransparently(t *testing.T) {
 	if snap.Histograms["fleet.failover_latency"].Count != 1 {
 		t.Fatalf("failover latency not observed: %+v", snap.Histograms)
 	}
+
+	var events []string
+	for _, tr := range tracer.All() {
+		if tr.Label() == "failover-shard0" {
+			for _, ev := range tr.Events() {
+				events = append(events, ev.Name)
+			}
+		}
+	}
+	got := strings.Join(events, " ")
+	want := "failover.candidate failover.candidate failover.promote failover.fence failover.done"
+	if got != want {
+		t.Fatalf("failover trace events = %q, want %q", got, want)
+	}
 }
 
 // Challenge answers must return to the shard that issued the nonce,
 // and the pin must be released once the answer is delivered.
 func TestRouterNoncePinning(t *testing.T) {
-	r := NewRouter([]*Shard{nil, nil, nil, nil}, 0, nil)
+	r := NewRouter([]*ShardHandle{nil, nil, nil, nil}, 0, nil)
 
 	confirm := &core.ConfirmTx{}
 	confirm.Nonce[0] = 0xAB
@@ -352,61 +404,20 @@ func TestRouterNoncePinning(t *testing.T) {
 	}
 }
 
-// durableTestShard builds a shard over a persistent role→backend map so
-// a second call simulates a process restart over the same storage.
-func durableTestShard(t *testing.T, followers int, backends map[string]*store.MemBackend) *Shard {
-	t.Helper()
-	build := func(epoch uint64) (*core.Provider, error) {
-		p := core.NewProvider(core.ProviderConfig{
-			Name:                  "durable-shard",
-			Clock:                 sim.NewVirtualClock(),
-			Random:                sim.NewRand(0xD0_0D ^ epoch),
-			ConfirmThresholdCents: 1_000_000,
-		})
-		if err := p.Ledger().CreateAccount("payer", 1_000_000); err != nil {
-			return nil, err
-		}
-		return p, p.Ledger().CreateAccount("sink", 0)
-	}
-	s, err := NewShard(ShardConfig{
-		Index:     0,
-		Followers: followers,
-		NewBackend: func(role string) (store.Backend, error) {
-			if b, ok := backends[role]; ok {
-				return b, nil
-			}
-			backends[role] = store.NewMemBackend()
-			return backends[role], nil
-		},
-		BuildPrimary: build,
-		RestorePrimary: func(epoch uint64, st *store.Store) (*core.Provider, error) {
-			return core.RestoreProvider(core.ProviderConfig{
-				Name:                  "durable-shard",
-				Clock:                 sim.NewVirtualClock(),
-				Random:                sim.NewRand(0xD0_0D ^ epoch),
-				ConfirmThresholdCents: 1_000_000,
-			}, st)
-		},
-	})
-	if err != nil {
-		t.Fatalf("NewShard: %v", err)
-	}
-	return s
-}
-
-// The regression the shard manifest exists for: a restart after an
-// in-process failover must resume the PROMOTED lineage (the follower's
-// role, at the bumped epoch), not reopen the deposed primary's stale
-// segment — which would discard every client-acknowledged post-failover
-// commit and resurrect transactions for double execution.
+// A restart after a failover must resume the PROMOTED lineage (the
+// promoted member's segment, at the bumped epoch), not reopen the
+// deposed primary's stale segment — which would discard every
+// client-acknowledged post-failover commit and resurrect transactions
+// for double execution.
 func TestShardRestartAfterFailoverKeepsPromotedLineage(t *testing.T) {
 	backends := map[string]*store.MemBackend{}
 
-	first := durableTestShard(t, 1, backends)
+	first := startLocalShard(t, &LocalNet{}, 0, 1, nil, nil, backends)
 	for i := 0; i < 2; i++ {
 		resp, err := first.Handle(submitFrame(t, fmt.Sprintf("pre-%d", i)))
 		expectAccepted(t, resp, err)
 	}
+	first.Primary().Kill()
 	if err := first.Failover(first.Epoch()); err != nil {
 		t.Fatalf("failover: %v", err)
 	}
@@ -420,9 +431,10 @@ func TestShardRestartAfterFailoverKeepsPromotedLineage(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	second := durableTestShard(t, 1, backends)
-	if second.Epoch() != 2 {
-		t.Fatalf("restarted shard at epoch %d, want the promoted epoch 2", second.Epoch())
+	second := startLocalShard(t, &LocalNet{}, 0, 1, nil, nil, backends)
+	if second.Epoch() != 2 || second.PrimaryMember() != 1 {
+		t.Fatalf("restarted shard at epoch %d on member %d, want the promoted epoch 2 on member 1",
+			second.Epoch(), second.PrimaryMember())
 	}
 	history := second.Primary().Ledger().History()
 	seen := map[string]int{}
@@ -444,76 +456,50 @@ func TestShardRestartAfterFailoverKeepsPromotedLineage(t *testing.T) {
 	if bal, _ := second.Primary().Ledger().Balance("payer"); bal != 1_000_000-4 {
 		t.Fatalf("retransmitted tx re-executed: balance %d", bal)
 	}
+	// The deposed member came back as a follower of the promoted
+	// lineage, adopted by the start-up health pass.
+	if applied := second.FollowerApplied(); len(applied) != 1 {
+		t.Fatalf("restarted followers = %v, want the deposed member re-adopted", applied)
+	}
 }
 
-// Two AddFollower calls without an intervening failover must open two
-// distinct backend roles: a shared role means two live followers
-// corrupting each other's segments on a real directory backend.
+// Every member keeps its own backends, so followers joined one after
+// another never share storage, and adopting an already-linked member is
+// a no-op rather than a second replication link.
 func TestShardAddFollowerUniqueRoles(t *testing.T) {
-	opened := map[string]int{}
-	build := func(epoch uint64) (*core.Provider, error) {
-		p := core.NewProvider(core.ProviderConfig{
-			Name:                  "roles-shard",
-			Clock:                 sim.NewVirtualClock(),
-			Random:                sim.NewRand(0x401E5),
-			ConfirmThresholdCents: 1_000_000,
-		})
-		if err := p.Ledger().CreateAccount("payer", 1_000_000); err != nil {
-			return nil, err
-		}
-		return p, p.Ledger().CreateAccount("sink", 0)
+	ln := &LocalNet{}
+	s := startLocalShard(t, ln, 0, 1, nil, nil, nil)
+	a, b := joinMember(t, ln, 2), joinMember(t, ln, 3)
+	if a.state == b.state || a.manifest == b.manifest {
+		t.Fatal("two joined members share a backend")
 	}
-	s, err := NewShard(ShardConfig{
-		Index:     0,
-		Followers: 1,
-		NewBackend: func(role string) (store.Backend, error) {
-			opened[role]++
-			return store.NewMemBackend(), nil
-		},
-		BuildPrimary: build,
-		RestorePrimary: func(epoch uint64, st *store.Store) (*core.Provider, error) {
-			return core.RestoreProvider(core.ProviderConfig{
-				Name:  "roles-shard",
-				Clock: sim.NewVirtualClock(), Random: sim.NewRand(0x401E5 ^ epoch),
-				ConfirmThresholdCents: 1_000_000,
-			}, st)
-		},
-	})
-	if err != nil {
-		t.Fatalf("NewShard: %v", err)
-	}
-
-	if err := s.AddFollower(); err != nil {
-		t.Fatalf("first AddFollower: %v", err)
-	}
-	if err := s.AddFollower(); err != nil {
-		t.Fatalf("second AddFollower: %v", err)
-	}
-	for role, n := range opened {
-		if n != 1 {
-			t.Fatalf("role %q opened %d times; backend roles must never be shared", role, n)
-		}
-	}
-	for _, role := range []string{"follower-0", "follower-1", "follower-2"} {
-		if opened[role] != 1 {
-			t.Fatalf("expected role %q to exist, opened = %v", role, opened)
+	for _, m := range []int{2, 3, 2} {
+		if _, err := ln.ctl(0, MemberAddr{Member: 0}, ctlReq{adopt: &adoptCmd{Member: m}}); err != nil {
+			t.Fatalf("adopt member %d: %v", m, err)
 		}
 	}
 	resp, err := s.Handle(submitFrame(t, "tx-0"))
 	expectAccepted(t, resp, err)
-	for i, applied := range s.FollowerApplied() {
-		if applied != 1 {
-			t.Fatalf("follower %d applied %d of 1 group", i, applied)
+	links := s.LinkHealth()
+	if len(links) != 3 {
+		t.Fatalf("primary ships to %d links, want 3 (re-adopting a member must not add a link)", len(links))
+	}
+	for _, n := range []*Node{a, b} {
+		if st := n.Status(); st.Applied != 1 {
+			t.Fatalf("member %d applied %d of 1 group", st.Member, st.Applied)
 		}
 	}
 }
 
-// AddFollower while traffic is committing must not race the commit
-// hook's replicator (run under -race): the bootstrap happens inside the
-// primary's quiescent window, so the new follower's base offset agrees
-// with the shipped stream and every follower converges on the frontier.
+// Adopting a follower while traffic is committing must not race the
+// commit hook's replicator (run under -race): the bootstrap happens
+// inside the primary's quiescent window, so the new follower's base
+// offset agrees with the shipped stream and every follower converges
+// on the frontier.
 func TestShardAddFollowerDuringTraffic(t *testing.T) {
-	s := testShard(t, 0, 1, nil, nil)
+	ln := &LocalNet{}
+	s := startLocalShard(t, ln, 0, 1, nil, nil, nil)
+	fresh := joinMember(t, ln, 2)
 
 	const total = 40
 	done := make(chan struct{})
@@ -525,18 +511,15 @@ func TestShardAddFollowerDuringTraffic(t *testing.T) {
 		}
 	}()
 
-	if err := s.AddFollower(); err != nil {
-		t.Fatalf("AddFollower under load: %v", err)
+	if _, err := ln.ctl(0, MemberAddr{Member: 0}, ctlReq{adopt: &adoptCmd{Member: 2}}); err != nil {
+		t.Fatalf("adopt under load: %v", err)
 	}
 	<-done
 
-	applied := s.FollowerApplied()
-	if len(applied) != 2 {
-		t.Fatalf("%d followers, want 2", len(applied))
+	if a := s.FollowerApplied(); len(a) != 1 || a[0] != total {
+		t.Fatalf("original follower applied %v, want [%d]", a, total)
 	}
-	for i, a := range applied {
-		if a != total {
-			t.Fatalf("follower %d applied %d of %d groups", i, a, total)
-		}
+	if a := fresh.Status().Applied; a != total {
+		t.Fatalf("adopted follower applied %d of %d groups", a, total)
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// Warden is the router-side supervisor for a multi-process fleet: a
-// periodic health pass over every remote shard that turns member-level
+// Warden is the router-side supervisor of a fleet: a periodic health
+// pass over every shard handle that turns member-level
 // failures into protocol actions — failover when the primary is dead or
 // fenced, demotion of stale primaries that rejoined from an old
 // lineage, and re-adoption of followers that fell out of the replica
@@ -16,7 +16,7 @@ import (
 // request happens to trip over, and does the repair work (re-adoption)
 // that the request path never does.
 type Warden struct {
-	shards []*RemoteShard
+	shards []*ShardHandle
 	every  time.Duration
 	logger *slog.Logger
 
@@ -26,7 +26,7 @@ type Warden struct {
 }
 
 // NewWarden supervises the given shards every interval (default 250ms).
-func NewWarden(shards []*RemoteShard, every time.Duration, logger *slog.Logger) *Warden {
+func NewWarden(shards []*ShardHandle, every time.Duration, logger *slog.Logger) *Warden {
 	if every <= 0 {
 		every = 250 * time.Millisecond
 	}
@@ -55,13 +55,13 @@ func (w *Warden) Start() {
 			case <-stop:
 				return
 			case <-ticker.C:
-				for _, rs := range w.shards {
+				for _, sh := range w.shards {
 					select {
 					case <-stop:
 						return
 					default:
 					}
-					rs.HealthCheck()
+					sh.HealthCheck()
 				}
 			}
 		}

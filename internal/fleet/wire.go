@@ -106,6 +106,15 @@ func encodeAck(f ackFrame) []byte {
 	return b.Bytes()
 }
 
+// ackLen is an encoded ack's length: tag, epoch, applied, status.
+const ackLen = 1 + 8 + 8 + 1
+
+// isFencedAck reports whether a follower's response is a fencing ack,
+// reading only the tag and the trailing status byte.
+func isFencedAck(resp []byte) bool {
+	return len(resp) == ackLen && resp[0] == frameAck && resp[ackLen-1] == ackFenced
+}
+
 // decodeRepFrame decodes any replication frame, returning exactly one
 // of the three pointers.
 func decodeRepFrame(data []byte) (*bootstrapFrame, *appendFrame, *ackFrame, error) {

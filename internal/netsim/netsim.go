@@ -621,150 +621,3 @@ func DecodeErrorFrameCode(frame []byte) (uint8, string, bool) {
 	}
 	return frame[1], string(frame[2:]), true
 }
-
-// ConnTransport runs the protocol over a real stream connection using the
-// frame codec — the cmd/tpclient path.
-type ConnTransport struct {
-	mu sync.Mutex
-	rw io.ReadWriter
-}
-
-// NewConnTransport wraps a connection.
-func NewConnTransport(rw io.ReadWriter) *ConnTransport {
-	return &ConnTransport{rw: rw}
-}
-
-// RoundTrip implements Transport over the stream. A peer-reported error
-// frame surfaces as *RemoteError.
-func (c *ConnTransport) RoundTrip(req []byte) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := WriteFrame(c.rw, req); err != nil {
-		return nil, err
-	}
-	resp, err := ReadFrame(c.rw)
-	if err != nil {
-		return nil, err
-	}
-	if code, msg, isErr := DecodeErrorFrameCode(resp); isErr {
-		return nil, &RemoteError{Msg: msg, Code: code}
-	}
-	return resp, nil
-}
-
-// Serve reads frames from the connection, dispatches them to handler,
-// and writes responses until the connection errors (io.EOF returns nil).
-// A handler error is reported to the peer as an error frame and the
-// connection keeps serving — one bad (e.g. corrupted) request must not
-// tear down the session.
-func Serve(rw io.ReadWriter, handler Handler) error {
-	for {
-		req, err := ReadFrame(rw)
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil
-			}
-			return err
-		}
-		resp, err := handler(req)
-		if err != nil {
-			resp = EncodeErrorFrame(err)
-		}
-		if err := WriteFrame(rw, resp); err != nil {
-			return err
-		}
-	}
-}
-
-// ServeConcurrent is Serve with a bounded worker pool: up to `workers`
-// requests from one connection are handled simultaneously, and
-// responses are written back in request order (the protocol has no
-// frame IDs, so clients match responses positionally). This is how a
-// pipelining client — or a proxy multiplexing many sessions over one
-// stream — exploits the provider's concurrent pipeline. workers <= 1
-// degrades to plain Serve.
-func ServeConcurrent(rw io.ReadWriter, handler Handler, workers int) error {
-	if workers <= 1 {
-		return Serve(rw, handler)
-	}
-
-	type job struct {
-		seq int
-		req []byte
-	}
-	type result struct {
-		seq  int
-		resp []byte
-	}
-
-	jobs := make(chan job, workers)
-	results := make(chan result, workers)
-	writeErr := make(chan error, 1)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for jb := range jobs {
-				resp, err := handler(jb.req)
-				if err != nil {
-					resp = EncodeErrorFrame(err)
-				}
-				results <- result{seq: jb.seq, resp: resp}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Writer: reorder completions back into request order. After a write
-	// failure it keeps draining (discarding) so workers never block on a
-	// full results channel.
-	go func() {
-		defer close(writeErr)
-		hold := make(map[int][]byte)
-		next := 0
-		failed := false
-		for res := range results {
-			hold[res.seq] = res.resp
-			for {
-				resp, ok := hold[next]
-				if !ok {
-					break
-				}
-				delete(hold, next)
-				next++
-				if failed {
-					continue
-				}
-				if err := WriteFrame(rw, resp); err != nil {
-					failed = true
-					writeErr <- err
-				}
-			}
-		}
-	}()
-
-	var readErr error
-	seq := 0
-	for {
-		req, err := ReadFrame(rw)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				readErr = err
-			}
-			break
-		}
-		jobs <- job{seq: seq, req: req}
-		seq++
-	}
-	close(jobs)
-	werr := <-writeErr // nil once the writer drains everything cleanly
-	if readErr != nil {
-		return readErr
-	}
-	return werr
-}

@@ -3,8 +3,6 @@ package netsim
 import (
 	"bytes"
 	"errors"
-	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -189,72 +187,6 @@ func TestFrameTruncated(t *testing.T) {
 	}
 	if _, err := ReadFrame(bytes.NewReader(data[:2])); err == nil {
 		t.Fatal("truncated header accepted")
-	}
-}
-
-func TestConnTransportOverPipe(t *testing.T) {
-	client, server := net.Pipe()
-	defer client.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		done <- Serve(server, echoHandler)
-	}()
-
-	tr := NewConnTransport(client)
-	resp, err := tr.RoundTrip([]byte("over tcp-ish"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resp, []byte("re:over tcp-ish")) {
-		t.Fatalf("resp = %q", resp)
-	}
-	resp2, err := tr.RoundTrip([]byte("again"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resp2, []byte("re:again")) {
-		t.Fatalf("resp2 = %q", resp2)
-	}
-	client.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-}
-
-func TestServeSurvivesHandlerError(t *testing.T) {
-	// Regression: a handler error (e.g. one corrupted frame) must be
-	// reported to the peer as an error frame, not tear down the whole
-	// connection loop.
-	client, server := net.Pipe()
-	defer client.Close()
-	done := make(chan error, 1)
-	go func() {
-		done <- Serve(server, func(req []byte) ([]byte, error) {
-			if bytes.Equal(req, []byte("bad")) {
-				return nil, errors.New("boom")
-			}
-			return echoHandler(req)
-		})
-	}()
-
-	tr := NewConnTransport(client)
-	_, err := tr.RoundTrip([]byte("bad"))
-	var remote *RemoteError
-	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "boom") {
-		t.Fatalf("bad request: err = %v", err)
-	}
-	// The connection is still alive and serving.
-	resp, err := tr.RoundTrip([]byte("good"))
-	if err != nil {
-		t.Fatalf("after error frame: %v", err)
-	}
-	if !bytes.Equal(resp, []byte("re:good")) {
-		t.Fatalf("resp = %q", resp)
-	}
-	client.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("Serve: %v", err)
 	}
 }
 

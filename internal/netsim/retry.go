@@ -145,7 +145,7 @@ func (rp RetryPolicy) jittered(d time.Duration, rng *sim.Rand) time.Duration {
 }
 
 // RetryTransport wraps any Transport with a RetryPolicy — the way the
-// real-connection client (ConnTransport) gets the same recovery
+// real-connection client (wire.Client) gets the same recovery
 // behaviour as the simulated pipe.
 type RetryTransport struct {
 	inner   Transport

@@ -50,8 +50,8 @@ type ClientConfig struct {
 
 	// MaxInflight bounds pipelined round trips on the connection
 	// (default DefaultMaxInflight). The protocol matches responses to
-	// requests positionally, the discipline netsim.ServeConcurrent
-	// preserves server-side.
+	// requests positionally; Server's per-connection writer keeps
+	// responses in request order.
 	MaxInflight int
 
 	// Metrics receives reconnect/failure counters. nil runs unmetered.
@@ -220,9 +220,15 @@ func (c *Client) scheduleRedialLocked() {
 
 // RoundTrip implements netsim.Transport: write the request on the
 // supervised connection and wait for its positional response. Every
-// failure is fast and transient-classified, so an outer RetryPolicy
-// drives retries while the backoff gate paces actual redials.
+// connection failure is fast and transient-classified, so an outer
+// RetryPolicy drives retries while the backoff gate paces actual
+// redials. A request larger than netsim.MaxFrameSize can never be sent:
+// it fails at once with an error wrapping netsim.ErrFrameTooLarge,
+// which no retry policy retries, and the connection stays up.
 func (c *Client) RoundTrip(req []byte) ([]byte, error) {
+	if len(req) > netsim.MaxFrameSize {
+		return nil, fmt.Errorf("wire: %d-byte request: %w", len(req), netsim.ErrFrameTooLarge)
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()

@@ -14,7 +14,7 @@
 // accepting, let in-flight requests finish within a deadline, then hang
 // up). Client is a supervised netsim.Transport: it pipelines round
 // trips over one connection (responses match requests positionally, the
-// discipline netsim.ServeConcurrent preserves), fails in-flight
+// order Server's per-connection writer preserves), fails in-flight
 // requests fast when the connection dies, and reconnects lazily under a
 // capped exponential backoff with jitter — the caller's RetryPolicy
 // (netsim.RetryTransport) supplies the retries, the supervisor supplies

@@ -106,10 +106,16 @@ func TestPipelinedOrdering(t *testing.T) {
 	}
 }
 
+// A handler error (e.g. one corrupted frame) is reported to the peer as
+// an error frame and the connection keeps serving — one bad request must
+// not tear down the session.
 func TestHandlerErrorBecomesRemoteError(t *testing.T) {
 	_, addr, _ := startServer(t, ServerConfig{
 		Handler: func(req []byte) ([]byte, error) {
-			return nil, errors.New("handler exploded")
+			if string(req) == "x" {
+				return nil, errors.New("handler exploded")
+			}
+			return echoHandler(req)
 		},
 	})
 	c := newTestClient(addr, nil)
@@ -119,11 +125,23 @@ func TestHandlerErrorBecomesRemoteError(t *testing.T) {
 	if !errors.As(err, &remote) {
 		t.Fatalf("want RemoteError, got %v", err)
 	}
-	if remote.Code != netsim.ErrCodeGeneric {
-		t.Fatalf("want generic code, got %d", remote.Code)
+	if remote.Code != netsim.ErrCodeGeneric || remote.Msg != "handler exploded" {
+		t.Fatalf("want generic code and the handler's message, got %d %q", remote.Code, remote.Msg)
 	}
 	if !netsim.DefaultRetryable(err) {
 		t.Fatal("generic remote errors must stay retryable")
+	}
+	c.mu.Lock()
+	conn := c.conn
+	c.mu.Unlock()
+	if resp, err := c.RoundTrip([]byte("good")); err != nil || string(resp) != "good" {
+		t.Fatalf("round trip after an error frame: %q, %v", resp, err)
+	}
+	c.mu.Lock()
+	same := c.conn == conn
+	c.mu.Unlock()
+	if !same {
+		t.Fatal("an error frame cost the connection")
 	}
 }
 
@@ -566,6 +584,34 @@ func TestClientClosed(t *testing.T) {
 	c.Close()
 	if _, err := c.RoundTrip([]byte("down")); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("want ErrClientClosed, got %v", err)
+	}
+}
+
+// TestOversizeRequestFailsPermanently checks a request that can never
+// fit one frame fails before it is written, with a non-retryable error
+// naming the cause, and leaves the connection serving.
+func TestOversizeRequestFailsPermanently(t *testing.T) {
+	_, addr, _ := startServer(t, ServerConfig{})
+	c := newTestClient(addr, nil)
+	defer c.Close()
+	if _, err := c.RoundTrip([]byte("up")); err != nil {
+		t.Fatalf("round trip: %v", err)
+	}
+	_, err := c.RoundTrip(make([]byte, netsim.MaxFrameSize+1))
+	if !errors.Is(err, netsim.ErrFrameTooLarge) {
+		t.Fatalf("oversize request: %v, want ErrFrameTooLarge", err)
+	}
+	if netsim.DefaultRetryable(err) {
+		t.Fatalf("oversize request classified retryable: %v", err)
+	}
+	c.mu.Lock()
+	up := c.conn != nil
+	c.mu.Unlock()
+	if !up {
+		t.Fatal("oversize request dropped the connection")
+	}
+	if resp, err := c.RoundTrip([]byte("still up")); err != nil || string(resp) != "still up" {
+		t.Fatalf("round trip after oversize request: %q, %v", resp, err)
 	}
 }
 

@@ -22,7 +22,8 @@ import (
 
 // FleetConfig parameterizes a sharded, replicated deployment: one
 // client platform in front of a fleet.Router over N shards, each shard
-// a primary provider plus followers fed by synchronous WAL shipping.
+// a primary plus followers fed by synchronous WAL shipping — every
+// member a fleet.Node, all linked in-process by one fleet.LocalNet.
 type FleetConfig struct {
 	// Seed drives all randomness deterministically.
 	Seed uint64
@@ -45,15 +46,17 @@ type FleetConfig struct {
 	Credentials           map[string]string
 	SnapshotEvery         int
 
-	// NewBackend opens storage for one role of one shard ("primary",
-	// "follower-<i>", or "manifest" — the shard's durable restart
-	// pointer). nil gives every role its own store.MemBackend.
+	// NewBackend opens storage for one role of one shard. Member 0 (the
+	// virgin primary) journals under "primary" and member i+1 under
+	// "follower-<i>"; member m keeps its node manifest (the durable
+	// role/epoch pointer) under "manifest-<m>". nil gives every role its
+	// own store.MemBackend.
 	NewBackend func(shard int, role string) (store.Backend, error)
 
 	// Plan schedules fleet faults (primary kills, replication
-	// partitions, slow followers). When set, replication links are
-	// netsim pipes carrying the plan's injectors; otherwise they are
-	// direct in-process calls.
+	// partitions, slow followers; links are named by the follower's
+	// member index). When set, replication links are netsim pipes
+	// carrying the plan's injectors; otherwise they are direct calls.
 	Plan *faults.FleetPlan
 
 	// Link is the client↔router path (default broadband); Retry and
@@ -154,9 +157,20 @@ func NewFleet(cfg FleetConfig) (*FleetDeployment, error) {
 		creds = map[string]string{"alice": DefaultPIN}
 	}
 
-	shards := make([]*fleet.Shard, 0, cfg.Shards)
+	ln := &fleet.LocalNet{}
+	if plan := cfg.Plan; plan != nil {
+		ln.Link = func(shard, member int, h netsim.Handler) netsim.Transport {
+			return netsim.NewPipe(netsim.Config{
+				Clock:  clock,
+				Random: rng.Fork(fmt.Sprintf("shard%d-repnet", shard)).Fork(fmt.Sprintf("link-%d-%d", shard, member)),
+				Link:   netsim.LinkLoopback(),
+				Faults: plan.LinkInjector(shard, member),
+			}, h)
+		}
+	}
+	shards := make([]*fleet.ShardHandle, 0, cfg.Shards)
 	for s := 0; s < cfg.Shards; s++ {
-		shard, err := buildFleetShard(s, cfg, clock, rng, machine, ca, accounts, creds)
+		shard, err := startFleetShard(ln, s, cfg, clock, rng, machine, ca, accounts, creds)
 		if err != nil {
 			return nil, err
 		}
@@ -197,10 +211,11 @@ func NewFleet(cfg FleetConfig) (*FleetDeployment, error) {
 	return d, nil
 }
 
-// buildFleetShard assembles one shard's config and constructs it.
-func buildFleetShard(s int, cfg FleetConfig, clock *sim.VirtualClock, rng *sim.Rand,
+// startFleetShard starts one shard's members on ln and returns its
+// handle.
+func startFleetShard(ln *fleet.LocalNet, s int, cfg FleetConfig, clock *sim.VirtualClock, rng *sim.Rand,
 	machine *platform.Machine, ca *attest.PrivacyCA,
-	accounts map[string]int64, creds map[string]string) (*fleet.Shard, error) {
+	accounts map[string]int64, creds map[string]string) (*fleet.ShardHandle, error) {
 
 	provKey, err := tpm.PooledKeySource().Next()
 	if err != nil {
@@ -228,67 +243,56 @@ func buildFleetShard(s int, cfg FleetConfig, clock *sim.VirtualClock, rng *sim.R
 		chain(core.PINPALName, core.PINPALImage())
 		chain(core.BatchPALName, core.BatchPALImage())
 	}
-
-	scfg := fleet.ShardConfig{
-		Index:     s,
-		Followers: cfg.Followers,
-		Plan:      cfg.Plan,
-		Metrics:   cfg.Metrics,
-		Tracer:    cfg.Tracer,
-		Clock:     clock,
-		NewBackend: func(role string) (store.Backend, error) {
-			return cfg.NewBackend(s, role)
-		},
-		BuildPrimary: func(epoch uint64) (*core.Provider, error) {
-			pc := pcfg
-			pc.Epoch = epoch
-			pc.Random = rng.Fork(fmt.Sprintf("shard%d-life-%d", s, epoch))
-			p := core.NewProvider(pc)
-			approve(p)
-			for name, cents := range accounts {
-				if err := p.Ledger().CreateAccount(name, cents); err != nil {
-					return nil, fmt.Errorf("workload: shard %d account %s: %w", s, name, err)
-				}
-			}
-			for user, pin := range creds {
-				if err := p.EnrollCredential(user, pin); err != nil {
-					return nil, fmt.Errorf("workload: shard %d credential %s: %w", s, user, err)
-				}
-			}
-			return p, nil
-		},
-		RestorePrimary: func(epoch uint64, st *store.Store) (*core.Provider, error) {
-			// Accounts, credentials, and caches travel in the replicated
-			// state; only configuration that is not state — the key and
-			// the PAL approvals — is re-applied.
-			pc := pcfg
-			pc.Epoch = epoch
-			pc.Random = rng.Fork(fmt.Sprintf("shard%d-life-%d", s, epoch))
-			p, err := core.RestoreProvider(pc, st)
-			if err != nil {
-				return nil, err
-			}
-			approve(p)
-			return p, nil
-		},
+	life := func(epoch uint64) core.ProviderConfig {
+		pc := pcfg
+		pc.Epoch = epoch
+		pc.Random = rng.Fork(fmt.Sprintf("shard%d-life-%d", s, epoch))
+		return pc
 	}
-	if cfg.Plan != nil {
-		plan := cfg.Plan
-		netRng := rng.Fork(fmt.Sprintf("shard%d-repnet", s))
-		scfg.NewLink = func(shard, follower int, h netsim.Handler) netsim.Transport {
-			return netsim.NewPipe(netsim.Config{
-				Clock:  clock,
-				Random: netRng.Fork(fmt.Sprintf("link-%d-%d", shard, follower)),
-				Link:   netsim.LinkLoopback(),
-				Faults: plan.LinkInjector(shard, follower),
-			}, h)
+	build := func(epoch uint64) (*core.Provider, error) {
+		p := core.NewProvider(life(epoch))
+		approve(p)
+		for name, cents := range accounts {
+			if err := p.Ledger().CreateAccount(name, cents); err != nil {
+				return nil, fmt.Errorf("workload: shard %d account %s: %w", s, name, err)
+			}
 		}
+		for user, pin := range creds {
+			if err := p.EnrollCredential(user, pin); err != nil {
+				return nil, fmt.Errorf("workload: shard %d credential %s: %w", s, user, err)
+			}
+		}
+		return p, nil
 	}
-	shard, err := fleet.NewShard(scfg)
-	if err != nil {
-		return nil, err
+	restore := func(epoch uint64, st *store.Store) (*core.Provider, error) {
+		// Accounts, credentials, and caches travel in the replicated
+		// state; only configuration that is not state — the key and
+		// the PAL approvals — is re-applied.
+		p, err := core.RestoreProvider(life(epoch), st)
+		if err != nil {
+			return nil, err
+		}
+		approve(p)
+		return p, nil
 	}
-	return shard, nil
+	return ln.StartShard(s, cfg.Followers, func(m int) fleet.NodeConfig {
+		return fleet.NodeConfig{
+			NewBackend: func(role string) (store.Backend, error) {
+				if role == "manifest" {
+					return cfg.NewBackend(s, fmt.Sprintf("manifest-%d", m))
+				}
+				if m == 0 {
+					return cfg.NewBackend(s, "primary")
+				}
+				return cfg.NewBackend(s, fmt.Sprintf("follower-%d", m-1))
+			},
+			Build:   build,
+			Restore: restore,
+			Kill:    cfg.Plan.Killer(s),
+			Metrics: cfg.Metrics,
+			Clock:   clock,
+		}
+	}, fleet.ShardHandleConfig{Metrics: cfg.Metrics, Tracer: cfg.Tracer, Clock: clock})
 }
 
 // handle is the pipe's server side: the router, with residual primary
