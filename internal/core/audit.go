@@ -110,6 +110,12 @@ type AuditEntry struct {
 // body serializes the hashed portion of the entry.
 func (e *AuditEntry) body() []byte {
 	b := cryptoutil.NewBuffer(128 + len(e.Evidence))
+	e.putBody(b)
+	return b.Bytes()
+}
+
+// putBody appends the hashed portion of the entry to an open buffer.
+func (e *AuditEntry) putBody(b *cryptoutil.Buffer) {
 	b.PutUint64(e.Seq)
 	b.PutUint8(uint8(e.Kind))
 	b.PutString(e.Note)
@@ -119,7 +125,6 @@ func (e *AuditEntry) body() []byte {
 	b.PutBool(e.Confirmed)
 	b.PutRaw(e.Nonce[:])
 	b.PutBytes(e.Evidence)
-	return b.Bytes()
 }
 
 // computeChain links the entry onto prev.
@@ -131,10 +136,15 @@ func (e *AuditEntry) computeChain(prev cryptoutil.Digest) cryptoutil.Digest {
 // included — the form persisted in snapshots and WAL records.
 func (e *AuditEntry) Marshal() []byte {
 	b := cryptoutil.NewBuffer(168 + len(e.Note) + len(e.TxID) + len(e.Evidence))
-	b.PutRaw(e.body())
+	e.put(b)
+	return b.Bytes()
+}
+
+// put appends the full wire encoding to an open buffer.
+func (e *AuditEntry) put(b *cryptoutil.Buffer) {
+	e.putBody(b)
 	b.PutDigest(e.PrevChain)
 	b.PutDigest(e.Chain)
-	return b.Bytes()
 }
 
 // readAuditEntry decodes an entry from an open reader.
@@ -237,6 +247,18 @@ func (l *AuditLog) Entries() []AuditEntry {
 	out := make([]AuditEntry, len(l.entries))
 	copy(out, l.entries)
 	return out
+}
+
+// putEntries appends the log's snapshot section: the entry count, then
+// each entry's wire form as a length-prefixed field, in chain order,
+// encoded straight from the live log.
+func (l *AuditLog) putEntries(b *cryptoutil.Buffer) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	b.PutUint32(uint32(len(l.entries)))
+	for i := range l.entries {
+		putAuditField(b, &l.entries[i])
+	}
 }
 
 // Audit errors.

@@ -28,7 +28,7 @@ type rig struct {
 
 // newRig wires a full deployment: machine with ideal TPM, OS, CA
 // enrollment, provider approving the protocol PALs, in-memory transport.
-func newRig(t *testing.T, prot *platform.Protections) *rig {
+func newRig(t testing.TB, prot *platform.Protections) *rig {
 	t.Helper()
 	clock := sim.NewVirtualClock()
 	rng := sim.NewRand(0xC0DE)
@@ -632,7 +632,7 @@ func mustEncode(t *testing.T, msg any) []byte {
 	return b
 }
 
-func mustDecode(t *testing.T, b []byte) any {
+func mustDecode(t testing.TB, b []byte) any {
 	t.Helper()
 	msg, err := DecodeMessage(b)
 	if err != nil {

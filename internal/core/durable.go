@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -109,7 +111,7 @@ func (j *journal) emit(kind recKind, body func(b *cryptoutil.Buffer)) {
 }
 
 func (j *journal) ledgerApplied(tx *Transaction) {
-	j.emit(recLedgerApply, func(b *cryptoutil.Buffer) { b.PutBytes(tx.Marshal()) })
+	j.emit(recLedgerApply, func(b *cryptoutil.Buffer) { putTxField(b, tx) })
 }
 
 func (j *journal) challengeIssued(nonce attest.Nonce, pend pendingChallenge) {
@@ -131,12 +133,12 @@ func (j *journal) outcomeCached(nonce attest.Nonce, at time.Time, o *Outcome) {
 	j.emit(recOutcomeCached, func(b *cryptoutil.Buffer) {
 		b.PutRaw(nonce[:])
 		b.PutUint64(uint64(at.UnixNano()))
-		b.PutBytes(marshalOutcome(o))
+		putOutcomeField(b, o)
 	})
 }
 
 func (j *journal) auditAppended(e AuditEntry) {
-	j.emit(recAuditAppended, func(b *cryptoutil.Buffer) { b.PutBytes(e.Marshal()) })
+	j.emit(recAuditAppended, func(b *cryptoutil.Buffer) { putAuditField(b, &e) })
 }
 
 func (j *journal) presenceTokenGranted(token string) {
@@ -167,7 +169,7 @@ func (j *journal) platformBound(account, platformID string) {
 func (j *journal) fallbackOutcomeCached(id uint64, o *Outcome) {
 	j.emit(recFallbackOutcome, func(b *cryptoutil.Buffer) {
 		b.PutUint64(id)
-		b.PutBytes(marshalOutcome(o))
+		putOutcomeField(b, o)
 	})
 }
 
@@ -462,7 +464,7 @@ func (p *Provider) waitCommitterIdle() {
 // snapshotIdle writes the current state as a new generation. The caller
 // must hold stateMu with the committer idle.
 func (p *Provider) snapshotIdle() error {
-	if err := p.st.WriteSnapshot(p.encodeState()); err != nil {
+	if err := p.st.WriteSnapshotFrame(p.encodeSnapshotFrame()); err != nil {
 		p.markDead()
 		return err
 	}
@@ -488,13 +490,28 @@ func (p *Provider) CommitBatchSizes() map[int]int {
 	return out
 }
 
-// marshalOutcome encodes an Outcome via its wire form.
-func marshalOutcome(o *Outcome) []byte {
-	data, err := EncodeMessage(o)
-	if err != nil {
-		panic("core: outcome encode: " + err.Error()) // unreachable: Outcome is a known type
-	}
-	return data
+// putTxField appends a transaction's canonical encoding as one
+// length-prefixed field, encoded in place.
+func putTxField(b *cryptoutil.Buffer, tx *Transaction) {
+	start := b.BeginField()
+	tx.put(b)
+	b.EndField(start)
+}
+
+// putAuditField appends an audit entry's full wire form as one
+// length-prefixed field, encoded in place.
+func putAuditField(b *cryptoutil.Buffer, e *AuditEntry) {
+	start := b.BeginField()
+	e.put(b)
+	b.EndField(start)
+}
+
+// putOutcomeField appends an Outcome's wire form as one length-prefixed
+// field, encoded in place.
+func putOutcomeField(b *cryptoutil.Buffer, o *Outcome) {
+	start := b.BeginField()
+	o.put(b)
+	b.EndField(start)
 }
 
 // unmarshalOutcome decodes an Outcome wire form.
@@ -515,11 +532,11 @@ func putPendingChallenge(b *cryptoutil.Buffer, pend pendingChallenge) {
 	b.PutUint8(uint8(pend.kind))
 	b.PutBool(pend.tx != nil)
 	if pend.tx != nil {
-		b.PutBytes(pend.tx.Marshal())
+		putTxField(b, pend.tx)
 	}
 	b.PutUint32(uint32(len(pend.batch)))
 	for i := range pend.batch {
-		b.PutBytes(pend.batch[i].Marshal())
+		putTxField(b, &pend.batch[i])
 	}
 	b.PutString(pend.username)
 	b.PutUint64(uint64(pend.issuedAt.UnixNano()))
@@ -577,159 +594,121 @@ func statsFields(s *ProviderStats) []*int {
 // snapshotVersion versions the provider-state snapshot payload.
 const providerSnapshotVersion = 1
 
-// encodeState serializes the provider's full durable state. Map keys
-// are sorted so the same state always produces the same bytes.
-func (p *Provider) encodeState() []byte {
-	b := cryptoutil.NewBuffer(4096)
+// encodeSnapshotFrame serializes the provider's full durable state in
+// one pass into one buffer, after store.SnapshotHeaderLen bytes left
+// for the store's envelope header: Store.WriteSnapshotFrame fills them
+// in and appends the CRC in place, so the state is never copied. Every
+// section is written in a canonical order (accounts by name, nonces
+// bytewise, map keys sorted), so the same state always produces the
+// same bytes.
+func (p *Provider) encodeSnapshotFrame() []byte {
+	// Size the buffer for the previous snapshot plus room to grow: the
+	// state changes little between rotations.
+	last := int(p.snapSize.Load())
+	b := cryptoutil.NewBuffer(store.SnapshotHeaderLen + last + last/16 + 4096)
+	b.PutRaw(make([]byte, store.SnapshotHeaderLen))
 	b.PutUint8(providerSnapshotVersion)
 
 	// Ledger: balances and executed history (the applied set is the
-	// history's ID set, rebuilt on restore).
-	balances, history := p.ledger.exportState()
-	names := sortedKeys(balances)
-	b.PutUint32(uint32(len(names)))
-	for _, name := range names {
-		b.PutString(name)
-		b.PutUint64(uint64(balances[name]))
-	}
-	b.PutUint32(uint32(len(history)))
-	for i := range history {
-		b.PutBytes(history[i].Marshal())
-	}
-
-	// Audit log, entries in chain order.
-	entries := p.audit.Entries()
-	b.PutUint32(uint32(len(entries)))
-	for i := range entries {
-		b.PutBytes(entries[i].Marshal())
-	}
+	// history's ID set, rebuilt on restore), then the audit log.
+	p.ledger.putState(b)
+	p.audit.putEntries(b)
 
 	// Session state is merged across the stripes (the snapshot's sorted
 	// writes erase the shard structure, so shard count is a runtime
 	// constant, not a wire-format parameter).
-	pending := make(map[attest.Nonce]pendingChallenge)
-	answered := make(map[attest.Nonce]answeredChallenge)
+	var nPending, nAnswered int
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		nPending, nAnswered = nPending+len(sh.pending), nAnswered+len(sh.answered)
+		sh.mu.Unlock()
+	}
+	pendingNonces, pending := make([]attest.Nonce, 0, nPending), make([]pendingChallenge, 0, nPending)
+	answeredNonces, answered := make([]attest.Nonce, 0, nAnswered), make([]answeredChallenge, 0, nAnswered)
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
 		for n, pend := range sh.pending {
-			pending[n] = pend
+			pendingNonces = append(pendingNonces, n)
+			pending = append(pending, pend)
 		}
 		for n, a := range sh.answered {
-			answered[n] = a
+			answeredNonces = append(answeredNonces, n)
+			answered = append(answered, a)
 		}
 		sh.mu.Unlock()
 	}
-	fallback := make(map[uint64]Outcome)
-	for i := range p.fbShards {
-		fs := &p.fbShards[i]
-		fs.mu.Lock()
-		for id, o := range fs.outcomes {
-			fallback[id] = o
-		}
-		fs.mu.Unlock()
+	b.PutUint32(uint32(len(pending)))
+	for _, at := range attest.ByteOrder(pendingNonces) {
+		b.PutRaw(pendingNonces[at][:])
+		putPendingChallenge(b, pending[at])
+	}
+	b.PutUint32(uint32(len(answered)))
+	for _, at := range attest.ByteOrder(answeredNonces) {
+		b.PutRaw(answeredNonces[at][:])
+		b.PutUint64(uint64(answered[at].at.UnixNano()))
+		putOutcomeField(b, &answered[at].outcome)
 	}
 
 	p.mu.Lock()
-	hmacKeys := make(map[string][]byte, len(p.hmacKeys))
-	for k, v := range p.hmacKeys {
-		hmacKeys[k] = v
+	keys := sortedKeys(p.hmacKeys)
+	b.PutUint32(uint32(len(keys)))
+	for _, k := range keys {
+		b.PutString(k)
+		b.PutBytes(p.hmacKeys[k])
 	}
-	presence := make([]string, 0, len(p.presence))
-	for tok := range p.presence {
-		presence = append(presence, tok)
+	keys = sortedKeys(p.presence)
+	b.PutUint32(uint32(len(keys)))
+	for _, tok := range keys {
+		b.PutString(tok)
 	}
-	creds := make(map[string][32]byte, len(p.creds))
-	for k, v := range p.creds {
-		creds[k] = v
+	keys = sortedKeys(p.creds)
+	b.PutUint32(uint32(len(keys)))
+	for _, k := range keys {
+		d := p.creds[k]
+		b.PutString(k)
+		b.PutRaw(d[:])
 	}
-	platforms := make(map[string]string, len(p.platforms))
-	for k, v := range p.platforms {
-		platforms[k] = v
+	keys = sortedKeys(p.platforms)
+	b.PutUint32(uint32(len(keys)))
+	for _, k := range keys {
+		b.PutString(k)
+		b.PutString(p.platforms[k])
 	}
 	stats := p.stats
 	p.mu.Unlock()
 
-	nonces := make([]attest.Nonce, 0, len(pending))
-	for n := range pending {
-		nonces = append(nonces, n)
+	type fallbackEntry struct {
+		id uint64
+		o  Outcome
 	}
-	sortNonces(nonces)
-	b.PutUint32(uint32(len(nonces)))
-	for _, n := range nonces {
-		b.PutRaw(n[:])
-		putPendingChallenge(b, pending[n])
+	var fallback []fallbackEntry
+	for i := range p.fbShards {
+		fs := &p.fbShards[i]
+		fs.mu.Lock()
+		for id, o := range fs.outcomes {
+			fallback = append(fallback, fallbackEntry{id, o})
+		}
+		fs.mu.Unlock()
 	}
-
-	nonces = nonces[:0]
-	for n := range answered {
-		nonces = append(nonces, n)
-	}
-	sortNonces(nonces)
-	b.PutUint32(uint32(len(nonces)))
-	for _, n := range nonces {
-		a := answered[n]
-		b.PutRaw(n[:])
-		b.PutUint64(uint64(a.at.UnixNano()))
-		b.PutBytes(marshalOutcome(&a.outcome))
-	}
-
-	keys := sortedKeys(hmacKeys)
-	b.PutUint32(uint32(len(keys)))
-	for _, k := range keys {
-		b.PutString(k)
-		b.PutBytes(hmacKeys[k])
-	}
-
-	sort.Strings(presence)
-	b.PutUint32(uint32(len(presence)))
-	for _, tok := range presence {
-		b.PutString(tok)
-	}
-
-	keys = sortedKeys(creds)
-	b.PutUint32(uint32(len(keys)))
-	for _, k := range keys {
-		d := creds[k]
-		b.PutString(k)
-		b.PutRaw(d[:])
-	}
-
-	keys = sortedKeys(platforms)
-	b.PutUint32(uint32(len(keys)))
-	for _, k := range keys {
-		b.PutString(k)
-		b.PutString(platforms[k])
-	}
-
-	ids := make([]uint64, 0, len(fallback))
-	for id := range fallback {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	b.PutUint32(uint32(len(ids)))
-	for _, id := range ids {
-		o := fallback[id]
-		b.PutUint64(id)
-		b.PutBytes(marshalOutcome(&o))
+	slices.SortFunc(fallback, func(a, b fallbackEntry) int { return cmp.Compare(a.id, b.id) })
+	b.PutUint32(uint32(len(fallback)))
+	for i := range fallback {
+		b.PutUint64(fallback[i].id)
+		putOutcomeField(b, &fallback[i].o)
 	}
 
 	// Nonce cache: issued set, spent set, counters.
 	issued, spent, issuedCount, redeemedCount := p.nonces.Export()
-	nonces = nonces[:0]
-	for n := range issued {
-		nonces = append(nonces, n)
+	b.PutUint32(uint32(len(issued)))
+	for i := range issued {
+		b.PutRaw(issued[i].Nonce[:])
+		b.PutUint64(uint64(issued[i].At.UnixNano()))
 	}
-	sortNonces(nonces)
-	b.PutUint32(uint32(len(nonces)))
-	for _, n := range nonces {
-		b.PutRaw(n[:])
-		b.PutUint64(uint64(issued[n].UnixNano()))
-	}
-	sortNonces(spent)
 	b.PutUint32(uint32(len(spent)))
-	for _, n := range spent {
-		b.PutRaw(n[:])
+	for i := range spent {
+		b.PutRaw(spent[i][:])
 	}
 	b.PutUint64(uint64(issuedCount))
 	b.PutUint64(uint64(redeemedCount))
@@ -740,6 +719,7 @@ func (p *Provider) encodeState() []byte {
 		b.PutUint64(uint64(*f))
 	}
 
+	p.snapSize.Store(int64(b.Len() - store.SnapshotHeaderLen))
 	return b.Bytes()
 }
 
@@ -751,10 +731,22 @@ func (p *Provider) loadState(data []byte) error {
 		return fmt.Errorf("core: unsupported provider snapshot version %d", v)
 	}
 
-	balances := make(map[string]int64)
-	for i, n := 0, int(r.Uint32()); i < n && r.Err() == nil; i++ {
+	// Accounts must arrive in strictly ascending name order: that is
+	// the order encodeSnapshotFrame writes, and the ledger's index
+	// relies on names being unique. Each costs at least 12 bytes, which
+	// bounds the allocation a hostile count can ask for.
+	n := int(r.Uint32())
+	accounts := make([]account, 0, min(n, r.Remaining()/12))
+	for i := 0; i < n; i++ {
 		name := r.String()
-		balances[name] = int64(r.Uint64())
+		cents := int64(r.Uint64())
+		if r.Err() != nil {
+			break
+		}
+		if i > 0 && name <= accounts[i-1].name {
+			return fmt.Errorf("core: snapshot account %q out of order or duplicated after %q", name, accounts[i-1].name)
+		}
+		accounts = append(accounts, account{name: name, cents: cents})
 	}
 	var history []Transaction
 	for i, n := 0, int(r.Uint32()); i < n && r.Err() == nil; i++ {
@@ -764,7 +756,7 @@ func (p *Provider) loadState(data []byte) error {
 		}
 		history = append(history, *tx)
 	}
-	p.ledger.restoreState(balances, history)
+	p.ledger.restoreState(accounts, history)
 
 	for i, n := 0, int(r.Uint32()); i < n && r.Err() == nil; i++ {
 		e, err := UnmarshalAuditEntry(r.Bytes())
@@ -832,11 +824,12 @@ func (p *Provider) loadState(data []byte) error {
 		fs.mu.Unlock()
 	}
 
-	issued := make(map[attest.Nonce]time.Time)
+	var issued []attest.IssuedNonce
 	for i, n := 0, int(r.Uint32()); i < n && r.Err() == nil; i++ {
-		var nonce attest.Nonce
-		copy(nonce[:], r.Raw(attest.NonceSize))
-		issued[nonce] = time.Unix(0, int64(r.Uint64()))
+		var in attest.IssuedNonce
+		copy(in.Nonce[:], r.Raw(attest.NonceSize))
+		in.At = time.Unix(0, int64(r.Uint64()))
+		issued = append(issued, in)
 	}
 	var spent []attest.Nonce
 	for i, n := 0, int(r.Uint32()); i < n && r.Err() == nil; i++ {
@@ -1165,16 +1158,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// sortNonces orders nonces bytewise for deterministic snapshots.
-func sortNonces(ns []attest.Nonce) {
-	sort.Slice(ns, func(i, j int) bool {
-		for k := range ns[i] {
-			if ns[i][k] != ns[j][k] {
-				return ns[i][k] < ns[j][k]
-			}
-		}
-		return false
-	})
 }

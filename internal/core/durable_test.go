@@ -133,13 +133,13 @@ func driveCrashWorkload(t *testing.T, d *durableRig, numTx, maxAttempts int) {
 func assertRecoveryInvariants(t *testing.T, d *durableRig, wantBob int64) {
 	t.Helper()
 	live := d.provider
-	liveBalances, liveHistory := live.ledger.exportState()
+	liveBalances, liveHistory := balancesOf(live.ledger), live.ledger.History()
 	liveHead := live.audit.Head()
 
 	d.restart(t)
 	p := d.provider
 
-	balances, history := p.ledger.exportState()
+	balances, history := balancesOf(p.ledger), p.ledger.History()
 	if balances["bob"] != wantBob {
 		t.Fatalf("bob = %d, want %d (lost or double-applied transfers)", balances["bob"], wantBob)
 	}
@@ -386,7 +386,11 @@ func TestOutcomeRoundTrip(t *testing.T) {
 		Accepted: true, Authentic: true, Reason: "confirmed by user",
 		TxID: "tx-9", Token: "session-00ff", Retryable: false,
 	}
-	got, err := unmarshalOutcome(marshalOutcome(o))
+	data, err := EncodeMessage(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := unmarshalOutcome(data)
 	if err != nil {
 		t.Fatal(err)
 	}

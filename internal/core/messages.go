@@ -146,6 +146,18 @@ type Outcome struct {
 	Retryable bool
 }
 
+// put appends the outcome's wire form, message tag included, to an
+// open buffer.
+func (o *Outcome) put(b *cryptoutil.Buffer) {
+	b.PutUint8(uint8(MsgOutcome))
+	b.PutBool(o.Accepted)
+	b.PutBool(o.Authentic)
+	b.PutString(o.Reason)
+	b.PutString(o.TxID)
+	b.PutString(o.Token)
+	b.PutBool(o.Retryable)
+}
+
 // PresenceRequest asks for a human-presence challenge (the CAPTCHA
 // replacement flow).
 type PresenceRequest struct{}
@@ -487,11 +499,11 @@ func EncodeMessage(msg any) ([]byte, error) {
 	switch m := msg.(type) {
 	case *SubmitTx:
 		b.PutUint8(uint8(MsgSubmitTx))
-		writeTransaction(b, m.Tx)
+		m.Tx.put(b)
 	case *Challenge:
 		b.PutUint8(uint8(MsgChallenge))
 		b.PutRaw(m.Nonce[:])
-		writeTransaction(b, m.Tx)
+		m.Tx.put(b)
 	case *ConfirmTx:
 		b.PutUint8(uint8(MsgConfirmTx))
 		b.PutRaw(m.Nonce[:])
@@ -501,13 +513,7 @@ func EncodeMessage(msg any) ([]byte, error) {
 		b.PutString(m.PlatformID)
 		b.PutBytes(m.MAC)
 	case *Outcome:
-		b.PutUint8(uint8(MsgOutcome))
-		b.PutBool(m.Accepted)
-		b.PutBool(m.Authentic)
-		b.PutString(m.Reason)
-		b.PutString(m.TxID)
-		b.PutString(m.Token)
-		b.PutBool(m.Retryable)
+		m.put(b)
 	case *PresenceRequest:
 		b.PutUint8(uint8(MsgPresenceRequest))
 	case *PresenceChallenge:
@@ -571,7 +577,7 @@ func EncodeMessage(msg any) ([]byte, error) {
 		b.PutUint8(uint8(MsgFallbackAnswer))
 		b.PutUint64(m.ID)
 		b.PutString(m.Response)
-		writeTransaction(b, m.Tx)
+		m.Tx.put(b)
 	case *SessionOpen:
 		b.PutUint8(uint8(MsgSessionOpen))
 		b.PutString(m.PlatformID)

@@ -45,104 +45,6 @@ var (
 	ErrFenced = errors.New("core: provider fenced by newer epoch")
 )
 
-// Ledger is the provider's account store. It exists so examples and
-// experiments execute real transfers with real balance effects.
-type Ledger struct {
-	mu       sync.Mutex
-	balances map[string]int64
-	history  []Transaction
-	applied  map[string]bool // executed transaction IDs (idempotence)
-}
-
-// NewLedger returns an empty ledger.
-func NewLedger() *Ledger {
-	return &Ledger{balances: make(map[string]int64), applied: make(map[string]bool)}
-}
-
-// CreateAccount opens an account with an initial balance.
-func (l *Ledger) CreateAccount(name string, initialCents int64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, ok := l.balances[name]; ok {
-		return fmt.Errorf("%w: %s", ErrAccountExists, name)
-	}
-	l.balances[name] = initialCents
-	return nil
-}
-
-// Balance returns an account's balance.
-func (l *Ledger) Balance(name string) (int64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	bal, ok := l.balances[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownAccount, name)
-	}
-	return bal, nil
-}
-
-// Apply executes a transfer atomically.
-func (l *Ledger) Apply(tx *Transaction) error {
-	if err := tx.Validate(); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.applied[tx.ID] {
-		return fmt.Errorf("%w: %s", ErrDuplicateTransaction, tx.ID)
-	}
-	from, ok := l.balances[tx.From]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownAccount, tx.From)
-	}
-	if _, ok := l.balances[tx.To]; !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownAccount, tx.To)
-	}
-	if from < tx.AmountCents {
-		return fmt.Errorf("%w: %s", ErrInsufficientFunds, tx.From)
-	}
-	l.balances[tx.From] -= tx.AmountCents
-	l.balances[tx.To] += tx.AmountCents
-	l.history = append(l.history, *tx)
-	l.applied[tx.ID] = true
-	return nil
-}
-
-// exportState returns copies of the balances and history (snapshots).
-func (l *Ledger) exportState() (map[string]int64, []Transaction) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	balances := make(map[string]int64, len(l.balances))
-	for k, v := range l.balances {
-		balances[k] = v
-	}
-	history := make([]Transaction, len(l.history))
-	copy(history, l.history)
-	return balances, history
-}
-
-// restoreState replaces the ledger's contents (crash recovery). The
-// applied set is rebuilt from the history's transaction IDs.
-func (l *Ledger) restoreState(balances map[string]int64, history []Transaction) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.balances = balances
-	l.history = history
-	l.applied = make(map[string]bool, len(history))
-	for i := range history {
-		l.applied[history[i].ID] = true
-	}
-}
-
-// History returns a copy of the executed transactions.
-func (l *Ledger) History() []Transaction {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Transaction, len(l.history))
-	copy(out, l.history)
-	return out
-}
-
 // ProviderStats counts protocol outcomes for the experiment tables.
 type ProviderStats struct {
 	// Submitted counts transaction submissions received.
@@ -382,6 +284,9 @@ type Provider struct {
 	st        *store.Store
 	snapEvery int
 	dead      atomic.Bool
+	// snapSize is the last snapshot payload's length, which sizes the
+	// next snapshot's buffer up front.
+	snapSize atomic.Int64
 
 	// Fleet integration (see internal/fleet). epoch is the fencing
 	// generation this instance serves under; fenced is raised when a

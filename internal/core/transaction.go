@@ -68,13 +68,18 @@ func (tx *Transaction) Validate() error {
 // to.
 func (tx *Transaction) Marshal() []byte {
 	b := cryptoutil.NewBuffer(64 + len(tx.ID) + len(tx.From) + len(tx.To) + len(tx.Memo))
+	tx.put(b)
+	return b.Bytes()
+}
+
+// put appends the canonical encoding to an open buffer.
+func (tx *Transaction) put(b *cryptoutil.Buffer) {
 	b.PutString(tx.ID)
 	b.PutString(tx.From)
 	b.PutString(tx.To)
 	b.PutUint64(uint64(tx.AmountCents))
 	b.PutString(tx.Currency)
 	b.PutString(tx.Memo)
-	return b.Bytes()
 }
 
 // UnmarshalTransaction decodes a canonical transaction encoding.
@@ -104,12 +109,6 @@ func readTransaction(r *cryptoutil.Reader) (*Transaction, error) {
 		return nil, fmt.Errorf("core: unmarshal transaction: %w", r.Err())
 	}
 	return &tx, nil
-}
-
-// writeTransaction appends a transaction's canonical fields to an open
-// buffer.
-func writeTransaction(b *cryptoutil.Buffer, tx *Transaction) {
-	b.PutRaw(tx.Marshal())
 }
 
 // Digest returns the canonical transaction digest bound into PCR 23.

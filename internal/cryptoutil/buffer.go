@@ -43,19 +43,26 @@ func (b *Buffer) PutUint8(v uint8) {
 	b.data = append(b.data, v)
 }
 
+// The Put methods append with the append builtin on b.data itself:
+// when the capacity suffices, the compiler then stores only the new
+// length, not the slice pointer, so a large encode pays no GC write
+// barrier per field (binary.BigEndian.AppendUint64 returns a slice,
+// and storing it back does).
+
 // PutUint16 appends a big-endian 16-bit value.
 func (b *Buffer) PutUint16(v uint16) {
-	b.data = binary.BigEndian.AppendUint16(b.data, v)
+	b.data = append(b.data, byte(v>>8), byte(v))
 }
 
 // PutUint32 appends a big-endian 32-bit value.
 func (b *Buffer) PutUint32(v uint32) {
-	b.data = binary.BigEndian.AppendUint32(b.data, v)
+	b.data = append(b.data, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
 // PutUint64 appends a big-endian 64-bit value.
 func (b *Buffer) PutUint64(v uint64) {
-	b.data = binary.BigEndian.AppendUint64(b.data, v)
+	b.data = append(b.data, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
+		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
 // PutRaw appends raw bytes with no length prefix (fixed-size fields such as
@@ -73,6 +80,22 @@ func (b *Buffer) PutDigest(d Digest) {
 func (b *Buffer) PutBytes(p []byte) {
 	b.PutUint32(uint32(len(p)))
 	b.data = append(b.data, p...)
+}
+
+// BeginField starts a length-prefixed field encoded in place: it
+// reserves the 32-bit prefix and returns the field's start offset,
+// which EndField needs once the field's contents are appended. The
+// result is the same bytes PutBytes would write for those contents,
+// without encoding them into a separate slice first.
+func (b *Buffer) BeginField() int {
+	b.data = append(b.data, 0, 0, 0, 0)
+	return len(b.data)
+}
+
+// EndField fills in the length prefix of the field BeginField started
+// at start.
+func (b *Buffer) EndField(start int) {
+	binary.BigEndian.PutUint32(b.data[start-4:start], uint32(len(b.data)-start))
 }
 
 // PutString appends a length-prefixed UTF-8 string.

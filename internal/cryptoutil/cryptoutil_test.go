@@ -269,3 +269,38 @@ func TestDRBGDeterminism(t *testing.T) {
 		t.Fatal("DRBG not deterministic")
 	}
 }
+
+// TestBeginEndFieldMatchesPutBytes checks a field encoded in place is
+// byte-identical to the same contents written with PutBytes, empty
+// and nested fields included.
+func TestBeginEndFieldMatchesPutBytes(t *testing.T) {
+	inner := NewBuffer(16)
+	inner.PutString("tx-7")
+	inner.PutUint64(42)
+
+	want := NewBuffer(64)
+	want.PutUint8(1)
+	want.PutBytes(inner.Bytes())
+	want.PutBytes(nil)
+	outer := NewBuffer(16)
+	outer.PutBytes(inner.Bytes())
+	want.PutBytes(outer.Bytes())
+
+	got := NewBuffer(1) // forces growth mid-field
+	got.PutUint8(1)
+	start := got.BeginField()
+	got.PutString("tx-7")
+	got.PutUint64(42)
+	got.EndField(start)
+	got.EndField(got.BeginField())
+	start = got.BeginField()
+	nested := got.BeginField()
+	got.PutString("tx-7")
+	got.PutUint64(42)
+	got.EndField(nested)
+	got.EndField(start)
+
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("in-place fields = %x, want %x", got.Bytes(), want.Bytes())
+	}
+}

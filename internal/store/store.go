@@ -235,6 +235,19 @@ func (s *Store) Generation() uint64 {
 // generation, then removal of the previous generation's files. After it
 // returns, state is durable and the WAL is empty.
 func (s *Store) WriteSnapshot(state []byte) error {
+	frame := make([]byte, SnapshotHeaderLen, SnapshotHeaderLen+len(state)+snapshotCRCLen)
+	return s.WriteSnapshotFrame(append(frame, state...))
+}
+
+// WriteSnapshotFrame is WriteSnapshot for a state already encoded after
+// SnapshotHeaderLen reserved bytes of frame. The store fills in the
+// header and appends the CRC in place, so a large state is never
+// copied; 4 bytes of spare capacity avoid reallocating for the CRC.
+// The store owns frame once called.
+func (s *Store) WriteSnapshotFrame(frame []byte) error {
+	if len(frame) < SnapshotHeaderLen {
+		return fmt.Errorf("store: snapshot frame of %d bytes has no header room", len(frame))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	start := time.Now()
@@ -247,7 +260,7 @@ func (s *Store) WriteSnapshot(state []byte) error {
 	if err != nil {
 		return fmt.Errorf("store: snapshot: %w", err)
 	}
-	if _, err := f.Write(encodeSnapshot(newGen, state)); err != nil {
+	if _, err := f.Write(frameSnapshot(newGen, frame)); err != nil {
 		f.Close()
 		return fmt.Errorf("store: snapshot: %w", err)
 	}

@@ -100,23 +100,29 @@ func scanWAL(data []byte) walScan {
 const (
 	snapshotMagic   = 0x55545053 // "UTPS"
 	snapshotVersion = 1
-	snapshotHdrLen  = 4 + 1 + 8 + 4
+	snapshotCRCLen  = 4
+
+	// SnapshotHeaderLen is the size of the snapshot envelope's header.
+	// A caller of WriteSnapshotFrame encodes its state after this many
+	// reserved bytes, so the store frames the state in place.
+	SnapshotHeaderLen = 4 + 1 + 8 + 4
 )
 
-// encodeSnapshot wraps state in the snapshot envelope.
-func encodeSnapshot(gen uint64, state []byte) []byte {
-	buf := make([]byte, 0, snapshotHdrLen+len(state)+4)
-	buf = binary.BigEndian.AppendUint32(buf, snapshotMagic)
-	buf = append(buf, snapshotVersion)
-	buf = binary.BigEndian.AppendUint64(buf, gen)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(state)))
-	buf = append(buf, state...)
-	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+// frameSnapshot turns frame, a state preceded by SnapshotHeaderLen
+// reserved bytes, into a complete envelope for generation gen: it fills
+// in the header and appends the CRC (in place, given 4 bytes of spare
+// capacity).
+func frameSnapshot(gen uint64, frame []byte) []byte {
+	binary.BigEndian.PutUint32(frame[0:4], snapshotMagic)
+	frame[4] = snapshotVersion
+	binary.BigEndian.PutUint64(frame[5:13], gen)
+	binary.BigEndian.PutUint32(frame[13:17], uint32(len(frame)-SnapshotHeaderLen))
+	return binary.BigEndian.AppendUint32(frame, crc32.Checksum(frame, castagnoli))
 }
 
 // decodeSnapshot validates an envelope and returns (generation, state).
 func decodeSnapshot(data []byte) (uint64, []byte, error) {
-	if len(data) < snapshotHdrLen+4 {
+	if len(data) < SnapshotHeaderLen+snapshotCRCLen {
 		return 0, nil, fmt.Errorf("store: snapshot too short (%d bytes)", len(data))
 	}
 	if binary.BigEndian.Uint32(data[0:4]) != snapshotMagic {
@@ -127,15 +133,15 @@ func decodeSnapshot(data []byte) (uint64, []byte, error) {
 	}
 	gen := binary.BigEndian.Uint64(data[5:13])
 	n := int(binary.BigEndian.Uint32(data[13:17]))
-	if len(data) != snapshotHdrLen+n+4 {
+	if len(data) != SnapshotHeaderLen+n+snapshotCRCLen {
 		return 0, nil, fmt.Errorf("store: snapshot length mismatch (%d payload, %d total)", n, len(data))
 	}
-	body := data[:snapshotHdrLen+n]
-	want := binary.BigEndian.Uint32(data[snapshotHdrLen+n:])
+	body := data[:SnapshotHeaderLen+n]
+	want := binary.BigEndian.Uint32(data[SnapshotHeaderLen+n:])
 	if crc32.Checksum(body, castagnoli) != want {
 		return 0, nil, errors.New("store: snapshot CRC mismatch")
 	}
 	state := make([]byte, n)
-	copy(state, data[snapshotHdrLen:snapshotHdrLen+n])
+	copy(state, data[SnapshotHeaderLen:SnapshotHeaderLen+n])
 	return gen, state, nil
 }
