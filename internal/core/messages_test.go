@@ -258,3 +258,59 @@ func TestExpectedAppPCRMatchesExtendSemantics(t *testing.T) {
 		t.Fatal("ExpectedAppPCR does not match extend semantics")
 	}
 }
+
+// FuzzDecodeMessage feeds arbitrary bytes to the wire codec every
+// provider and client decodes untrusted frames with: it must never
+// panic, and a message it accepts must re-encode to exactly its input
+// (the codec is canonical, so no two frames decode to one message).
+func FuzzDecodeMessage(f *testing.F) {
+	var nonce attest.Nonce
+	copy(nonce[:], "nonce-nonce-nonce-20")
+	seeds := []any{
+		&SubmitTx{Tx: sampleTx()},
+		&Challenge{Nonce: nonce, Tx: sampleTx()},
+		&ConfirmTx{Nonce: nonce, Confirmed: true, Mode: ModeQuote, Evidence: []byte{1, 2, 3}},
+		&ConfirmTx{Nonce: nonce, Mode: ModeHMAC, PlatformID: "plat-1", MAC: []byte{9, 8, 7}},
+		&Outcome{Accepted: true, Authentic: true, Reason: "ok", TxID: "tx-42", Token: "tok"},
+		&PresenceRequest{},
+		&PresenceChallenge{Nonce: nonce, Prompt: "press any key"},
+		&PresenceProof{Nonce: nonce, Evidence: []byte{4, 5}},
+		&ProvisionRequest{PlatformID: "plat-1"},
+		&ProvisionChallenge{Nonce: nonce, ProviderPubDER: []byte{0x30, 0x82}},
+		&ProvisionComplete{Nonce: nonce, PlatformID: "plat-1", EncKey: []byte{1}, Evidence: []byte{2}},
+		&LoginRequest{Username: "alice"},
+		&LoginChallenge{Nonce: nonce, Username: "alice"},
+		&LoginProof{Nonce: nonce, Username: "alice", Evidence: []byte{3}},
+		&SubmitBatch{Txs: []Transaction{*sampleTx(), *sampleTx()}},
+		&BatchChallenge{Nonce: nonce, Txs: []Transaction{*sampleTx()}},
+		&ConfirmBatch{Nonce: nonce, Decisions: []bool{true, false}, Mode: ModeQuote, Evidence: []byte{5}},
+		&FallbackRequest{PlatformID: "plat-1", Reason: "netsim: timeout", Failures: 3},
+		&FallbackChallenge{ID: 7, Text: "xk4g9"},
+		&FallbackAnswer{ID: 7, Response: "xk4g9", Tx: sampleTx()},
+		&SessionOpen{PlatformID: "plat-1", Account: "alice"},
+		&SessionChallenge{Nonce: nonce, ProviderPubDER: []byte{0x30}, KexPub: []byte{6}, MaxTx: 64, MaxAgeNano: 1e9},
+		&SessionProve{Nonce: nonce, PlatformID: "plat-1", Account: "alice", SessionID: 9, EncKey: []byte{7}, Evidence: []byte{8}},
+		&SessionGrant{SessionID: 9, MaxTx: 64, MaxAgeNano: 1e9},
+		&ConfirmTxSession{Nonce: nonce, Confirmed: true, SessionID: 9, Counter: 2, MAC: []byte{1, 2}},
+	}
+	for _, msg := range seeds {
+		wire, err := EncodeMessage(msg)
+		if err != nil {
+			f.Fatalf("%T: encode: %v", msg, err)
+		}
+		f.Add(wire)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		msg, err := DecodeMessage(data)
+		if err != nil {
+			return
+		}
+		again, err := EncodeMessage(msg)
+		if err != nil {
+			t.Fatalf("accepted %T does not encode: %v", msg, err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted %T re-encodes to %x, input %x", msg, again, data)
+		}
+	})
+}

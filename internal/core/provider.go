@@ -78,8 +78,8 @@ type ProviderStats struct {
 	// and of abandoned sessions.
 	ExpiredChallenges int
 	// ExpiredOutcomes counts answered-challenge cache entries evicted
-	// after their TTL: retransmissions past this point get a stale
-	// rejection instead of the cached answer.
+	// after their TTL. A retransmission past the TTL gets a stale
+	// rejection instead of the cached answer, evicted or not.
 	ExpiredOutcomes int
 	// LoginsGranted counts verified PIN logins.
 	LoginsGranted int
@@ -253,6 +253,7 @@ type Provider struct {
 	thresh    int64
 	ttl       time.Duration
 	gcTick    atomic.Int64
+	gcLast    atomic.Int64 // clock time (UnixNano) the last opportunistic sweep started
 	serialize bool
 
 	// Attested sessions (see session.go). sessMu guards the table; the
@@ -511,9 +512,24 @@ func (p *Provider) PendingChallenges() int {
 }
 
 // maybeGC runs GC opportunistically every 64 challenge issuances, so
-// long-running providers stay bounded without an external timer.
+// long-running providers stay bounded without an external timer. A
+// sweep also waits until ttl/8 has passed since the previous one
+// started: an entry is then held at most TTL + ttl/8, and each sweep
+// visits about the state issued over 9/8 of a TTL, spread over the
+// issuances of ttl/8 — about nine visits per issuance at any rate or
+// TTL, where the count alone would make each pay live/64.
 func (p *Provider) maybeGC() {
-	if p.gcTick.Add(1)%64 == 0 {
+	if p.gcTick.Add(1)%64 != 0 {
+		return
+	}
+	now := p.clock.Now().UnixNano()
+	last := p.gcLast.Load()
+	// A clock stepped back past the last sweep opens the gate rather
+	// than holding it shut until the clock catches up.
+	if elapsed := now - last; elapsed >= 0 && elapsed < int64(p.ttl/8) {
+		return
+	}
+	if p.gcLast.CompareAndSwap(last, now) {
 		p.GC()
 	}
 }
@@ -550,7 +566,9 @@ func (p *Provider) takePending(nonce attest.Nonce, kind pendingKind, j *journal)
 			// A wrong-kind proof still consumed the pending entry.
 			j.pendingDropped(nonce)
 		}
-		if wasAnswered {
+		// A cached outcome past the TTL is as good as swept: the
+		// answer must not depend on whether a sweep has run yet.
+		if wasAnswered && p.clock.Now().Sub(cached.at) <= p.ttl {
 			p.ins.replayHits.Inc()
 			replay := cached.outcome
 			return pendingChallenge{}, &replay, ""

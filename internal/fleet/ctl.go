@@ -102,7 +102,7 @@ func decodeStatusResp(data []byte) (MemberStatus, error) {
 	if r.Err() != nil {
 		return MemberStatus{}, fmt.Errorf("fleet: ctl status: %w", r.Err())
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		st.Links = append(st.Links, LinkHealth{
 			Member: int(r.Uint32()), Acked: r.Uint64(), Lag: r.Uint64(),
 			AckAge: time.Duration(r.Uint64()) * time.Millisecond,
@@ -162,7 +162,7 @@ func decodeCtlReq(data []byte) (ctlReq, error) {
 		if r.Err() != nil {
 			return ctlReq{}, fmt.Errorf("fleet: ctl promote: %w", r.Err())
 		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < n && r.Err() == nil; i++ {
 			cmd.Survivors = append(cmd.Survivors, PeerAddr{Member: int(r.Uint32()), Addr: r.String()})
 		}
 		if err := r.ExpectEOF(); err != nil {

@@ -125,6 +125,106 @@ func TestWireRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodersRejectForgedCount sends frames whose element count claims
+// far more elements than the frame holds: decoding must fail at the
+// first missing element instead of looping over the claimed count.
+func TestDecodersRejectForgedCount(t *testing.T) {
+	rep := func(data []byte) error { _, _, _, err := decodeRepFrame(data); return err }
+	cases := []struct {
+		name   string
+		frame  []byte // ends with its element count
+		decode func([]byte) error
+	}{
+		{"bootstrap", encodeBootstrap(bootstrapFrame{Epoch: 1}), rep},
+		{"append", encodeAppend(appendFrame{Epoch: 1}), rep},
+		{"status", encodeStatusResp(MemberStatus{Member: 1}), func(data []byte) error {
+			_, err := decodeStatusResp(data)
+			return err
+		}},
+		{"promote", encodeCtlReq(ctlReq{promote: &promoteCmd{NewEpoch: 2}}), func(data []byte) error {
+			_, err := decodeCtlReq(data)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		if err := c.decode(c.frame); err != nil {
+			t.Fatalf("%s: unforged frame refused: %v", c.name, err)
+		}
+		forged := append([]byte(nil), c.frame...)
+		copy(forged[len(forged)-4:], []byte{0xFF, 0xFF, 0xFF, 0xFF})
+		if err := c.decode(forged); err == nil {
+			t.Errorf("%s frame claiming 2^32-1 elements decoded", c.name)
+		}
+	}
+}
+
+// FuzzDecodeRepFrame feeds arbitrary bytes to the replication-frame
+// decoder a follower runs on every shipped frame: it must never panic,
+// and an accepted frame must re-encode to exactly its input.
+func FuzzDecodeRepFrame(f *testing.F) {
+	f.Add(encodeBootstrap(bootstrapFrame{Epoch: 3, UpTo: 17, Gen: 2,
+		State: []byte("state"), Records: [][]byte{[]byte("r1"), []byte("r2")}}))
+	f.Add(encodeBootstrap(bootstrapFrame{Epoch: 1}))
+	f.Add(encodeAppend(appendFrame{Epoch: 4, From: 9, Groups: [][]byte{[]byte("g"), nil}}))
+	f.Add(encodeAck(ackFrame{Epoch: 5, Applied: 11, Status: ackGap}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, a, k, err := decodeRepFrame(data)
+		if err != nil {
+			return
+		}
+		var again []byte
+		switch {
+		case b != nil && a == nil && k == nil:
+			again = encodeBootstrap(*b)
+		case a != nil && b == nil && k == nil:
+			again = encodeAppend(*a)
+		case k != nil && b == nil && a == nil:
+			again = encodeAck(*k)
+		default:
+			t.Fatalf("decoded into %v, %v, %v: want exactly one frame", b, a, k)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted frame re-encodes to %x, input %x", again, data)
+		}
+	})
+}
+
+// FuzzDecodeHello feeds arbitrary bytes to the role-handshake decoder
+// every fleet listener runs first on a connection: it must never
+// panic, and an accepted Hello must re-encode to exactly its input.
+func FuzzDecodeHello(f *testing.F) {
+	f.Add(EncodeHello(Hello{Kind: HelloRouter, Shard: 1, Epoch: 2}))
+	f.Add(EncodeHello(Hello{Kind: HelloShip, Scheme: 2, Shard: 3, Member: 1, Epoch: 7, Offset: 1 << 40}))
+	f.Add(EncodeHello(Hello{Kind: HelloCtl}))
+	f.Add(EncodeWelcome(Welcome{Role: WelcomePrimary, Epoch: 1}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := DecodeHello(data)
+		if err != nil {
+			return
+		}
+		if again := EncodeHello(h); !bytes.Equal(again, data) {
+			t.Fatalf("accepted hello %+v re-encodes to %x, input %x", h, again, data)
+		}
+	})
+}
+
+// FuzzDecodeWelcome is FuzzDecodeHello's twin for the answer a dialer
+// decodes.
+func FuzzDecodeWelcome(f *testing.F) {
+	f.Add(EncodeWelcome(Welcome{Role: WelcomePrimary, Epoch: 1, Applied: 12}))
+	f.Add(EncodeWelcome(Welcome{Role: WelcomeFollower, Scheme: 2, Epoch: 9, Applied: 1 << 40}))
+	f.Add(EncodeHello(Hello{Kind: HelloShip, Epoch: 2}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, err := DecodeWelcome(data)
+		if err != nil {
+			return
+		}
+		if again := EncodeWelcome(w); !bytes.Equal(again, data) {
+			t.Fatalf("accepted welcome %+v re-encodes to %x, input %x", w, again, data)
+		}
+	})
+}
+
 // ---------------------------------------------------------------------
 // Follower
 // ---------------------------------------------------------------------

@@ -116,7 +116,9 @@ func isFencedAck(resp []byte) bool {
 }
 
 // decodeRepFrame decodes any replication frame, returning exactly one
-// of the three pointers.
+// of the three pointers. A count is never trusted past the frame: each
+// read stops at the first field that runs off the end, so a forged
+// count of 2^32-1 costs one failed read, not 2^32-1 appends.
 func decodeRepFrame(data []byte) (*bootstrapFrame, *appendFrame, *ackFrame, error) {
 	r := cryptoutil.NewReader(data)
 	tag := r.Uint8()
@@ -127,7 +129,7 @@ func decodeRepFrame(data []byte) (*bootstrapFrame, *appendFrame, *ackFrame, erro
 		if r.Err() != nil {
 			return nil, nil, nil, fmt.Errorf("fleet: bootstrap frame: %w", r.Err())
 		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < n && r.Err() == nil; i++ {
 			f.Records = append(f.Records, r.Bytes())
 		}
 		if err := r.ExpectEOF(); err != nil {
@@ -140,7 +142,7 @@ func decodeRepFrame(data []byte) (*bootstrapFrame, *appendFrame, *ackFrame, erro
 		if r.Err() != nil {
 			return nil, nil, nil, fmt.Errorf("fleet: append frame: %w", r.Err())
 		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < n && r.Err() == nil; i++ {
 			f.Groups = append(f.Groups, r.Bytes())
 		}
 		if err := r.ExpectEOF(); err != nil {
