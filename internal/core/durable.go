@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -464,7 +467,7 @@ func (p *Provider) waitCommitterIdle() {
 // snapshotIdle writes the current state as a new generation. The caller
 // must hold stateMu with the committer idle.
 func (p *Provider) snapshotIdle() error {
-	if err := p.st.WriteSnapshotFrame(p.encodeSnapshotFrame()); err != nil {
+	if err := p.encodeSnapshot(p.st.WriteSnapshotFrame); err != nil {
 		p.markDead()
 		return err
 	}
@@ -594,24 +597,43 @@ func statsFields(s *ProviderStats) []*int {
 // snapshotVersion versions the provider-state snapshot payload.
 const providerSnapshotVersion = 1
 
-// encodeSnapshotFrame serializes the provider's full durable state in
-// one pass into one buffer, after store.SnapshotHeaderLen bytes left
-// for the store's envelope header: Store.WriteSnapshotFrame fills them
-// in and appends the CRC in place, so the state is never copied. Every
-// section is written in a canonical order (accounts by name, nonces
-// bytewise, map keys sorted), so the same state always produces the
-// same bytes.
-func (p *Provider) encodeSnapshotFrame() []byte {
-	// Size the buffer for the previous snapshot plus room to grow: the
-	// state changes little between rotations.
-	last := int(p.snapSize.Load())
-	b := cryptoutil.NewBuffer(store.SnapshotHeaderLen + last + last/16 + 4096)
-	b.PutRaw(make([]byte, store.SnapshotHeaderLen))
-	b.PutUint8(providerSnapshotVersion)
+// encodeSnapshot serializes the provider's full durable state and hands
+// it to write as three parts, which concatenate to the snapshot payload
+// after store.SnapshotHeaderLen bytes left for the store's envelope
+// header (Store.WriteSnapshotFrame fills them in and appends the CRC to
+// the last part):
+//
+//  1. the reserved header, the payload version and the account count;
+//  2. the ledger's balances arena itself, neither encoded nor copied;
+//  3. the executed history and every later section.
+//
+// The ledger stays locked until write returns, as the arena is its live
+// memory. Every section is written in a canonical order (accounts by
+// name, nonces bytewise, map keys sorted), so the same state always
+// produces the same bytes.
+func (p *Provider) encodeSnapshot(write func(frame []byte, more ...[]byte) error) error {
+	return p.ledger.withState(func(count int, balances []byte, history []Transaction) error {
+		head := make([]byte, store.SnapshotHeaderLen, store.SnapshotHeaderLen+1+4)
+		head = append(head, providerSnapshotVersion)
+		head = binary.BigEndian.AppendUint32(head, uint32(count))
+		tail := p.encodeTail(history)
+		return write(head, balances, tail)
+	})
+}
 
-	// Ledger: balances and executed history (the applied set is the
-	// history's ID set, rebuilt on restore), then the audit log.
-	p.ledger.putState(b)
+// encodeTail encodes the snapshot sections after the balances: the
+// executed history (the applied set is the history's ID set, rebuilt
+// on restore), the audit log, and the session, key, fallback, nonce and
+// counter state.
+func (p *Provider) encodeTail(history []Transaction) []byte {
+	// Size the buffer for the previous tail plus room to grow: the
+	// state changes little between rotations.
+	last := int(p.snapTail.Load())
+	b := cryptoutil.NewBuffer(last + last/16 + 4096)
+	b.PutUint32(uint32(len(history)))
+	for i := range history {
+		putTxField(b, &history[i])
+	}
 	p.audit.putEntries(b)
 
 	// Session state is merged across the stripes (the snapshot's sorted
@@ -719,7 +741,7 @@ func (p *Provider) encodeSnapshotFrame() []byte {
 		b.PutUint64(uint64(*f))
 	}
 
-	p.snapSize.Store(int64(b.Len() - store.SnapshotHeaderLen))
+	p.snapTail.Store(int64(b.Len()))
 	return b.Bytes()
 }
 
@@ -732,22 +754,29 @@ func (p *Provider) loadState(data []byte) error {
 	}
 
 	// Accounts must arrive in strictly ascending name order: that is
-	// the order encodeSnapshotFrame writes, and the ledger's index
-	// relies on names being unique. Each costs at least 12 bytes, which
-	// bounds the allocation a hostile count can ask for.
-	n := int(r.Uint32())
-	accounts := make([]account, 0, min(n, r.Remaining()/12))
-	for i := 0; i < n; i++ {
-		name := r.String()
-		cents := int64(r.Uint64())
-		if r.Err() != nil {
-			break
+	// the order encodeSnapshot writes, and the ledger's index relies on
+	// names being unique. The section is checked in place, then handed
+	// to the ledger as one copy.
+	count := int(r.Uint32())
+	size := r.Remaining()
+	var prev []byte
+	for i := 0; i < count && r.Err() == nil; i++ {
+		name := r.Field()
+		r.Uint64()
+		if r.Err() == nil && i > 0 && bytes.Compare(name, prev) <= 0 {
+			return fmt.Errorf("core: snapshot account %q out of order or duplicated after %q", name, prev)
 		}
-		if i > 0 && name <= accounts[i-1].name {
-			return fmt.Errorf("core: snapshot account %q out of order or duplicated after %q", name, accounts[i-1].name)
-		}
-		accounts = append(accounts, account{name: name, cents: cents})
+		prev = name
 	}
+	if r.Err() != nil {
+		return fmt.Errorf("core: snapshot balances: %w", r.Err())
+	}
+	start := len(data) - size
+	size -= r.Remaining()
+	if size > math.MaxInt32 {
+		return fmt.Errorf("core: snapshot balances of %d bytes", size)
+	}
+	balances := bytes.Clone(data[start : start+size])
 	var history []Transaction
 	for i, n := 0, int(r.Uint32()); i < n && r.Err() == nil; i++ {
 		tx, err := UnmarshalTransaction(r.Bytes())
@@ -756,7 +785,7 @@ func (p *Provider) loadState(data []byte) error {
 		}
 		history = append(history, *tx)
 	}
-	p.ledger.restoreState(accounts, history)
+	p.ledger.restoreState(count, balances, history)
 
 	for i, n := 0, int(r.Uint32()); i < n && r.Err() == nil; i++ {
 		e, err := UnmarshalAuditEntry(r.Bytes())

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -12,11 +13,24 @@ import (
 func balancesOf(l *Ledger) map[string]int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make(map[string]int64, len(l.accounts))
-	for _, a := range l.accounts {
-		out[a.name] = a.cents
+	out := make(map[string]int64, l.count)
+	for _, name := range arenaNames(l) {
+		at, _ := l.find(name)
+		out[name] = l.cents(at)
 	}
 	return out
+}
+
+// arenaNames returns the account names in arena order. The caller
+// holds l.mu.
+func arenaNames(l *Ledger) []string {
+	var names []string
+	for off := 0; off < len(l.balances); {
+		name, cents := l.account(off)
+		names = append(names, string(name))
+		off = cents + 8
+	}
+	return names
 }
 
 // TestLedgerRandomOrderAccounts creates 20k accounts in random order
@@ -60,8 +74,9 @@ func TestLedgerRandomOrderAccounts(t *testing.T) {
 
 	l.mu.Lock()
 	l.sortLocked()
-	sorted := sort.SliceIsSorted(l.accounts, func(i, j int) bool { return l.accounts[i].name < l.accounts[j].name })
-	count := len(l.accounts)
+	order := arenaNames(l)
+	sorted := sort.StringsAreSorted(order) && len(order) == l.count
+	count := len(order)
 	l.mu.Unlock()
 	if !sorted || count != n {
 		t.Fatalf("after sort: %d accounts, name-ordered %v", count, sorted)
@@ -84,13 +99,17 @@ func TestLedgerRandomOrderAccounts(t *testing.T) {
 }
 
 // TestLedgerApplyErrorPrecedence pins the order Apply checks in:
-// duplicate ID, then unknown From, then unknown To, then funds.
+// duplicate ID, then unknown From, then unknown To, then funds, then
+// the recipient's balance overflowing.
 func TestLedgerApplyErrorPrecedence(t *testing.T) {
 	l := NewLedger()
 	for _, name := range []string{"carol", "alice", "bob"} {
 		if err := l.CreateAccount(name, 100); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := l.CreateAccount("rich", math.MaxInt64-10); err != nil {
+		t.Fatal(err)
 	}
 	tx := func(id, from, to string, cents int64) *Transaction {
 		return &Transaction{ID: id, From: from, To: to, AmountCents: cents, Currency: "EUR"}
@@ -108,6 +127,9 @@ func TestLedgerApplyErrorPrecedence(t *testing.T) {
 		{tx("t2", "nobody", "nobody-else", 1_000), ErrUnknownAccount, "nobody"},
 		{tx("t3", "alice", "nobody-else", 1_000), ErrUnknownAccount, "nobody-else"},
 		{tx("t4", "alice", "bob", 41), ErrInsufficientFunds, "alice"},
+		// Short of funds and overflowing the recipient: funds win.
+		{tx("t5", "alice", "rich", 41), ErrInsufficientFunds, "alice"},
+		{tx("t6", "alice", "rich", 11), ErrBalanceOverflow, "rich"},
 	} {
 		err := l.Apply(c.tx)
 		if !errors.Is(err, c.want) || err.Error() != fmt.Sprintf("%v: %s", c.want, c.name) {
@@ -115,12 +137,125 @@ func TestLedgerApplyErrorPrecedence(t *testing.T) {
 		}
 	}
 	// A failed Apply changes nothing.
-	want := map[string]int64{"alice": 40, "bob": 160, "carol": 100}
+	want := map[string]int64{"alice": 40, "bob": 160, "carol": 100, "rich": math.MaxInt64 - 10}
 	if got := balancesOf(l); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("balances = %v, want %v", got, want)
 	}
 	if h := l.History(); len(h) != 1 || h[0].ID != "t1" {
 		t.Fatalf("history = %+v", h)
+	}
+	// A credit up to the largest balance is still accepted.
+	if err := l.Apply(tx("t6", "alice", "rich", 10)); err != nil {
+		t.Fatal(err)
+	}
+	if bal, _ := l.Balance("rich"); bal != math.MaxInt64 {
+		t.Fatalf("rich = %d, want MaxInt64", bal)
+	}
+}
+
+// TestLedgerMatchesModel drives a ledger with random CreateAccount
+// calls (in and out of name order, duplicates included), Apply calls
+// down every error path, and Balance calls, checking each result
+// against a map oracle, and round-trips the owning provider through a
+// snapshot payload every few hundred operations.
+func TestLedgerMatchesModel(t *testing.T) {
+	// Names of several lengths, many sharing their first 16 bytes (the
+	// sort's key), one a prefix of another, one holding a zero byte.
+	var names []string
+	for i := 0; i < 60; i++ {
+		names = append(names, fmt.Sprintf("acct%03d", i), fmt.Sprintf("shared-prefix-16%03d", i))
+	}
+	names = append(names, "a", "a\x00", "ab", "", "zz")
+	rng := rand.New(rand.NewSource(23))
+	pick := func() string { return names[rng.Intn(len(names))] }
+	openings := []int64{0, 1, 500, 1_000_000, math.MaxInt64 - 100, math.MaxInt64}
+
+	p := NewProvider(ProviderConfig{Name: "model"})
+	model := map[string]int64{}
+	applied := map[string]bool{}
+	var ids []string
+	outcomes := map[error]int{} // Apply results by expected error
+	for op := 1; op <= 4_000; op++ {
+		l := p.Ledger()
+		switch k := rng.Intn(10); {
+		case k < 3:
+			name, cents := pick(), openings[rng.Intn(len(openings))]
+			err := l.CreateAccount(name, cents)
+			if _, dup := model[name]; dup {
+				if !errors.Is(err, ErrAccountExists) {
+					t.Fatalf("op %d: duplicate CreateAccount(%q) = %v", op, name, err)
+				}
+				break
+			}
+			if err != nil {
+				t.Fatalf("op %d: CreateAccount(%q) = %v", op, name, err)
+			}
+			model[name] = cents
+		case k < 8:
+			id := fmt.Sprintf("tx-%d", op)
+			if len(ids) > 0 && rng.Intn(8) == 0 {
+				id = ids[rng.Intn(len(ids))]
+			}
+			tx := &Transaction{ID: id, From: pick(), To: pick(), AmountCents: rng.Int63n(2_000_000) - 1_000, Currency: "EUR"}
+			if rng.Intn(4) == 0 {
+				tx.AmountCents = math.MaxInt64 - rng.Int63n(200)
+			}
+			err := l.Apply(tx)
+			from, fromOK := model[tx.From]
+			to, toOK := model[tx.To]
+			var want error
+			switch {
+			case tx.Validate() != nil:
+				want = ErrInvalidTransaction
+			case applied[tx.ID]:
+				want = ErrDuplicateTransaction
+			case !fromOK, !toOK:
+				want = ErrUnknownAccount
+			case from < tx.AmountCents:
+				want = ErrInsufficientFunds
+			case to > math.MaxInt64-tx.AmountCents:
+				want = ErrBalanceOverflow
+			}
+			outcomes[want]++
+			if want == nil {
+				if err != nil {
+					t.Fatalf("op %d: Apply(%+v) = %v", op, tx, err)
+				}
+				model[tx.From] -= tx.AmountCents
+				model[tx.To] += tx.AmountCents
+				applied[tx.ID] = true
+				ids = append(ids, tx.ID)
+			} else if !errors.Is(err, want) {
+				t.Fatalf("op %d: Apply(%+v) = %v, want %v", op, tx, err, want)
+			}
+		default:
+			name := pick()
+			bal, err := l.Balance(name)
+			want, ok := model[name]
+			if ok && (err != nil || bal != want) || !ok && !errors.Is(err, ErrUnknownAccount) {
+				t.Fatalf("op %d: Balance(%q) = %d, %v; model %d, %v", op, name, bal, err, want, ok)
+			}
+		}
+		if op%300 == 0 {
+			q := NewProvider(ProviderConfig{Name: fmt.Sprintf("model-%d", op)})
+			if err := q.loadState(p.encodeState()); err != nil {
+				t.Fatalf("op %d: restore: %v", op, err)
+			}
+			p = q
+		}
+		if op%300 == 0 || op == 4_000 {
+			if got := balancesOf(p.Ledger()); fmt.Sprint(got) != fmt.Sprint(model) {
+				t.Fatalf("op %d: balances = %v, model %v", op, got, model)
+			}
+			if h := p.Ledger().History(); len(h) != len(ids) {
+				t.Fatalf("op %d: %d transactions in history, model %d", op, len(h), len(ids))
+			}
+		}
+	}
+	for _, want := range []error{nil, ErrInvalidTransaction, ErrDuplicateTransaction, ErrUnknownAccount, ErrInsufficientFunds, ErrBalanceOverflow} {
+		if outcomes[want] == 0 {
+			t.Errorf("no Apply expected to end in %v; outcomes %v", want, outcomes)
+		}
 	}
 }
 

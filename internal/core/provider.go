@@ -25,6 +25,10 @@ var (
 	// ErrInsufficientFunds is returned by the ledger for overdrafts.
 	ErrInsufficientFunds = errors.New("core: insufficient funds")
 
+	// ErrBalanceOverflow is returned by the ledger for a credit that
+	// would take the recipient's balance past the largest it can hold.
+	ErrBalanceOverflow = errors.New("core: balance overflow")
+
 	// ErrUnknownAccount is returned for ledger operations on missing
 	// accounts.
 	ErrUnknownAccount = errors.New("core: unknown account")
@@ -285,9 +289,9 @@ type Provider struct {
 	st        *store.Store
 	snapEvery int
 	dead      atomic.Bool
-	// snapSize is the last snapshot payload's length, which sizes the
-	// next snapshot's buffer up front.
-	snapSize atomic.Int64
+	// snapTail is the length of the last snapshot's sections after the
+	// balances, which sizes the next snapshot's tail buffer up front.
+	snapTail atomic.Int64
 
 	// Fleet integration (see internal/fleet). epoch is the fencing
 	// generation this instance serves under; fenced is raised when a

@@ -21,10 +21,22 @@ import (
 // bytes, so it may only change together with the format version.
 const pinnedStateSHA256 = "7d6af7d50110b2a9d485773149b53cd8aeba152b1f803a26a4ba8cba39a026be"
 
-// encodeState returns the snapshot payload alone, without the space
-// encodeSnapshotFrame reserves for the store's envelope.
+// encodeState returns the snapshot payload alone: encodeSnapshot's
+// parts concatenated, without the space reserved for the store's
+// envelope.
 func (p *Provider) encodeState() []byte {
-	return p.encodeSnapshotFrame()[store.SnapshotHeaderLen:]
+	var state []byte
+	err := p.encodeSnapshot(func(frame []byte, more ...[]byte) error {
+		state = append(state, frame[store.SnapshotHeaderLen:]...)
+		for _, part := range more {
+			state = append(state, part...)
+		}
+		return nil
+	})
+	if err != nil {
+		panic(err) // the write above never fails
+	}
+	return state
 }
 
 // seededSnapshotProvider builds a provider that populates every
@@ -224,10 +236,9 @@ func FuzzLoadState(f *testing.F) {
 	})
 }
 
-// BenchmarkEncodeState measures one snapshot encode of a 100k-account
-// bank with some executed history: the cost a rotation pays every
-// SnapshotEvery group commits.
-func BenchmarkEncodeState(b *testing.B) {
+// benchBank returns a provider holding a 100k-account bank with some
+// executed history: the state a snapshot rotation writes out.
+func benchBank(b *testing.B) *Provider {
 	p := NewProvider(ProviderConfig{Name: "bench"})
 	l := p.Ledger()
 	const accounts = 100_000
@@ -247,13 +258,57 @@ func BenchmarkEncodeState(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	encodeSink = p.encodeState()
-	b.SetBytes(int64(len(encodeSink)))
+	return p
+}
+
+// BenchmarkEncodeState measures encoding one snapshot of a 100k-account
+// bank into the parts a rotation writes, without writing them.
+func BenchmarkEncodeState(b *testing.B) {
+	p := benchBank(b)
+	size := 0
+	measure := func(frame []byte, more ...[]byte) error {
+		size = len(frame) - store.SnapshotHeaderLen
+		for _, part := range more {
+			size += len(part)
+		}
+		return nil
+	}
+	if err := p.encodeSnapshot(measure); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		encodeSink = p.encodeState()
+		if err := p.encodeSnapshot(measure); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// encodeSink keeps BenchmarkEncodeState's result live.
-var encodeSink []byte
+// BenchmarkSnapshotRotation measures one snapshot rotation of a
+// 100k-account bank into a directory store: the encode, the write of
+// each part, the fsync and the rename, which the commit loop pays every
+// SnapshotEvery group commits.
+func BenchmarkSnapshotRotation(b *testing.B) {
+	p := benchBank(b)
+	backend, err := store.OpenDir(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := store.Open(backend)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	if err := p.AttachStore(st); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.SnapshotNow(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

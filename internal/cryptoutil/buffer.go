@@ -216,8 +216,21 @@ func (r *Reader) Digest() Digest {
 	return d
 }
 
-// Bytes decodes a 32-bit length-prefixed byte field, returning a copy.
+// Bytes decodes a 32-bit length-prefixed byte field, returning a copy
+// (nil for an empty field, as Raw).
 func (r *Reader) Bytes() []byte {
+	p := r.Field()
+	if len(p) == 0 {
+		return nil
+	}
+	out := make([]byte, len(p))
+	copy(out, p)
+	return out
+}
+
+// Field decodes a 32-bit length-prefixed byte field like Bytes, but
+// returns a view into the input rather than a copy.
+func (r *Reader) Field() []byte {
 	n := r.Uint32()
 	if r.err != nil {
 		return nil
@@ -226,7 +239,7 @@ func (r *Reader) Bytes() []byte {
 		r.err = ErrFieldTooLarge
 		return nil
 	}
-	return r.Raw(int(n))
+	return r.take(int(n))
 }
 
 // String decodes a length-prefixed UTF-8 string.

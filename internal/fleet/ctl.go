@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"time"
 
@@ -103,10 +104,15 @@ func decodeStatusResp(data []byte) (MemberStatus, error) {
 		return MemberStatus{}, fmt.Errorf("fleet: ctl status: %w", r.Err())
 	}
 	for i := 0; i < n && r.Err() == nil; i++ {
-		st.Links = append(st.Links, LinkHealth{
-			Member: int(r.Uint32()), Acked: r.Uint64(), Lag: r.Uint64(),
-			AckAge: time.Duration(r.Uint64()) * time.Millisecond,
-		})
+		l := LinkHealth{Member: int(r.Uint32()), Acked: r.Uint64(), Lag: r.Uint64()}
+		// The age travels as signed milliseconds; one a Duration cannot
+		// hold would wrap into a different age.
+		ms := int64(r.Uint64())
+		if ms > math.MaxInt64/int64(time.Millisecond) || ms < math.MinInt64/int64(time.Millisecond) {
+			return MemberStatus{}, fmt.Errorf("fleet: ctl status: link ack age of %d ms out of range", ms)
+		}
+		l.AckAge = time.Duration(ms) * time.Millisecond
+		st.Links = append(st.Links, l)
 	}
 	if err := r.ExpectEOF(); err != nil {
 		return MemberStatus{}, fmt.Errorf("fleet: ctl status: %w", err)

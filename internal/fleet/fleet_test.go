@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
+	"time"
 
 	"unitp/internal/core"
 	"unitp/internal/store"
@@ -221,6 +223,93 @@ func FuzzDecodeWelcome(f *testing.F) {
 		}
 		if again := EncodeWelcome(w); !bytes.Equal(again, data) {
 			t.Fatalf("accepted welcome %+v re-encodes to %x, input %x", w, again, data)
+		}
+	})
+}
+
+// FuzzDecodeCtlReq feeds arbitrary bytes to the control-request
+// decoder a member runs on every supervision connection: it must never
+// panic, and an accepted request must re-encode to exactly its input.
+func FuzzDecodeCtlReq(f *testing.F) {
+	f.Add(encodeCtlReq(ctlReq{}))
+	f.Add(encodeCtlReq(ctlReq{promote: &promoteCmd{NewEpoch: 3,
+		Survivors: []PeerAddr{{Member: 1, Addr: "127.0.0.1:7001"}, {Member: 2, Addr: ""}}}}))
+	f.Add(encodeCtlReq(ctlReq{adopt: &adoptCmd{Member: 2, Addr: "127.0.0.1:7002"}}))
+	f.Add(encodeCtlReq(ctlReq{demote: &demoteCmd{Epoch: 1 << 40}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := decodeCtlReq(data)
+		if err != nil {
+			return
+		}
+		if again := encodeCtlReq(req); !bytes.Equal(again, data) {
+			t.Fatalf("accepted ctl request re-encodes to %x, input %x", again, data)
+		}
+	})
+}
+
+// FuzzDecodeStatusResp feeds arbitrary bytes to the status decoder a
+// shard handle runs on every health probe's answer: it must never
+// panic, and an accepted status must re-encode to exactly its input.
+func FuzzDecodeStatusResp(f *testing.F) {
+	f.Add(encodeStatusResp(MemberStatus{Member: 1, Role: WelcomePrimary, Epoch: 2, Applied: 9, Healthy: true}))
+	f.Add(encodeStatusResp(MemberStatus{Member: 2, Role: WelcomeFollower, Epoch: 7, Fenced: true,
+		Links: []LinkHealth{{Member: 1, Acked: 5, Lag: 2, AckAge: 1500 * time.Millisecond}, {Member: 3, AckAge: -time.Millisecond}}}))
+	f.Add(encodeStatusResp(MemberStatus{Links: []LinkHealth{{AckAge: math.MaxInt64}}}))
+	// An ack age of more milliseconds than a Duration holds: refused.
+	overflow := encodeStatusResp(MemberStatus{Links: []LinkHealth{{}}})
+	copy(overflow[len(overflow)-8:], "00000000")
+	f.Add(overflow)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := decodeStatusResp(data)
+		if err != nil {
+			return
+		}
+		if again := encodeStatusResp(st); !bytes.Equal(again, data) {
+			t.Fatalf("accepted status %+v re-encodes to %x, input %x", st, again, data)
+		}
+	})
+}
+
+// FuzzReadNodeManifest feeds arbitrary file contents to the manifest
+// reader a member runs at every restart: it must never panic, and an
+// accepted manifest must be written back as exactly those bytes.
+func FuzzReadNodeManifest(f *testing.F) {
+	for _, m := range []NodeManifest{{Epoch: 1, Role: NodeRolePrimary}, {Epoch: 1 << 40, Role: NodeRoleFollower}, {}} {
+		b := store.NewMemBackend()
+		if err := WriteNodeManifest(b, m); err != nil {
+			f.Fatal(err)
+		}
+		data, err := b.ReadFile(nodeManifestName)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := store.NewMemBackend()
+		w, err := b.Create(nodeManifestName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		m, ok, err := ReadNodeManifest(b)
+		if err != nil {
+			return
+		}
+		if !ok {
+			t.Fatal("an existing manifest file read as absent")
+		}
+		again := store.NewMemBackend()
+		if err := WriteNodeManifest(again, m); err != nil {
+			t.Fatal(err)
+		}
+		if written, err := again.ReadFile(nodeManifestName); err != nil || !bytes.Equal(written, data) {
+			t.Fatalf("accepted manifest %+v writes back as %x (%v), input %x", m, written, err, data)
 		}
 	})
 }

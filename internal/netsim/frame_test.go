@@ -203,3 +203,32 @@ func TestFrameCodecRobustnessTCP(t *testing.T) {
 		})
 	}
 }
+
+// FuzzReadFrame feeds arbitrary bytes to the frame reader every real
+// connection runs: it must never panic, and an accepted frame must
+// re-encode through WriteFrame to exactly the bytes it consumed.
+func FuzzReadFrame(f *testing.F) {
+	for _, payload := range [][]byte{nil, []byte("payload"), bytes.Repeat([]byte{0xA5}, 300)} {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, payload); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()-1])
+		f.Add(append(buf.Bytes(), 0xde, 0xad))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		payload, err := ReadFrame(r)
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := WriteFrame(&again, payload); err != nil {
+			t.Fatalf("accepted %d-byte payload refused by WriteFrame: %v", len(payload), err)
+		}
+		if consumed := data[:len(data)-r.Len()]; !bytes.Equal(again.Bytes(), consumed) {
+			t.Fatalf("accepted frame re-encodes to %x, consumed %x", again.Bytes(), consumed)
+		}
+	})
+}

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -240,13 +241,24 @@ func (s *Store) WriteSnapshot(state []byte) error {
 }
 
 // WriteSnapshotFrame is WriteSnapshot for a state already encoded after
-// SnapshotHeaderLen reserved bytes of frame. The store fills in the
-// header and appends the CRC in place, so a large state is never
-// copied; 4 bytes of spare capacity avoid reallocating for the CRC.
-// The store owns frame once called.
-func (s *Store) WriteSnapshotFrame(frame []byte) error {
+// SnapshotHeaderLen reserved bytes of frame, optionally continued in
+// further parts: the state is frame's tail followed by each part of
+// more, in order. The store fills in the header, chains the CRC over
+// every part and appends it to the last part in place, then writes each
+// part with one File.Write, so a large state is never copied; 4 bytes
+// of spare capacity in the last part avoid reallocating for the CRC.
+// The store owns frame and the parts until the call returns, and keeps
+// none of them.
+func (s *Store) WriteSnapshotFrame(frame []byte, more ...[]byte) error {
 	if len(frame) < SnapshotHeaderLen {
 		return fmt.Errorf("store: snapshot frame of %d bytes has no header room", len(frame))
+	}
+	size := len(frame) - SnapshotHeaderLen
+	for _, part := range more {
+		size += len(part)
+	}
+	if uint64(size) > math.MaxUint32 {
+		return fmt.Errorf("store: snapshot state of %d bytes overflows its length field", size)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -260,9 +272,11 @@ func (s *Store) WriteSnapshotFrame(frame []byte) error {
 	if err != nil {
 		return fmt.Errorf("store: snapshot: %w", err)
 	}
-	if _, err := f.Write(frameSnapshot(newGen, frame)); err != nil {
-		f.Close()
-		return fmt.Errorf("store: snapshot: %w", err)
+	for _, part := range frameSnapshot(newGen, append([][]byte{frame}, more...)) {
+		if _, err := f.Write(part); err != nil {
+			f.Close()
+			return fmt.Errorf("store: snapshot: %w", err)
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()

@@ -218,6 +218,16 @@ func TestSnapshotRotation(t *testing.T) {
 // (snapshot, WAL) pair: either the old generation with its records or
 // the new one with an empty WAL.
 func TestCrashMidSnapshot(t *testing.T) {
+	for _, split := range [][]int{nil, {1, 2}} {
+		t.Run(fmt.Sprintf("parts=%d", len(split)+1), func(t *testing.T) {
+			crashMidSnapshot(t, split)
+		})
+	}
+}
+
+// crashMidSnapshot is TestCrashMidSnapshot for one rotation whose state
+// is written in the parts split cuts it into (see snapshotParts).
+func crashMidSnapshot(t *testing.T, split []int) {
 	for crashAt := 0; ; crashAt++ {
 		b := NewMemBackend()
 		s := openFresh(t, b, []byte("old"))
@@ -238,7 +248,8 @@ func TestCrashMidSnapshot(t *testing.T) {
 			}
 			return false
 		})
-		err := s.WriteSnapshot([]byte("new"))
+		frame, more := snapshotParts([]byte("new"), split...)
+		err := s.WriteSnapshotFrame(frame, more...)
 		b.SetCrashHook(nil)
 		if !fired {
 			if err != nil {
@@ -422,54 +433,73 @@ func TestDirBackendRoundTrip(t *testing.T) {
 // encodeSnapshot wraps state in the snapshot envelope.
 func encodeSnapshot(gen uint64, state []byte) []byte {
 	frame := make([]byte, SnapshotHeaderLen, SnapshotHeaderLen+len(state)+snapshotCRCLen)
-	return frameSnapshot(gen, append(frame, state...))
+	return frameSnapshot(gen, [][]byte{append(frame, state...)})[0]
 }
 
 // TestWriteSnapshotFrameInPlace checks a state encoded after
-// SnapshotHeaderLen reserved bytes is framed in place, in one write,
-// into exactly the envelope WriteSnapshot produces for the same state,
-// and recovers at Open.
+// SnapshotHeaderLen reserved bytes, whole or continued in further
+// parts, is framed in place with one write per part into exactly the
+// envelope WriteSnapshot produces for the concatenated state, and
+// recovers at Open.
 func TestWriteSnapshotFrameInPlace(t *testing.T) {
 	state := []byte("provider-state-encoded-in-place")
-	b := NewMemBackend()
-	var writes []string
-	b.SetCrashHook(func(ev CrashEvent) bool {
-		if ev.Op == OpWrite && ev.Phase == PhaseBefore {
-			writes = append(writes, ev.Name)
+	for _, split := range [][]int{nil, {9, 20}, {0, 0}, {len(state), len(state)}} {
+		b := NewMemBackend()
+		var writes []string
+		b.SetCrashHook(func(ev CrashEvent) bool {
+			if ev.Op == OpWrite && ev.Phase == PhaseBefore {
+				writes = append(writes, ev.Name)
+			}
+			return false
+		})
+		s, err := Open(b)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return false
-	})
-	s, err := Open(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := make([]byte, SnapshotHeaderLen, SnapshotHeaderLen+len(state)+snapshotCRCLen)
-	frame = append(frame, state...)
-	if err := s.WriteSnapshotFrame(frame); err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{snapName(1) + tmpSuffix}; fmt.Sprint(writes) != fmt.Sprint(want) {
-		t.Fatalf("snapshot writes = %v, want exactly %v", writes, want)
-	}
-	got, err := b.ReadFile(snapName(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, encodeSnapshot(1, state)) {
-		t.Fatal("framed snapshot differs from the WriteSnapshot envelope")
-	}
-	s.Close()
+		frame, more := snapshotParts(state, split...)
+		if err := s.WriteSnapshotFrame(frame, more...); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{snapName(1) + tmpSuffix}
+		for range more {
+			want = append(want, snapName(1)+tmpSuffix)
+		}
+		if fmt.Sprint(writes) != fmt.Sprint(want) {
+			t.Fatalf("split %v: snapshot writes = %v, want exactly %v", split, writes, want)
+		}
+		got, err := b.ReadFile(snapName(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, encodeSnapshot(1, state)) {
+			t.Fatalf("split %v: framed snapshot differs from the WriteSnapshot envelope", split)
+		}
+		s.Close()
 
-	s, err = Open(b)
-	if err != nil {
-		t.Fatal(err)
+		s, err = Open(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(s.Snapshot(), state) {
+			t.Fatalf("split %v: recovered %q, want %q", split, s.Snapshot(), state)
+		}
+		if err := s.WriteSnapshotFrame(make([]byte, SnapshotHeaderLen-1), more...); err == nil {
+			t.Fatal("frame without header room accepted")
+		}
 	}
-	if !bytes.Equal(s.Snapshot(), state) {
-		t.Fatalf("recovered %q, want %q", s.Snapshot(), state)
+}
+
+// snapshotParts splits state at the given offsets into the arguments
+// of WriteSnapshotFrame: a frame holding the reserved header and the
+// state up to the first offset, then one part per further piece. The
+// last part gets no spare capacity, so the CRC append reallocates it.
+func snapshotParts(state []byte, at ...int) (frame []byte, more [][]byte) {
+	cuts := append(append([]int{0}, at...), len(state))
+	frame = append(make([]byte, SnapshotHeaderLen), state[:cuts[1]]...)
+	for i := 1; i+1 < len(cuts); i++ {
+		more = append(more, bytes.Clone(state[cuts[i]:cuts[i+1]]))
 	}
-	if err := s.WriteSnapshotFrame(make([]byte, SnapshotHeaderLen-1)); err == nil {
-		t.Fatal("frame without header room accepted")
-	}
+	return frame, more
 }
 
 // FuzzDecodeSnapshot feeds arbitrary bytes to the snapshot envelope

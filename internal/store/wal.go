@@ -108,16 +108,28 @@ const (
 	SnapshotHeaderLen = 4 + 1 + 8 + 4
 )
 
-// frameSnapshot turns frame, a state preceded by SnapshotHeaderLen
-// reserved bytes, into a complete envelope for generation gen: it fills
-// in the header and appends the CRC (in place, given 4 bytes of spare
-// capacity).
-func frameSnapshot(gen uint64, frame []byte) []byte {
+// frameSnapshot turns parts, a state preceded by SnapshotHeaderLen
+// reserved bytes of the first part, into a complete envelope for
+// generation gen: it fills in the header, chains the CRC over every
+// part and appends it to the last (in place, given 4 bytes of spare
+// capacity). It returns parts, whose concatenation is the envelope.
+func frameSnapshot(gen uint64, parts [][]byte) [][]byte {
+	frame := parts[0]
+	size := -SnapshotHeaderLen
+	for _, part := range parts {
+		size += len(part)
+	}
 	binary.BigEndian.PutUint32(frame[0:4], snapshotMagic)
 	frame[4] = snapshotVersion
 	binary.BigEndian.PutUint64(frame[5:13], gen)
-	binary.BigEndian.PutUint32(frame[13:17], uint32(len(frame)-SnapshotHeaderLen))
-	return binary.BigEndian.AppendUint32(frame, crc32.Checksum(frame, castagnoli))
+	binary.BigEndian.PutUint32(frame[13:17], uint32(size))
+	var sum uint32
+	for _, part := range parts {
+		sum = crc32.Update(sum, castagnoli, part)
+	}
+	last := len(parts) - 1
+	parts[last] = binary.BigEndian.AppendUint32(parts[last], sum)
+	return parts
 }
 
 // decodeSnapshot validates an envelope and returns (generation, state).
