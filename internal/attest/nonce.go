@@ -44,7 +44,13 @@ type NonceCache struct {
 	rng    *sim.Rand
 	ttl    time.Duration
 	issued map[Nonce]time.Time
-	spent  map[Nonce]bool
+	// spent is every redeemed nonce, in ascending byte order, except the
+	// redemptions since the last merge, which recent holds in arrival
+	// order. recent is sorted and merged into spent once it reaches
+	// spentRun nonces and at every Export, so an export never sorts the
+	// whole set.
+	spent  []Nonce
+	recent []Nonce
 	// stats
 	issuedCount   int
 	redeemedCount int
@@ -65,7 +71,6 @@ func NewNonceCache(clock sim.Clock, rng *sim.Rand, ttl time.Duration) *NonceCach
 		rng:    rng,
 		ttl:    ttl,
 		issued: make(map[Nonce]time.Time),
-		spent:  make(map[Nonce]bool),
 	}
 }
 
@@ -87,7 +92,7 @@ func (c *NonceCache) Redeem(n Nonce) error {
 	defer c.mu.Unlock()
 	at, ok := c.issued[n]
 	if !ok {
-		if c.spent[n] {
+		if c.isSpent(n) {
 			return ErrNonceReplayed
 		}
 		return ErrNonceUnknown
@@ -97,9 +102,66 @@ func (c *NonceCache) Redeem(n Nonce) error {
 		return ErrNonceExpired
 	}
 	delete(c.issued, n)
-	c.spent[n] = true
+	c.addSpent(n)
 	c.redeemedCount++
 	return nil
+}
+
+// spentRun is how many redemptions the spent log holds unsorted before
+// they are merged into its sorted part. A merge moves the whole sorted
+// part, so a larger run merges less often; only a refused redemption
+// scans the run.
+const spentRun = 1024
+
+// compareNonces orders nonces bytewise.
+func compareNonces(a, b Nonce) int {
+	return bytes.Compare(a[:], b[:])
+}
+
+// isSpent reports whether n was redeemed: a binary search of the
+// sorted spent log plus a scan of the recent run. The caller holds c.mu.
+func (c *NonceCache) isSpent(n Nonce) bool {
+	if _, ok := slices.BinarySearchFunc(c.spent, n, compareNonces); ok {
+		return true
+	}
+	return slices.Contains(c.recent, n)
+}
+
+// addSpent records a redemption. The caller holds c.mu.
+func (c *NonceCache) addSpent(n Nonce) {
+	c.recent = append(c.recent, n)
+	if len(c.recent) >= spentRun {
+		c.mergeSpent()
+	}
+}
+
+// mergeSpent sorts the recent run and merges it into the sorted spent
+// log in place, from the back, so no nonce is compared or moved twice.
+// A nonce recorded twice is kept once, as a set would. The caller holds
+// c.mu.
+func (c *NonceCache) mergeSpent() {
+	if len(c.recent) == 0 {
+		return
+	}
+	slices.SortFunc(c.recent, compareNonces)
+	run := slices.Compact(c.recent)
+	i, j := len(c.spent)-1, len(run)-1
+	c.spent = slices.Grow(c.spent, len(run))[:len(c.spent)+len(run)]
+	dup := false
+	for k := len(c.spent) - 1; j >= 0; k-- {
+		if i >= 0 && compareNonces(c.spent[i], run[j]) >= 0 {
+			dup = dup || c.spent[i] == run[j]
+			c.spent[k] = c.spent[i]
+			i--
+		} else {
+			c.spent[k] = run[j]
+			j--
+		}
+	}
+	if dup {
+		c.spent = slices.Compact(c.spent)
+	}
+	c.recent = c.recent[:0]
 }
 
 // Outstanding reports the number of issued, unredeemed, unexpired nonces.
@@ -145,20 +207,14 @@ func (c *NonceCache) Export() (issued []IssuedNonce, spent []Nonce, issuedCount,
 		issuedNonces = append(issuedNonces, n)
 		issuedAt = append(issuedAt, at)
 	}
-	spentSet := make([]Nonce, 0, len(c.spent))
-	for n := range c.spent {
-		spentSet = append(spentSet, n)
-	}
+	c.mergeSpent()
+	spent = slices.Clone(c.spent)
 	issuedCount, redeemedCount = c.issuedCount, c.redeemedCount
 	c.mu.Unlock()
 
 	issued = make([]IssuedNonce, len(issuedNonces))
 	for i, at := range ByteOrder(issuedNonces) {
 		issued[i] = IssuedNonce{Nonce: issuedNonces[at], At: issuedAt[at]}
-	}
-	spent = make([]Nonce, len(spentSet))
-	for i, at := range ByteOrder(spentSet) {
-		spent[i] = spentSet[at]
 	}
 	return issued, spent, issuedCount, redeemedCount
 }
@@ -199,9 +255,16 @@ func (c *NonceCache) Restore(issued []IssuedNonce, spent []Nonce, issuedCount, r
 	for _, in := range issued {
 		c.issued[in.Nonce] = in.At
 	}
-	c.spent = make(map[Nonce]bool, len(spent))
-	for _, n := range spent {
-		c.spent[n] = true
+	// An exported spent list is strictly ascending; any other is sorted
+	// once and its duplicates dropped, as a set would.
+	c.spent = slices.Clone(spent)
+	c.recent = nil
+	for i := 1; i < len(c.spent); i++ {
+		if compareNonces(c.spent[i-1], c.spent[i]) >= 0 {
+			slices.SortFunc(c.spent, compareNonces)
+			c.spent = slices.Compact(c.spent)
+			break
+		}
 	}
 	c.issuedCount = issuedCount
 	c.redeemedCount = redeemedCount
@@ -223,7 +286,7 @@ func (c *NonceCache) RestoreSpent(n Nonce) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.issued, n)
-	c.spent[n] = true
+	c.addSpent(n)
 	c.redeemedCount++
 }
 

@@ -2,6 +2,7 @@ package attest
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -85,4 +86,85 @@ func TestExportIsByteOrdered(t *testing.T) {
 	if err := r.Redeem(issued[0].Nonce); err != nil {
 		t.Fatalf("restored cache refused an issued nonce: %v", err)
 	}
+}
+
+// TestSpentLogMatchesModel drives a NonceCache through enough
+// redemptions to merge its recent run into the sorted spent log several
+// times, against a map[Nonce]bool model: a replay is refused with
+// ErrNonceReplayed whether its nonce is still in the run or already
+// merged, an unknown nonce with ErrNonceUnknown, and Export's spent list
+// is the model's key set in ascending byte order, also after Restore.
+func TestSpentLogMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	clock := sim.NewVirtualClock()
+	c := NewNonceCache(clock, sim.NewRand(11), 0)
+	model := map[Nonce]bool{}
+	var spentList, issued []Nonce
+	checkExport := func(when string) {
+		t.Helper()
+		_, spent, _, _ := c.Export()
+		want := make([]Nonce, 0, len(model))
+		for n := range model {
+			want = append(want, n)
+		}
+		slices.SortFunc(want, func(a, b Nonce) int { return bytes.Compare(a[:], b[:]) })
+		if !slices.Equal(spent, want) {
+			t.Fatalf("%s: exported %d spent nonces, model holds %d (or order differs)", when, len(spent), len(want))
+		}
+	}
+	for i := 0; i < 12_000; i++ {
+		switch r := rng.Intn(10); {
+		case r < 5 || len(issued) == 0:
+			issued = append(issued, c.Issue())
+		case r < 8:
+			at := rng.Intn(len(issued))
+			n := issued[at]
+			issued = slices.Delete(issued, at, at+1)
+			if err := c.Redeem(n); err != nil {
+				t.Fatalf("op %d: redeem of an issued nonce: %v", i, err)
+			}
+			model[n] = true
+			spentList = append(spentList, n)
+		case r == 8 && len(spentList) > 0:
+			// Replays of the newest (likely still in the run) and of a
+			// random older redemption (likely merged).
+			for _, n := range []Nonce{spentList[len(spentList)-1], spentList[rng.Intn(len(spentList))]} {
+				if err := c.Redeem(n); !errors.Is(err, ErrNonceReplayed) {
+					t.Fatalf("op %d: replay answered %v", i, err)
+				}
+			}
+		default:
+			var n Nonce
+			rng.Read(n[:])
+			if err := c.Redeem(n); !errors.Is(err, ErrNonceUnknown) {
+				t.Fatalf("op %d: unknown nonce answered %v", i, err)
+			}
+		}
+		if i == 7000 {
+			if len(c.spent) < 2*spentRun {
+				t.Fatalf("%d nonces merged before the first Export: the run never filled twice", len(c.spent))
+			}
+			checkExport("mid-run")
+		}
+	}
+	checkExport("end")
+
+	// A restored cache refuses every replay and exports the same list.
+	is, spent, ic, rc := c.Export()
+	r := NewNonceCache(clock, sim.NewRand(12), 0)
+	r.Restore(is, spent, ic, rc)
+	c = r
+	checkExport("after Restore")
+	for _, n := range spentList {
+		if err := c.Redeem(n); !errors.Is(err, ErrNonceReplayed) {
+			t.Fatalf("restored cache answered a replay with %v", err)
+		}
+	}
+
+	// A spent list out of order and with duplicates restores as a set.
+	shuffled := append(slices.Clone(spent), spent[:10]...)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	c = NewNonceCache(clock, sim.NewRand(13), 0)
+	c.Restore(nil, shuffled, ic, rc)
+	checkExport("after an unordered Restore")
 }

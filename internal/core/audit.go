@@ -107,9 +107,15 @@ type AuditEntry struct {
 	Chain cryptoutil.Digest
 }
 
+// size is the length of the entry's full wire form.
+func (e *AuditEntry) size() int {
+	return 8 + 1 + 4 + len(e.Note) + 8 + 4 + len(e.TxID) + cryptoutil.DigestSize + 1 +
+		attest.NonceSize + 4 + len(e.Evidence) + 2*cryptoutil.DigestSize
+}
+
 // body serializes the hashed portion of the entry.
 func (e *AuditEntry) body() []byte {
-	b := cryptoutil.NewBuffer(128 + len(e.Evidence))
+	b := cryptoutil.NewBuffer(e.size())
 	e.putBody(b)
 	return b.Bytes()
 }
@@ -135,7 +141,7 @@ func (e *AuditEntry) computeChain(prev cryptoutil.Digest) cryptoutil.Digest {
 // Marshal produces the full wire encoding of an entry, chain fields
 // included — the form persisted in snapshots and WAL records.
 func (e *AuditEntry) Marshal() []byte {
-	b := cryptoutil.NewBuffer(168 + len(e.Note) + len(e.TxID) + len(e.Evidence))
+	b := cryptoutil.NewBuffer(e.size())
 	e.put(b)
 	return b.Bytes()
 }
@@ -178,9 +184,13 @@ func UnmarshalAuditEntry(data []byte) (*AuditEntry, error) {
 
 // AuditLog is an append-only, hash-chained record of verified
 // confirmations. Safe for concurrent use.
+//
+// The log holds its entries as the snapshot's audit section: Append
+// encodes each entry once and hashes the chain over those bytes, and
+// that encoding is what the snapshot writes and the WAL journal copies.
 type AuditLog struct {
 	mu      sync.Mutex
-	entries []AuditEntry
+	entries section // each entry's full wire form, in chain order
 	head    cryptoutil.Digest
 }
 
@@ -192,37 +202,105 @@ func NewAuditLog() *AuditLog {
 // Append records a confirmation. The caller supplies everything except
 // the chain fields.
 func (l *AuditLog) Append(entry AuditEntry) AuditEntry {
+	l.append(&entry, nil)
+	return entry
+}
+
+// append fills in e's sequence number and chain fields and records it,
+// handing its field (length prefix included, a view into the log) to
+// emit, when not nil, before it returns.
+func (l *AuditLog) append(e *AuditEntry, emit func(field []byte)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	entry.Seq = uint64(len(l.entries))
-	entry.PrevChain = l.head
-	entry.Chain = entry.computeChain(l.head)
-	l.entries = append(l.entries, entry)
-	l.head = entry.Chain
-	return entry
+	e.Seq = uint64(l.entries.n)
+	e.PrevChain = l.head
+	field := l.entries.add(e.size(), func(b *cryptoutil.Buffer) {
+		start := b.Len()
+		e.putBody(b)
+		e.Chain = cryptoutil.SHA1Concat(e.PrevChain[:], b.Bytes()[start:])
+		b.PutDigest(e.PrevChain)
+		b.PutDigest(e.Chain)
+	})
+	l.head = e.Chain
+	if emit != nil {
+		emit(field)
+	}
 }
 
 // Restore appends a recovered entry, verifying it links onto the
 // current head — so a snapshot-load plus WAL replay re-verifies the
 // whole hash chain as a side effect of rebuilding it. An entry that
 // does not link is evidence of tampering or storage corruption, never
-// silently accepted.
+// silently accepted; a refused entry leaves the log unchanged.
 func (l *AuditLog) Restore(e AuditEntry) error {
+	b := cryptoutil.NewBuffer(e.size())
+	e.put(b)
+	return l.restore(b.Bytes())
+}
+
+// restore is Restore for an entry's wire form, which it copies.
+func (l *AuditLog) restore(wire []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if e.Seq != uint64(len(l.entries)) {
-		return fmt.Errorf("%w: restored entry at position %d claims seq %d",
-			ErrChainBroken, len(l.entries), e.Seq)
+	chain, err := checkLink(wire, uint64(l.entries.n), l.head)
+	if err != nil {
+		return err
 	}
-	if e.PrevChain != l.head {
-		return fmt.Errorf("%w: restored entry %d prev link", ErrChainBroken, e.Seq)
-	}
-	if e.computeChain(l.head) != e.Chain {
-		return fmt.Errorf("%w: restored entry %d chain value", ErrChainBroken, e.Seq)
-	}
-	l.entries = append(l.entries, e)
-	l.head = e.Chain
+	l.entries.addRaw(wire)
+	l.head = chain
 	return nil
+}
+
+// loadSection replaces the log with the encoded audit section at r's
+// position in data, after verifying every entry as Restore does. A
+// refused section leaves the log unchanged.
+func (l *AuditLog) loadSection(r *cryptoutil.Reader, data []byte) error {
+	var seq uint64
+	var head cryptoutil.Digest
+	raw, n, err := readSection(r, data, func(wire []byte) error {
+		chain, err := checkLink(wire, seq, head)
+		seq, head = seq+1, chain
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.entries.load(raw, n)
+	l.head = head
+	return nil
+}
+
+// checkLink checks wire, an entry's wire form, without decoding it: it
+// must be well formed, claim sequence number seq, link onto head, and
+// carry the chain value SHA1(head ‖ body), which it returns.
+func checkLink(wire []byte, seq uint64, head cryptoutil.Digest) (cryptoutil.Digest, error) {
+	r := cryptoutil.NewReader(wire)
+	gotSeq := r.Uint64()
+	r.Uint8()                     // kind
+	r.Field()                     // note
+	r.Uint64()                    // at
+	r.Field()                     // tx ID
+	r.Skip(cryptoutil.DigestSize) // tx digest
+	r.Bool()                      // confirmed
+	r.Skip(attest.NonceSize)      // nonce
+	r.Field()                     // evidence
+	body := wire[:len(wire)-r.Remaining()]
+	prev, chain := r.Digest(), r.Digest()
+	if err := r.ExpectEOF(); err != nil {
+		return chain, fmt.Errorf("core: unmarshal audit entry: %w", err)
+	}
+	if gotSeq != seq {
+		return chain, fmt.Errorf("%w: restored entry at position %d claims seq %d", ErrChainBroken, seq, gotSeq)
+	}
+	if prev != head {
+		return chain, fmt.Errorf("%w: restored entry %d prev link", ErrChainBroken, seq)
+	}
+	if cryptoutil.SHA1Concat(head[:], body) != chain {
+		return chain, fmt.Errorf("%w: restored entry %d chain value", ErrChainBroken, seq)
+	}
+	return chain, nil
 }
 
 // Head returns the current chain head (a compact commitment to the
@@ -237,28 +315,32 @@ func (l *AuditLog) Head() cryptoutil.Digest {
 func (l *AuditLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.entries)
+	return l.entries.n
 }
 
-// Entries returns a copy of the log.
+// Entries decodes the log, in chain order.
 func (l *AuditLog) Entries() []AuditEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]AuditEntry, len(l.entries))
-	copy(out, l.entries)
+	out := make([]AuditEntry, 0, l.entries.n)
+	l.entries.each(func(wire []byte) {
+		e, err := UnmarshalAuditEntry(wire)
+		if err != nil {
+			panic(fmt.Sprintf("core: audit log holds an undecodable entry: %v", err))
+		}
+		out = append(out, *e)
+	})
 	return out
 }
 
-// putEntries appends the log's snapshot section: the entry count, then
-// each entry's wire form as a length-prefixed field, in chain order,
-// encoded straight from the live log.
-func (l *AuditLog) putEntries(b *cryptoutil.Buffer) {
+// withParts calls fn with the log's snapshot section, as parts, while
+// holding l.mu. The parts are the log's own memory: fn must not modify
+// them or keep them past its return, and must not call back into the
+// log.
+func (l *AuditLog) withParts(fn func(parts [][]byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	b.PutUint32(uint32(len(l.entries)))
-	for i := range l.entries {
-		putAuditField(b, &l.entries[i])
-	}
+	return fn(l.entries.parts())
 }
 
 // Audit errors.

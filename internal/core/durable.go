@@ -95,26 +95,49 @@ func (k recKind) String() string {
 // groupVersion versions the WAL group-record framing.
 const groupVersion = 1
 
-// journal buffers one request's mutation records until group commit. A
-// nil journal (provider without a store) makes every emit a no-op, so
-// handlers call emit methods unconditionally.
+// journal encodes one request's mutation records in place, as the WAL
+// group record it commits: the group header (version and record count),
+// then one length-prefixed field per record holding the record's kind
+// and body. The count is patched into the header when the group is
+// taken. A nil journal (provider without a store) makes every emit a
+// no-op, so handlers call emit methods unconditionally.
 type journal struct {
-	recs [][]byte
+	b cryptoutil.Buffer
+	n int // records
 }
+
+// journalCap is a journal buffer's first capacity, which a session
+// confirmation's group fits in.
+const journalCap = 512
 
 // emit appends one kind-tagged record.
 func (j *journal) emit(kind recKind, body func(b *cryptoutil.Buffer)) {
 	if j == nil {
 		return
 	}
-	b := cryptoutil.NewBuffer(64)
-	b.PutUint8(uint8(kind))
-	body(b)
-	j.recs = append(j.recs, b.Bytes())
+	if j.n == 0 {
+		j.b = *cryptoutil.NewBuffer(journalCap)
+		j.b.PutUint8(groupVersion)
+		j.b.PutUint32(0)
+	}
+	start := j.b.BeginField()
+	j.b.PutUint8(uint8(kind))
+	body(&j.b)
+	j.b.EndField(start)
+	j.n++
 }
 
-func (j *journal) ledgerApplied(tx *Transaction) {
-	j.emit(recLedgerApply, func(b *cryptoutil.Buffer) { putTxField(b, tx) })
+// group returns the journal as one WAL group record.
+func (j *journal) group() []byte {
+	data := j.b.Bytes()
+	binary.BigEndian.PutUint32(data[1:5], uint32(j.n))
+	return data
+}
+
+// ledgerApplied journals an executed transaction from its history
+// field, as Ledger.apply hands it over.
+func (j *journal) ledgerApplied(field []byte) {
+	j.emit(recLedgerApply, func(b *cryptoutil.Buffer) { b.PutRaw(field) })
 }
 
 func (j *journal) challengeIssued(nonce attest.Nonce, pend pendingChallenge) {
@@ -140,8 +163,10 @@ func (j *journal) outcomeCached(nonce attest.Nonce, at time.Time, o *Outcome) {
 	})
 }
 
-func (j *journal) auditAppended(e AuditEntry) {
-	j.emit(recAuditAppended, func(b *cryptoutil.Buffer) { putAuditField(b, &e) })
+// auditAppended journals an appended audit entry from its field, as
+// AuditLog.append hands it over.
+func (j *journal) auditAppended(field []byte) {
+	j.emit(recAuditAppended, func(b *cryptoutil.Buffer) { b.PutRaw(field) })
 }
 
 func (j *journal) presenceTokenGranted(token string) {
@@ -174,17 +199,6 @@ func (j *journal) fallbackOutcomeCached(id uint64, o *Outcome) {
 		b.PutUint64(id)
 		putOutcomeField(b, o)
 	})
-}
-
-// encodeGroup frames the journal as one WAL group record.
-func (j *journal) encodeGroup() []byte {
-	b := cryptoutil.NewBuffer(64)
-	b.PutUint8(groupVersion)
-	b.PutUint32(uint32(len(j.recs)))
-	for _, rec := range j.recs {
-		b.PutBytes(rec)
-	}
-	return b.Bytes()
 }
 
 // commitReq is one request's journal waiting for group commit. done is
@@ -251,7 +265,7 @@ func (c *committer) init() {
 // must hold stateMu — that is what makes queue order equal mutation
 // order — and must call awaitCommit after releasing it.
 func (p *Provider) enqueueGroup(j *journal) *commitReq {
-	req := &commitReq{group: j.encodeGroup(), done: make(chan error, 1)}
+	req := &commitReq{group: j.group(), done: make(chan error, 1)}
 	c := &p.commit
 	c.mu.Lock()
 	c.queue = append(c.queue, req)
@@ -432,7 +446,7 @@ func (p *Provider) commitBatch(batch []*commitReq) error {
 // never used in serialize mode, so it is trivially idle for the
 // snapshot rotation).
 func (p *Provider) commitSerial(j *journal) error {
-	req := &commitReq{group: j.encodeGroup()}
+	req := &commitReq{group: j.group()}
 	if err := p.commitBatch([]*commitReq{req}); err != nil {
 		return err
 	}
@@ -498,14 +512,6 @@ func (p *Provider) CommitBatchSizes() map[int]int {
 func putTxField(b *cryptoutil.Buffer, tx *Transaction) {
 	start := b.BeginField()
 	tx.put(b)
-	b.EndField(start)
-}
-
-// putAuditField appends an audit entry's full wire form as one
-// length-prefixed field, encoded in place.
-func putAuditField(b *cryptoutil.Buffer, e *AuditEntry) {
-	start := b.BeginField()
-	e.put(b)
 	b.EndField(start)
 }
 
@@ -598,43 +604,45 @@ func statsFields(s *ProviderStats) []*int {
 const providerSnapshotVersion = 1
 
 // encodeSnapshot serializes the provider's full durable state and hands
-// it to write as three parts, which concatenate to the snapshot payload
-// after store.SnapshotHeaderLen bytes left for the store's envelope
-// header (Store.WriteSnapshotFrame fills them in and appends the CRC to
-// the last part):
+// it to write in parts, which concatenate to the snapshot payload after
+// store.SnapshotHeaderLen bytes left for the store's envelope header
+// (Store.WriteSnapshotFrame fills them in and appends the CRC to the
+// last part):
 //
 //  1. the reserved header, the payload version and the account count;
-//  2. the ledger's balances arena itself, neither encoded nor copied;
-//  3. the executed history and every later section.
+//  2. the ledger's balances arena itself;
+//  3. the chunks of the ledger's history section;
+//  4. the chunks of the audit log's section;
+//  5. the session state and every later section, encoded here.
 //
-// The ledger stays locked until write returns, as the arena is its live
-// memory. Every section is written in a canonical order (accounts by
-// name, nonces bytewise, map keys sorted), so the same state always
-// produces the same bytes.
+// Parts 2 to 4 are the ledger's and the audit log's live memory, neither
+// encoded nor copied, so both stay locked until write returns. Every
+// section is written in a canonical order (accounts by name, history and
+// audit in execution order, nonces bytewise, map keys sorted), so the
+// same state always produces the same bytes.
 func (p *Provider) encodeSnapshot(write func(frame []byte, more ...[]byte) error) error {
-	return p.ledger.withState(func(count int, balances []byte, history []Transaction) error {
+	return p.ledger.withState(func(count int, balances []byte, history [][]byte) error {
 		head := make([]byte, store.SnapshotHeaderLen, store.SnapshotHeaderLen+1+4)
 		head = append(head, providerSnapshotVersion)
 		head = binary.BigEndian.AppendUint32(head, uint32(count))
-		tail := p.encodeTail(history)
-		return write(head, balances, tail)
+		tail := p.encodeTail()
+		return p.audit.withParts(func(audit [][]byte) error {
+			parts := make([][]byte, 0, 2+len(history)+len(audit))
+			parts = append(parts, balances)
+			parts = append(parts, history...)
+			parts = append(parts, audit...)
+			return write(head, append(parts, tail)...)
+		})
 	})
 }
 
-// encodeTail encodes the snapshot sections after the balances: the
-// executed history (the applied set is the history's ID set, rebuilt
-// on restore), the audit log, and the session, key, fallback, nonce and
-// counter state.
-func (p *Provider) encodeTail(history []Transaction) []byte {
+// encodeTail encodes the snapshot sections after the audit log: the
+// session, key, fallback, nonce and counter state.
+func (p *Provider) encodeTail() []byte {
 	// Size the buffer for the previous tail plus room to grow: the
 	// state changes little between rotations.
 	last := int(p.snapTail.Load())
 	b := cryptoutil.NewBuffer(last + last/16 + 4096)
-	b.PutUint32(uint32(len(history)))
-	for i := range history {
-		putTxField(b, &history[i])
-	}
-	p.audit.putEntries(b)
 
 	// Session state is merged across the stripes (the snapshot's sorted
 	// writes erase the shard structure, so shard count is a runtime
@@ -777,24 +785,19 @@ func (p *Provider) loadState(data []byte) error {
 		return fmt.Errorf("core: snapshot balances of %d bytes", size)
 	}
 	balances := bytes.Clone(data[start : start+size])
-	var history []Transaction
-	for i, n := 0, int(r.Uint32()); i < n && r.Err() == nil; i++ {
-		tx, err := UnmarshalTransaction(r.Bytes())
-		if err != nil {
-			return fmt.Errorf("core: snapshot history: %w", err)
-		}
-		history = append(history, *tx)
+	// The history and audit sections are checked in place, then each is
+	// handed over as one copy; every audit entry's chain link is
+	// verified first.
+	history, n, err := readSection(r, data, func(body []byte) error {
+		_, err := UnmarshalTransaction(body)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("core: snapshot history: %w", err)
 	}
-	p.ledger.restoreState(count, balances, history)
-
-	for i, n := 0, int(r.Uint32()); i < n && r.Err() == nil; i++ {
-		e, err := UnmarshalAuditEntry(r.Bytes())
-		if err != nil {
-			return fmt.Errorf("core: snapshot audit: %w", err)
-		}
-		if err := p.audit.Restore(*e); err != nil {
-			return err
-		}
+	p.ledger.restoreState(count, balances, history, n)
+	if err := p.audit.loadSection(r, data); err != nil {
+		return fmt.Errorf("core: snapshot audit: %w", err)
 	}
 
 	for i, n := 0, int(r.Uint32()); i < n && r.Err() == nil; i++ {
@@ -924,7 +927,7 @@ func (p *Provider) replayRecord(rec []byte) error {
 	}
 	switch kind {
 	case recLedgerApply:
-		tx, err := UnmarshalTransaction(r.Bytes())
+		tx, err := UnmarshalTransaction(r.Field())
 		if err != nil {
 			return err
 		}
@@ -971,11 +974,7 @@ func (p *Provider) replayRecord(rec []byte) error {
 		sh.answered[nonce] = answeredChallenge{outcome: *o, at: at}
 		sh.mu.Unlock()
 	case recAuditAppended:
-		e, err := UnmarshalAuditEntry(r.Bytes())
-		if err != nil {
-			return err
-		}
-		if err := p.audit.Restore(*e); err != nil {
+		if err := p.audit.restore(r.Field()); err != nil {
 			return err
 		}
 	case recPresenceToken:
@@ -1116,7 +1115,7 @@ func (p *Provider) mutateDurable(fn func(j *journal) error) error {
 		p.stateMu.Unlock()
 		return err
 	}
-	if len(j.recs) == 0 {
+	if j.n == 0 {
 		p.stateMu.Unlock()
 		return nil
 	}

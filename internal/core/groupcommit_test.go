@@ -52,11 +52,10 @@ func enqueueTransfers(t *testing.T, p *Provider, ids ...string) []*commitReq {
 	reqs := make([]*commitReq, 0, len(ids))
 	for _, id := range ids {
 		tx := &Transaction{ID: id, From: "alice", To: "bob", AmountCents: 100, Currency: "EUR"}
-		if err := p.ledger.Apply(tx); err != nil {
+		j := &journal{}
+		if err := p.ledger.apply(tx, j.ledgerApplied); err != nil {
 			t.Fatalf("apply %s: %v", id, err)
 		}
-		j := &journal{}
-		j.ledgerApplied(tx)
 		reqs = append(reqs, p.enqueueGroup(j))
 	}
 	return reqs

@@ -10,6 +10,8 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+
+	"unitp/internal/cryptoutil"
 )
 
 // Ledger is the provider's account store. It exists so examples and
@@ -25,6 +27,10 @@ import (
 // set is fixed after set-up: a CreateAccount out of name order only
 // marks the arena unsorted, and the next snapshot sorts it once and
 // rebuilds the index.
+//
+// The executed history is held the same way, as the snapshot's history
+// section: Apply encodes each transaction once, and that encoding is
+// what the snapshot writes and the WAL journal copies.
 type Ledger struct {
 	mu       sync.Mutex
 	balances []byte  // the balances section body, laid out as above
@@ -33,7 +39,7 @@ type Ledger struct {
 	sorted   bool    // balances is in strictly ascending name order
 	index    []int32 // slot -> balances offset + 1; 0 is an empty slot
 	seed     maphash.Seed
-	history  []Transaction
+	history  section         // executed transactions: the snapshot's history section
 	applied  map[string]bool // executed transaction IDs (idempotence)
 }
 
@@ -153,8 +159,13 @@ func (l *Ledger) sortLocked() {
 	l.reindex()
 }
 
-// CreateAccount opens an account with an initial balance.
+// CreateAccount opens an account with an initial balance. A name
+// longer than a length-prefixed field may hold is refused: a snapshot
+// holding it could not be restored.
 func (l *Ledger) CreateAccount(name string, initialCents int64) error {
+	if len(name) > cryptoutil.MaxFieldLen {
+		return fmt.Errorf("core: account name of %d bytes exceeds the %d-byte field bound", len(name), cryptoutil.MaxFieldLen)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	at, slot := l.find(name)
@@ -209,6 +220,13 @@ func (l *Ledger) Balance(name string) (int64, error) {
 // the sender's funds, and the recipient's balance overflowing; a
 // refused transfer changes nothing.
 func (l *Ledger) Apply(tx *Transaction) error {
+	return l.apply(tx, nil)
+}
+
+// apply is Apply, handing an executed transaction's history field
+// (length prefix included, a view into the history) to emit, when not
+// nil, before it returns.
+func (l *Ledger) apply(tx *Transaction, emit func(field []byte)) error {
 	if err := tx.Validate(); err != nil {
 		return err
 	}
@@ -236,46 +254,56 @@ func (l *Ledger) Apply(tx *Transaction) error {
 	}
 	l.setCents(from, fromCents-tx.AmountCents)
 	l.setCents(to, toCents+tx.AmountCents)
-	l.history = append(l.history, *tx)
+	field := l.history.add(tx.size(), tx.put)
 	l.applied[tx.ID] = true
+	if emit != nil {
+		emit(field)
+	}
 	return nil
 }
 
 // withState calls fn with the ledger's snapshot sections while holding
 // l.mu, after restoring name order: the account count, the balances
-// section body and the executed history. Both slices are the ledger's
+// section body and the history section's parts. All are the ledger's
 // own memory, not copies: fn must not modify them or keep them past its
 // return, and must not call back into the ledger.
-func (l *Ledger) withState(fn func(count int, balances []byte, history []Transaction) error) error {
+func (l *Ledger) withState(fn func(count int, balances []byte, history [][]byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.sortLocked()
-	return fn(l.count, l.balances, l.history)
+	return fn(l.count, l.balances, l.history.parts())
 }
 
 // restoreState replaces the ledger's contents (crash recovery). The
 // ledger takes ownership of balances, a balances section body holding
-// count accounts in strictly ascending name order. The applied set is
-// rebuilt from the history's transaction IDs.
-func (l *Ledger) restoreState(count int, balances []byte, history []Transaction) {
+// count accounts in strictly ascending name order, and copies history,
+// an encoded history section of n transactions the caller has checked.
+// The applied set is rebuilt from the history's transaction IDs.
+func (l *Ledger) restoreState(count int, balances []byte, history []byte, n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.balances = balances
 	l.count = count
 	l.sorted = true
 	l.reindex()
-	l.history = history
-	l.applied = make(map[string]bool, len(history))
-	for i := range history {
-		l.applied[history[i].ID] = true
-	}
+	l.history.load(history, n)
+	l.applied = make(map[string]bool, n)
+	l.history.each(func(body []byte) {
+		l.applied[string(cryptoutil.NewReader(body).Field())] = true
+	})
 }
 
-// History returns a copy of the executed transactions.
+// History decodes the executed transactions, in execution order.
 func (l *Ledger) History() []Transaction {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Transaction, len(l.history))
-	copy(out, l.history)
+	out := make([]Transaction, 0, l.history.n)
+	l.history.each(func(body []byte) {
+		tx, err := UnmarshalTransaction(body)
+		if err != nil {
+			panic(fmt.Sprintf("core: ledger history holds an undecodable transaction: %v", err))
+		}
+		out = append(out, *tx)
+	})
 	return out
 }

@@ -617,18 +617,13 @@ func (p *Provider) rememberOutcome(nonce attest.Nonce, outcome *Outcome, j *jour
 // auditAppend records an audit entry and journals the appended form
 // (with its chain fields) for durability.
 func (p *Provider) auditAppend(e AuditEntry, j *journal) {
-	appended := p.audit.Append(e)
-	j.auditAppended(appended)
+	p.audit.append(&e, j.auditAppended)
 }
 
 // applyTx executes a transfer and journals it. The caller handles
 // ErrDuplicateTransaction (idempotent success) and real failures.
 func (p *Provider) applyTx(tx *Transaction, j *journal) error {
-	if err := p.ledger.Apply(tx); err != nil {
-		return err
-	}
-	j.ledgerApplied(tx)
-	return nil
+	return p.ledger.apply(tx, j.ledgerApplied)
 }
 
 // Ledger exposes the provider's account store (examples, tests).
@@ -773,7 +768,7 @@ func (p *Provider) Handle(req []byte) ([]byte, error) {
 	}
 	j := &journal{}
 	resp, err := p.dispatch(msg, pre, j, tr)
-	if err != nil || len(j.recs) == 0 {
+	if err != nil || j.n == 0 {
 		p.commit.arriving.Add(-1)
 		p.stateMu.Unlock()
 		return resp, err
@@ -808,7 +803,7 @@ func (p *Provider) handleSerialized(msg any, tr *obs.SessionTrace) ([]byte, erro
 	if err != nil {
 		return nil, err
 	}
-	if len(j.recs) > 0 {
+	if j.n > 0 {
 		wsp := tr.StartSpan("provider.wal_commit")
 		cerr := p.commitSerial(j)
 		wsp.End()
@@ -882,7 +877,9 @@ func (p *Provider) observeResponse(resp any, tr *obs.SessionTrace) {
 	default:
 		p.ins.outcomeRejected.Inc()
 	}
-	tr.Event("provider.outcome", fmt.Sprintf("accepted=%v reason=%q", o.Accepted, o.Reason))
+	if tr != nil {
+		tr.Event("provider.outcome", fmt.Sprintf("accepted=%v reason=%q", o.Accepted, o.Reason))
+	}
 	if tr.Adopted() {
 		tr.Finish()
 	}

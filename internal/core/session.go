@@ -191,7 +191,9 @@ func (p *Provider) sessionOpenOutcome(m *SessionProve, pend pendingChallenge, pr
 
 	p.count(func(s *ProviderStats) { s.SessionsOpened++ })
 	p.ins.sessionsOpened.Inc()
-	tr.Event("provider.session_opened", fmt.Sprintf("session=%016x", m.SessionID))
+	if tr != nil {
+		tr.Event("provider.session_opened", fmt.Sprintf("session=%016x", m.SessionID))
+	}
 	return &SessionGrant{
 			SessionID:  m.SessionID,
 			MaxTx:      p.sessMaxTx,

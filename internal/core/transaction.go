@@ -67,9 +67,14 @@ func (tx *Transaction) Validate() error {
 // the digest of these bytes is what the human's confirmation is bound
 // to.
 func (tx *Transaction) Marshal() []byte {
-	b := cryptoutil.NewBuffer(64 + len(tx.ID) + len(tx.From) + len(tx.To) + len(tx.Memo))
+	b := cryptoutil.NewBuffer(tx.size())
 	tx.put(b)
 	return b.Bytes()
+}
+
+// size is the length of the canonical encoding.
+func (tx *Transaction) size() int {
+	return 5*4 + len(tx.ID) + len(tx.From) + len(tx.To) + 8 + len(tx.Currency) + len(tx.Memo)
 }
 
 // put appends the canonical encoding to an open buffer.

@@ -14,10 +14,11 @@ var ErrBufferUnderflow = errors.New("cryptoutil: buffer underflow")
 // decoder's sanity bound.
 var ErrFieldTooLarge = errors.New("cryptoutil: length-prefixed field too large")
 
-// maxFieldLen bounds a single length-prefixed field. TPM structures and
+// MaxFieldLen bounds a single length-prefixed field. TPM structures and
 // protocol messages in this system are all well under 1 MiB; the bound
-// protects decoders from hostile length prefixes.
-const maxFieldLen = 1 << 20
+// protects decoders from hostile length prefixes, so an encoder of
+// persisted state must refuse a longer field.
+const MaxFieldLen = 1 << 20
 
 // Buffer builds big-endian wire structures in the style of the TPM
 // specification (fixed-width integers, 32-bit length-prefixed byte fields).
@@ -29,6 +30,12 @@ type Buffer struct {
 // NewBuffer returns a Buffer with the given initial capacity.
 func NewBuffer(capacity int) *Buffer {
 	return &Buffer{data: make([]byte, 0, capacity)}
+}
+
+// WrapBuffer returns a Buffer that encodes after p's contents, in p's
+// spare capacity until it runs out.
+func WrapBuffer(p []byte) Buffer {
+	return Buffer{data: p}
 }
 
 // Bytes returns the accumulated wire bytes. The caller must not modify the
@@ -206,6 +213,11 @@ func (r *Reader) Raw(n int) []byte {
 	return out
 }
 
+// Skip steps over n bytes without decoding them.
+func (r *Reader) Skip(n int) {
+	r.take(n)
+}
+
 // Digest decodes a fixed 20-byte TPM digest.
 func (r *Reader) Digest() Digest {
 	var d Digest
@@ -235,7 +247,7 @@ func (r *Reader) Field() []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n > maxFieldLen {
+	if n > MaxFieldLen {
 		r.err = ErrFieldTooLarge
 		return nil
 	}

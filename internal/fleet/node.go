@@ -253,6 +253,7 @@ func (n *Node) wireLocked(prov *core.Provider, upTo uint64, peers []PeerAddr, pe
 		epoch:   n.epoch,
 		offset:  upTo,
 		metrics: n.cfg.Metrics,
+		names:   newRepMetricNames(n.cfg.Shard),
 		clock:   n.cfg.Clock,
 	}
 	n.helloOffset.Store(upTo)

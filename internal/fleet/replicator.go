@@ -26,11 +26,27 @@ type replicator struct {
 	shard   int
 	epoch   uint64
 	metrics *obs.Registry
+	names   repMetricNames
 	clock   sim.Clock
 
 	mu     sync.Mutex
 	offset uint64 // stream offset of the next group to ship
 	links  []repLink
+}
+
+// repMetricNames holds a shard's replication metric names, formatted
+// once rather than on every shipped batch.
+type repMetricNames struct {
+	shipped, acked, lag string
+}
+
+// newRepMetricNames names shard's replication metrics.
+func newRepMetricNames(shard int) repMetricNames {
+	return repMetricNames{
+		shipped: fmt.Sprintf("fleet.shard%d.shipped_groups", shard),
+		acked:   fmt.Sprintf("fleet.shard%d.acked_groups", shard),
+		lag:     fmt.Sprintf("fleet.shard%d.replication_lag", shard),
+	}
 }
 
 // repLink is one follower's replication endpoint: member index, open
@@ -114,7 +130,7 @@ func (r *replicator) ship(groups [][]byte) error {
 	target := r.offset + uint64(len(groups))
 	n := len(r.links)
 	r.mu.Unlock()
-	r.metrics.Counter(fmt.Sprintf("fleet.shard%d.shipped_groups", r.shard)).Add(int64(len(groups)))
+	r.metrics.Counter(r.names.shipped).Add(int64(len(groups)))
 	for i := 0; i < n; i++ {
 		r.mu.Lock()
 		l := r.links[i]
@@ -128,7 +144,7 @@ func (r *replicator) ship(groups [][]byte) error {
 		r.links[i].acked = ack.Applied
 		r.links[i].lastAck = r.now()
 		r.mu.Unlock()
-		r.metrics.Counter(fmt.Sprintf("fleet.shard%d.acked_groups", r.shard)).Add(int64(len(groups)))
+		r.metrics.Counter(r.names.acked).Add(int64(len(groups)))
 	}
 	r.mu.Lock()
 	r.offset = target
@@ -197,7 +213,7 @@ func (r *replicator) gauge(frontier uint64) {
 		}
 	}
 	r.mu.Unlock()
-	r.metrics.Gauge(fmt.Sprintf("fleet.shard%d.replication_lag", r.shard)).Set(int64(lag))
+	r.metrics.Gauge(r.names.lag).Set(int64(lag))
 }
 
 // FailoverTrigger reports whether a request error is one the router

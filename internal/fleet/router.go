@@ -31,6 +31,7 @@ type Router struct {
 	ring    *Ring
 	shards  []*ShardHandle
 	metrics *obs.Registry
+	routed  []string // per-shard routed-counter names
 
 	mu           sync.Mutex
 	nonceRoute   *pinTable[attest.Nonce]
@@ -46,10 +47,15 @@ const maxRoutePins = 1 << 14
 // consistent-hash ring. virtualNodes <= 0 uses DefaultVirtualNodes;
 // metrics may be nil.
 func NewRouter(shards []*ShardHandle, virtualNodes int, metrics *obs.Registry) *Router {
+	routed := make([]string, len(shards))
+	for i := range routed {
+		routed[i] = fmt.Sprintf("fleet.shard%d.routed", i)
+	}
 	return &Router{
 		ring:         NewRing(len(shards), virtualNodes),
 		shards:       shards,
 		metrics:      metrics,
+		routed:       routed,
 		nonceRoute:   newPinTable[attest.Nonce](maxRoutePins),
 		captchaRoute: newPinTable[uint64](maxRoutePins),
 	}
@@ -74,7 +80,7 @@ func (r *Router) Handle(req []byte) ([]byte, error) {
 		return nil, err
 	}
 	shard := r.shards[idx]
-	r.metrics.Counter(fmt.Sprintf("fleet.shard%d.routed", idx)).Inc()
+	r.metrics.Counter(r.routed[idx]).Inc()
 
 	epoch := shard.Epoch()
 	resp, err := shard.Handle(req)

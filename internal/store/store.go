@@ -243,12 +243,13 @@ func (s *Store) WriteSnapshot(state []byte) error {
 // WriteSnapshotFrame is WriteSnapshot for a state already encoded after
 // SnapshotHeaderLen reserved bytes of frame, optionally continued in
 // further parts: the state is frame's tail followed by each part of
-// more, in order. The store fills in the header, chains the CRC over
-// every part and appends it to the last part in place, then writes each
-// part with one File.Write, so a large state is never copied; 4 bytes
-// of spare capacity in the last part avoid reallocating for the CRC.
-// The store owns frame and the parts until the call returns, and keeps
-// none of them.
+// more, in order. The store fills in the header and writes each part
+// with one File.Write, so a large state is never copied. The CRC is
+// chained over every part on a second goroutine while the parts before
+// the last are written, then appended to the last part in place before
+// it is written; 4 bytes of spare capacity in the last part avoid
+// reallocating for the CRC. The store owns frame and the parts until the
+// call returns, and keeps none of them.
 func (s *Store) WriteSnapshotFrame(frame []byte, more ...[]byte) error {
 	if len(frame) < SnapshotHeaderLen {
 		return fmt.Errorf("store: snapshot frame of %d bytes has no header room", len(frame))
@@ -272,11 +273,9 @@ func (s *Store) WriteSnapshotFrame(frame []byte, more ...[]byte) error {
 	if err != nil {
 		return fmt.Errorf("store: snapshot: %w", err)
 	}
-	for _, part := range frameSnapshot(newGen, append([][]byte{frame}, more...)) {
-		if _, err := f.Write(part); err != nil {
-			f.Close()
-			return fmt.Errorf("store: snapshot: %w", err)
-		}
+	if err := writeSnapshotParts(f, newGen, append([][]byte{frame}, more...)); err != nil {
+		f.Close()
+		return fmt.Errorf("store: snapshot: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()

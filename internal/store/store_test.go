@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 )
 
@@ -218,7 +220,7 @@ func TestSnapshotRotation(t *testing.T) {
 // (snapshot, WAL) pair: either the old generation with its records or
 // the new one with an empty WAL.
 func TestCrashMidSnapshot(t *testing.T) {
-	for _, split := range [][]int{nil, {1, 2}} {
+	for _, split := range [][]int{nil, {1, 2}, {1, 1, 2, 3}} {
 		t.Run(fmt.Sprintf("parts=%d", len(split)+1), func(t *testing.T) {
 			crashMidSnapshot(t, split)
 		})
@@ -430,10 +432,15 @@ func TestDirBackendRoundTrip(t *testing.T) {
 	}
 }
 
-// encodeSnapshot wraps state in the snapshot envelope.
+// encodeSnapshot wraps state in the snapshot envelope, built field by
+// field from its layout.
 func encodeSnapshot(gen uint64, state []byte) []byte {
-	frame := make([]byte, SnapshotHeaderLen, SnapshotHeaderLen+len(state)+snapshotCRCLen)
-	return frameSnapshot(gen, [][]byte{append(frame, state...)})[0]
+	env := binary.BigEndian.AppendUint32(nil, snapshotMagic)
+	env = append(env, snapshotVersion)
+	env = binary.BigEndian.AppendUint64(env, gen)
+	env = binary.BigEndian.AppendUint32(env, uint32(len(state)))
+	env = append(env, state...)
+	return binary.BigEndian.AppendUint32(env, crc32.Checksum(env, castagnoli))
 }
 
 // TestWriteSnapshotFrameInPlace checks a state encoded after
@@ -443,7 +450,7 @@ func encodeSnapshot(gen uint64, state []byte) []byte {
 // recovers at Open.
 func TestWriteSnapshotFrameInPlace(t *testing.T) {
 	state := []byte("provider-state-encoded-in-place")
-	for _, split := range [][]int{nil, {9, 20}, {0, 0}, {len(state), len(state)}} {
+	for _, split := range [][]int{nil, {9, 20}, {0, 0}, {len(state), len(state)}, {3, 9, 9, 20, 27}} {
 		b := NewMemBackend()
 		var writes []string
 		b.SetCrashHook(func(ev CrashEvent) bool {

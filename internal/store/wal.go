@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 )
 
 // WAL frame layout: every record is framed as
@@ -108,12 +109,33 @@ const (
 	SnapshotHeaderLen = 4 + 1 + 8 + 4
 )
 
-// frameSnapshot turns parts, a state preceded by SnapshotHeaderLen
-// reserved bytes of the first part, into a complete envelope for
-// generation gen: it fills in the header, chains the CRC over every
-// part and appends it to the last (in place, given 4 bytes of spare
-// capacity). It returns parts, whose concatenation is the envelope.
-func frameSnapshot(gen uint64, parts [][]byte) [][]byte {
+// writeSnapshotParts writes parts, a state preceded by
+// SnapshotHeaderLen reserved bytes of the first part, to w as a
+// complete envelope for generation gen, one Write per part: it fills in
+// the header, chains the CRC over every part on a second goroutine
+// while the parts before the last are written, and appends the CRC to
+// the last part (in place, given 4 bytes of spare capacity) before
+// writing it. It returns only once that goroutine is done, so the
+// caller may reuse the parts.
+func writeSnapshotParts(w io.Writer, gen uint64, parts [][]byte) error {
+	putSnapshotHeader(gen, parts)
+	last := len(parts) - 1
+	sum := make(chan uint32, 1)
+	go func() { sum <- snapshotCRC(parts) }()
+	for _, part := range parts[:last] {
+		if _, err := w.Write(part); err != nil {
+			<-sum
+			return err
+		}
+	}
+	parts[last] = binary.BigEndian.AppendUint32(parts[last], <-sum)
+	_, err := w.Write(parts[last])
+	return err
+}
+
+// putSnapshotHeader fills in the envelope header reserved at the start
+// of parts[0] for a state of parts' total length less the header.
+func putSnapshotHeader(gen uint64, parts [][]byte) {
 	frame := parts[0]
 	size := -SnapshotHeaderLen
 	for _, part := range parts {
@@ -123,13 +145,15 @@ func frameSnapshot(gen uint64, parts [][]byte) [][]byte {
 	frame[4] = snapshotVersion
 	binary.BigEndian.PutUint64(frame[5:13], gen)
 	binary.BigEndian.PutUint32(frame[13:17], uint32(size))
+}
+
+// snapshotCRC chains the envelope's CRC-32C over every part.
+func snapshotCRC(parts [][]byte) uint32 {
 	var sum uint32
 	for _, part := range parts {
 		sum = crc32.Update(sum, castagnoli, part)
 	}
-	last := len(parts) - 1
-	parts[last] = binary.BigEndian.AppendUint32(parts[last], sum)
-	return parts
+	return sum
 }
 
 // decodeSnapshot validates an envelope and returns (generation, state).
