@@ -9,7 +9,6 @@ package unitp_test
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"unitp/internal/attest"
@@ -27,7 +26,7 @@ type benchCryptoFixture struct {
 	client   *workload.SyntheticClient
 }
 
-func newBenchCryptoFixture(b *testing.B, schemeName string) *benchCryptoFixture {
+func newBenchCryptoFixture(b testing.TB, schemeName string) *benchCryptoFixture {
 	b.Helper()
 	scheme, err := cryptoutil.SchemeByName(schemeName)
 	if err != nil {
@@ -73,7 +72,7 @@ func newBenchCryptoFixture(b *testing.B, schemeName string) *benchCryptoFixture 
 
 // roundTrip pushes one encoded message through the provider and decodes
 // the answer.
-func (f *benchCryptoFixture) roundTrip(b *testing.B, msg any) any {
+func (f *benchCryptoFixture) roundTrip(b testing.TB, msg any) any {
 	b.Helper()
 	req, err := core.EncodeMessage(msg)
 	if err != nil {
@@ -92,7 +91,7 @@ func (f *benchCryptoFixture) roundTrip(b *testing.B, msg any) any {
 
 // mintQuoteConfirms prepares n ready-to-drain ConfirmTx frames with
 // genuine evidence under the fixture's scheme.
-func (f *benchCryptoFixture) mintQuoteConfirms(b *testing.B, n int) [][]byte {
+func (f *benchCryptoFixture) mintQuoteConfirms(b testing.TB, n int) [][]byte {
 	b.Helper()
 	frames := make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
@@ -149,23 +148,6 @@ func benchConfirmQuote(b *testing.B, schemeName string) {
 func BenchmarkConfirmRSA(b *testing.B) { benchConfirmQuote(b, "rsa") }
 
 func BenchmarkConfirmEd25519(b *testing.B) { benchConfirmQuote(b, "ed25519") }
-
-// BenchmarkConfirmEd25519Batch drains concurrently: the batch verifier
-// only amortizes when requests are in flight together, exactly as a
-// loaded provider sees them.
-func BenchmarkConfirmEd25519Batch(b *testing.B) {
-	f := newBenchCryptoFixture(b, "ed25519-batch")
-	frames := f.mintQuoteConfirms(b, b.N)
-	var next atomic.Int64
-	b.SetParallelism(8)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			i := int(next.Add(1)) - 1
-			f.drainAccepted(b, frames[i])
-		}
-	})
-}
 
 // BenchmarkConfirmSessionHMAC measures the re-confirmation fast path:
 // one attested session opened outside the timed window, then each

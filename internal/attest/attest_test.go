@@ -426,3 +426,60 @@ func TestNoncesAreUnique(t *testing.T) {
 		seen[n] = true
 	}
 }
+
+// A verifier accepts evidence only under its own crypto profile: an
+// Ed25519 verifier refuses RSA evidence and an RSA verifier refuses
+// Ed25519 evidence, both with ErrSchemeMismatch, while each accepts its
+// own and a tampered Ed25519 signature fails the signature check.
+func TestVerifierRefusesOtherProfile(t *testing.T) {
+	f := newFixture(t)
+	out := cryptoutil.SHA1([]byte("tx-binding"))
+	var nonce Nonce
+	copy(nonce[:], "fresh-nonce-20-bytes")
+	want := Expectations{Nonce: nonce, ExpectedPCR23: expectedPCR23(out)}
+	rsaEv := f.runSessionAndQuote(t, out, nonce)
+
+	sch, err := cryptoutil.SchemeByID(cryptoutil.SchemeEd25519)
+	if err != nil {
+		t.Fatal(err)
+	}
+	signer, err := sch.GenerateKey(sim.NewRand(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := f.ca.CertifyAIKScheme("platform-1", f.machine.TPM().EK(), cryptoutil.SchemeEd25519, signer.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcr17 := expectedChainCapped([]cryptoutil.Digest{cryptoutil.SHA1(f.palImage)})
+	q, err := tpm.SignQuoteScheme(nil, signer, [20]byte(nonce),
+		[]int{tpm.PCRDRTM, tpm.PCRApp}, []cryptoutil.Digest{pcr17, expectedPCR23(out)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edEv := &Evidence{Cert: cert, Quote: q}
+
+	edV := NewVerifier(f.ca.PublicKey())
+	edV.SetScheme(sch)
+	edV.ApprovePAL("confirm-v1", cryptoutil.SHA1(f.palImage))
+
+	if _, err := edV.Verify(edEv, want); err != nil {
+		t.Fatalf("ed25519 verifier refused ed25519 evidence: %v", err)
+	}
+	if _, err := f.verifier.Verify(rsaEv, want); err != nil {
+		t.Fatalf("rsa verifier refused rsa evidence: %v", err)
+	}
+	if _, err := edV.Verify(rsaEv, want); !errors.Is(err, ErrSchemeMismatch) {
+		t.Fatalf("ed25519 verifier on rsa evidence: %v, want ErrSchemeMismatch", err)
+	}
+	if _, err := f.verifier.Verify(edEv, want); !errors.Is(err, ErrSchemeMismatch) {
+		t.Fatalf("rsa verifier on ed25519 evidence: %v, want ErrSchemeMismatch", err)
+	}
+
+	tq := *q
+	tq.Signature = append([]byte(nil), q.Signature...)
+	tq.Signature[0] ^= 1
+	if _, err := edV.Verify(&Evidence{Cert: cert, Quote: &tq}, want); !errors.Is(err, cryptoutil.ErrBadSignature) {
+		t.Fatalf("tampered ed25519 signature: %v, want ErrBadSignature", err)
+	}
+}

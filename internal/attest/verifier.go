@@ -197,12 +197,6 @@ type Verifier struct {
 	// after construction-time SetScheme.
 	scheme cryptoutil.Scheme
 
-	// sigVerify, when set, replaces the inline quote signature check.
-	// The provider installs a cohort batcher here for batch-capable
-	// schemes; the hook receives the scheme-encoded AIK public key,
-	// the serialized TPM_QUOTE_INFO, and the signature.
-	sigVerify func(pub, msg, sig []byte) error
-
 	mu     sync.Mutex // serializes mutators; readers use policy only
 	policy atomic.Pointer[verifierPolicy]
 
@@ -243,14 +237,6 @@ func (v *Verifier) SchemeID() cryptoutil.SchemeID {
 		return cryptoutil.SchemeRSA
 	}
 	return v.scheme.ID()
-}
-
-// SetQuoteSigVerifier installs a replacement for the inline quote
-// signature check (e.g. a cohort batch verifier). Call at construction
-// time. The hook must be safe for concurrent use and must return nil
-// only when the signature verifies.
-func (v *Verifier) SetQuoteSigVerifier(f func(pub, msg, sig []byte) error) {
-	v.sigVerify = f
 }
 
 // SetCertCacheHooks installs callbacks fired on each certificate-cache
@@ -410,21 +396,9 @@ func expectedChainCapped(measurements []cryptoutil.Digest) cryptoutil.Digest {
 var capDigest = cryptoutil.SHA1([]byte("unitp.platform.session-cap.v1"))
 
 // verifyQuoteSig checks the quote's internal consistency and its
-// signature under the certified AIK, routing the signature check
-// through the installed hook (cohort batcher) when present, otherwise
-// the configured scheme. The default RSA path without a hook is
-// byte-for-byte the pre-scheme code path.
+// signature under the certified AIK, once, with the configured scheme.
+// The RSA path is byte-for-byte the pre-scheme code path.
 func (v *Verifier) verifyQuoteSig(ev *Evidence) error {
-	if v.sigVerify != nil {
-		msg, err := tpm.QuoteMessage(ev.Quote)
-		if err != nil {
-			return err
-		}
-		if err := v.sigVerify(ev.Cert.AIKPubRaw, msg, ev.Quote.Signature); err != nil {
-			return fmt.Errorf("tpm: verify quote signature: %w", err)
-		}
-		return nil
-	}
 	if v.scheme == nil || v.scheme.ID() == cryptoutil.SchemeRSA {
 		return tpm.VerifyQuote(ev.Cert.AIKPub, ev.Quote)
 	}

@@ -273,12 +273,6 @@ type Provider struct {
 	sessPALName string
 	kexKey      *ecdh.PrivateKey
 
-	// Crypto profile (see internal/cryptoutil). scheme is nil for the
-	// paper-faithful RSA profile; sigbatch is non-nil only for
-	// batch-capable schemes (cohort signature verification).
-	scheme   cryptoutil.Scheme
-	sigbatch *sigBatcher
-
 	// Durability (see durable.go). stateMu serializes the state
 	// transition while a store is attached, so WAL order equals mutation
 	// order; commit is the group committer batching journals across
@@ -448,12 +442,7 @@ func NewProvider(cfg ProviderConfig) *Provider {
 		p.kexKey = sessionKexKey(p.key)
 	}
 	if cfg.Scheme != nil {
-		p.scheme = cfg.Scheme
 		p.verifier.SetScheme(cfg.Scheme)
-		if bv, ok := cryptoutil.BatchCapable(cfg.Scheme); ok {
-			p.sigbatch = newSigBatcher(bv)
-			p.verifier.SetQuoteSigVerifier(p.sigbatch.verify)
-		}
 	}
 	p.commit.init()
 	p.resolveInstruments()
@@ -1118,10 +1107,19 @@ func (p *Provider) handleFallbackRequest(m *FallbackRequest, j *journal) any {
 		Kind: AuditDowngrade,
 		At:   p.clock.Now(),
 		Note: fmt.Sprintf("platform %q degraded to captcha after %d trusted-path failures: %s",
-			m.PlatformID, m.Failures, m.Reason),
+			clipName(m.PlatformID), m.Failures, clipName(m.Reason)),
 	}, j)
 	ch := p.captcha.Issue()
 	return &FallbackChallenge{ID: ch.ID, Text: ch.Text}
+}
+
+// clipName cuts client text an audit note quotes to maxNameLen bytes,
+// so the entry stays a field the snapshot and WAL readers accept.
+func clipName(s string) string {
+	if len(s) > maxNameLen {
+		return s[:maxNameLen]
+	}
+	return s
 }
 
 // handleFallbackAnswer grades a CAPTCHA answer and, on success, executes

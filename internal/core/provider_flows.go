@@ -99,6 +99,9 @@ func (p *Provider) verifyEvidence(raw []byte, want attest.Expectations, expected
 
 // handleLoginRequest issues a PIN-entry challenge for an enrolled user.
 func (p *Provider) handleLoginRequest(m *LoginRequest, j *journal) any {
+	if len(m.Username) > maxNameLen {
+		return &Outcome{Accepted: false, Reason: fmt.Sprintf("username of %d bytes exceeds %d", len(m.Username), maxNameLen)}
+	}
 	p.mu.Lock()
 	_, enrolled := p.creds[m.Username]
 	p.mu.Unlock()
@@ -176,10 +179,16 @@ func (p *Provider) handleSubmitBatch(m *SubmitBatch, j *journal) any {
 	if len(m.Txs) == 0 || len(m.Txs) > maxBatchSize {
 		return &Outcome{Accepted: false, Reason: fmt.Sprintf("batch size %d outside [1, %d]", len(m.Txs), maxBatchSize)}
 	}
+	total := 0
 	for i := range m.Txs {
 		if err := m.Txs[i].Validate(); err != nil {
 			return &Outcome{Accepted: false, Reason: err.Error(), TxID: m.Txs[i].ID}
 		}
+		total += 4 + m.Txs[i].size()
+	}
+	if total > maxPendingTxBytes {
+		return &Outcome{Accepted: false, Reason: fmt.Sprintf("%v: batch encoding of %d bytes exceeds %d",
+			ErrInvalidTransaction, total, maxPendingTxBytes)}
 	}
 	batch := make([]Transaction, len(m.Txs))
 	copy(batch, m.Txs)

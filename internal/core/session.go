@@ -86,6 +86,9 @@ func (p *Provider) handleSessionOpen(m *SessionOpen, j *journal) any {
 	if m.PlatformID == "" || m.Account == "" {
 		return &Outcome{Accepted: false, Reason: "missing platform ID or account"}
 	}
+	if len(m.Account) > maxNameLen {
+		return &Outcome{Accepted: false, Reason: fmt.Sprintf("account name of %d bytes exceeds %d", len(m.Account), maxNameLen)}
+	}
 	nonce := p.issueChallenge(pendingChallenge{kind: pendingSession, username: m.Account}, j)
 	p.count(func(s *ProviderStats) { s.Challenged++ })
 	p.ins.challenged.Inc()
@@ -368,16 +371,6 @@ func (p *Provider) SchemeID() cryptoutil.SchemeID { return p.verifier.SchemeID()
 // SessionPolicy reports the enforced re-quote policy.
 func (p *Provider) SessionPolicy() (maxTx uint32, maxAge time.Duration) {
 	return p.sessMaxTx, p.sessMaxAge
-}
-
-// SigBatchStats reports the cohort signature batcher's counters
-// (cohorts cut, signatures verified through them). Zero when the
-// scheme is not batch-capable.
-func (p *Provider) SigBatchStats() (cohorts, sigs uint64) {
-	if p.sigbatch == nil {
-		return 0, 0
-	}
-	return p.sigbatch.stats()
 }
 
 // preSessionProve mirrors sessionOpenOutcome's crypto: evidence

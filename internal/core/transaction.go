@@ -43,6 +43,24 @@ type Transaction struct {
 	Memo string
 }
 
+// Size bounds that keep every durable record holding a transaction
+// readable (a reader refuses a field over cryptoutil.MaxFieldLen).
+const (
+	// maxPendingTxBytes is the room a pending challenge's WAL record,
+	// the largest record around transactions, leaves for its
+	// transaction fields (each a 4-byte length and an encoding).
+	maxPendingTxBytes = cryptoutil.MaxFieldLen - pendingRecordOverhead
+
+	// maxTxSize bounds one transaction's canonical encoding.
+	maxTxSize = maxPendingTxBytes - 4
+
+	// maxNameLen bounds a client-chosen name that a pending challenge,
+	// an outcome or an audit entry carries beside other fields: a
+	// transaction ID (twice in an outcome: as TxID and in a refusal's
+	// reason), a login username, a session's account.
+	maxNameLen = 4096
+)
+
 // Validate checks structural validity.
 func (tx *Transaction) Validate() error {
 	switch {
@@ -50,6 +68,10 @@ func (tx *Transaction) Validate() error {
 		return fmt.Errorf("%w: nil", ErrInvalidTransaction)
 	case tx.ID == "":
 		return fmt.Errorf("%w: empty ID", ErrInvalidTransaction)
+	case len(tx.ID) > maxNameLen:
+		return fmt.Errorf("%w: ID of %d bytes exceeds %d", ErrInvalidTransaction, len(tx.ID), maxNameLen)
+	case tx.size() > maxTxSize:
+		return fmt.Errorf("%w: encoding of %d bytes exceeds %d", ErrInvalidTransaction, tx.size(), maxTxSize)
 	case tx.From == "" || tx.To == "":
 		return fmt.Errorf("%w: missing account", ErrInvalidTransaction)
 	case tx.From == tx.To:

@@ -126,10 +126,12 @@ const DefaultRSABits = 2048
 
 // Key pool
 //
-// RSA key generation costs ~50–150 ms per key; a test run constructs dozens
-// of simulated platforms. PooledKey hands out process-lifetime cached keys
-// generated from a deterministic stream so tests and experiments are both
-// fast and reproducible. Production-style callers that need unique keys use
+// RSA key generation costs ~50–400 ms per key; a test run constructs dozens
+// of simulated platforms. PooledKey hands out process-lifetime cached keys,
+// so each index costs one generation per process. The keys are not
+// reproducible across processes: rsa.GenerateKey does not keep to the
+// seeded stream it is given, so two processes asking for the same index get
+// different keys. Production-style callers that need unique keys use
 // GenerateRSAKey directly.
 
 var (
@@ -137,8 +139,9 @@ var (
 	poolKeys = map[int]*rsa.PrivateKey{}
 )
 
-// PooledKey returns the idx-th deterministic RSA-2048 key, generating and
-// caching it on first use. Keys for distinct indices are independent.
+// PooledKey returns the idx-th pooled RSA-2048 key, generating and caching
+// it on first use. Within one process an index always yields the same key;
+// across processes it does not (see above).
 func PooledKey(idx int) (*rsa.PrivateKey, error) {
 	poolMu.Lock()
 	defer poolMu.Unlock()

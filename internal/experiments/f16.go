@@ -17,8 +17,8 @@ import (
 
 // F16 breaks the crypto ceiling apart: confirmations per second per
 // core across the pluggable quote-signature schemes (RSA/SHA-1 as the
-// paper runs it, Ed25519, batched Ed25519) crossed with the attested-
-// session re-quote interval (N = 1 is a full quote per transaction; N =
+// paper runs it, and Ed25519) crossed with the attested-session
+// re-quote interval (N = 1 is a full quote per transaction; N =
 // 10/100 amortize one quote-verified session open over N HMAC-
 // authenticated confirmations).
 //
@@ -55,7 +55,7 @@ const f16FailTxs = 120
 var f16Intervals = []int{1, 10, 100}
 
 // f16Schemes is the crypto-profile sweep.
-var f16Schemes = []string{"rsa", "ed25519", "ed25519-batch"}
+var f16Schemes = []string{"rsa", "ed25519"}
 
 // f16Fixture holds the expensive, reusable material: one CA, one
 // provider keypair, and one certified synthetic client per scheme. Keys

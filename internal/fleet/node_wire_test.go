@@ -4,12 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"unitp/internal/core"
+	"unitp/internal/cryptoutil"
 	"unitp/internal/faults"
 	"unitp/internal/netsim"
+	"unitp/internal/obs"
 	"unitp/internal/sim"
 	"unitp/internal/store"
 	"unitp/internal/wire"
@@ -20,6 +23,12 @@ import (
 // listener exactly like tpserver's node roles do.
 func testNode(t *testing.T, member int, startRole string, peers []PeerAddr) (*Node, string) {
 	t.Helper()
+	return serveTestNode(t, testNodeConfig(member, startRole, peers))
+}
+
+// testNodeConfig is testNode's member configuration, for tests that
+// adjust it before serving.
+func testNodeConfig(member int, startRole string, peers []PeerAddr) NodeConfig {
 	build := func(epoch uint64) (*core.Provider, error) {
 		p := core.NewProvider(core.ProviderConfig{
 			Name:                  fmt.Sprintf("test-node%d", member),
@@ -36,7 +45,7 @@ func testNode(t *testing.T, member int, startRole string, peers []PeerAddr) (*No
 		return p, nil
 	}
 	backends := map[string]store.Backend{}
-	node, err := NewNode(NodeConfig{
+	return NodeConfig{
 		Shard:     0,
 		Member:    member,
 		StartRole: startRole,
@@ -59,9 +68,15 @@ func testNode(t *testing.T, member int, startRole string, peers []PeerAddr) (*No
 			}, st)
 		},
 		Net: wireNet{boot: 5 * time.Second, promote: time.Second, ctlTimeout: 2 * time.Second},
-	})
+	}
+}
+
+// serveTestNode starts a member and serves it on a loopback listener.
+func serveTestNode(t *testing.T, cfg NodeConfig) (*Node, string) {
+	t.Helper()
+	node, err := NewNode(cfg)
 	if err != nil {
-		t.Fatalf("NewNode(member %d): %v", member, err)
+		t.Fatalf("NewNode(member %d): %v", cfg.Member, err)
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -318,5 +333,54 @@ func TestNodePromoteRefusesStaleEpoch(t *testing.T) {
 	var remote *netsim.RemoteError
 	if !errors.As(err, &remote) || remote.Code != netsim.ErrCodeFenced {
 		t.Fatalf("stale promote error = %v, want fenced refusal", err)
+	}
+}
+
+// A member refuses a data-plane hello whose crypto profile differs from
+// its own, the retired wire ID 2 included, with a permanent error and
+// the fleet.scheme_mismatch count; a hello under its own profile is
+// welcomed.
+func TestNodeRefusesHelloUnderOtherScheme(t *testing.T) {
+	cfg := testNodeConfig(0, NodeRolePrimary, nil)
+	cfg.Scheme = cryptoutil.SchemeEd25519
+	cfg.Metrics = obs.NewRegistry()
+	_, addr := serveTestNode(t, cfg)
+
+	hello := func(kind, scheme uint8) (Welcome, error) {
+		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		return sendHello(conn, Hello{Kind: kind, Scheme: scheme, Shard: 0, Member: 7, Epoch: 1})
+	}
+	refused := []struct {
+		kind, scheme uint8
+	}{
+		{HelloRouter, uint8(cryptoutil.SchemeRSA)},
+		{HelloRouter, 2},
+		{HelloShip, 2},
+		{HelloRouter, 9},
+	}
+	for _, c := range refused {
+		_, err := hello(c.kind, c.scheme)
+		if code, ok := remoteCode(err); !ok || code != netsim.ErrCodePermanent {
+			t.Fatalf("hello kind %d scheme %d: err = %v, want a permanent refusal", c.kind, c.scheme, err)
+		}
+		if !strings.Contains(err.Error(), "crypto profile mismatch") {
+			t.Fatalf("hello kind %d scheme %d: err = %v, want a profile mismatch", c.kind, c.scheme, err)
+		}
+	}
+	if got := cfg.Metrics.Counter("fleet.scheme_mismatch").Value(); got != int64(len(refused)) {
+		t.Fatalf("fleet.scheme_mismatch = %d, want %d", got, len(refused))
+	}
+
+	w, err := hello(HelloRouter, uint8(cryptoutil.SchemeEd25519))
+	if err != nil {
+		t.Fatalf("hello under the member's own profile: %v", err)
+	}
+	if w.Scheme != uint8(cryptoutil.SchemeEd25519) {
+		t.Fatalf("welcome scheme = %d, want %d", w.Scheme, cryptoutil.SchemeEd25519)
 	}
 }

@@ -131,10 +131,9 @@ func SignQuoteScheme(random io.Reader, signer cryptoutil.Signer, externalData [2
 
 // QuoteMessage recomputes the composite from the reported PCR values,
 // checks it against the signed composite, and returns the serialized
-// TPM_QUOTE_INFO the signature covers. Callers that route signature
-// checks elsewhere (scheme dispatch, cohort batch verification) use
-// this to split "is the quote internally consistent" from "does the
-// signature verify".
+// TPM_QUOTE_INFO the signature covers. VerifyQuoteScheme uses it to
+// split "is the quote internally consistent" from "does the signature
+// verify under the profile's scheme".
 func QuoteMessage(q *Quote) ([]byte, error) {
 	if q == nil {
 		return nil, fmt.Errorf("tpm: quote message: nil quote")
