@@ -251,13 +251,16 @@ func (l *AuditLog) restore(wire []byte) error {
 	return nil
 }
 
-// loadSection replaces the log with the encoded audit section at r's
-// position in data, after verifying every entry as Restore does. A
-// refused section leaves the log unchanged.
-func (l *AuditLog) loadSection(r *cryptoutil.Reader, data []byte) error {
-	var seq uint64
-	var head cryptoutil.Digest
-	raw, n, err := readSection(r, data, func(wire []byte) error {
+// loadFields appends n encoded entries at r's position in data, after
+// verifying each as Restore does, from the log's current head on: a
+// snapshot's audit section onto an empty log, or a delta's entries onto
+// its base's. The entries are then taken as one copy; a refused run
+// leaves the log unchanged.
+func (l *AuditLog) loadFields(r *cryptoutil.Reader, data []byte, n int) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	seq, head := uint64(l.entries.n), l.head
+	raw, err := readFields(r, data, n, func(wire []byte) error {
 		chain, err := checkLink(wire, seq, head)
 		seq, head = seq+1, chain
 		return err
@@ -265,9 +268,7 @@ func (l *AuditLog) loadSection(r *cryptoutil.Reader, data []byte) error {
 	if err != nil {
 		return err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.entries.load(raw, n)
+	l.entries.extend(raw, n)
 	l.head = head
 	return nil
 }
@@ -331,16 +332,6 @@ func (l *AuditLog) Entries() []AuditEntry {
 		out = append(out, *e)
 	})
 	return out
-}
-
-// withParts calls fn with the log's snapshot section, as parts, while
-// holding l.mu. The parts are the log's own memory: fn must not modify
-// them or keep them past its return, and must not call back into the
-// log.
-func (l *AuditLog) withParts(fn func(parts [][]byte) error) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return fn(l.entries.parts())
 }
 
 // Audit errors.

@@ -396,7 +396,7 @@ func (p *Provider) rotateInLoop() error {
 	c.mu.Lock()
 	if len(c.queue) == 0 && !p.isDead() {
 		c.mu.Unlock()
-		err = p.snapshotIdle()
+		err = p.snapshotIdle(false)
 		c.mu.Lock()
 	}
 	p.stateMu.Unlock()
@@ -457,7 +457,7 @@ func (p *Provider) commitSerial(j *journal) error {
 	due := p.snapEvery > 0 && c.sinceSnap >= p.snapEvery
 	c.mu.Unlock()
 	if due {
-		return p.snapshotIdle()
+		return p.snapshotIdle(false)
 	}
 	return nil
 }
@@ -478,10 +478,16 @@ func (p *Provider) waitCommitterIdle() {
 	c.mu.Unlock()
 }
 
-// snapshotIdle writes the current state as a new generation. The caller
-// must hold stateMu with the committer idle.
-func (p *Provider) snapshotIdle() error {
-	if err := p.encodeSnapshot(p.st.WriteSnapshotFrame); err != nil {
+// snapshotIdle writes the current state as a new generation: a full
+// snapshot when full is set, else a delta over the retained base when
+// one is due (see encode). The caller must hold stateMu with the
+// committer idle.
+func (p *Provider) snapshotIdle(full bool) error {
+	var delta snapWriter
+	if !full {
+		delta = p.st.WriteDeltaFrame
+	}
+	if err := p.encode(p.st.WriteSnapshotFrame, delta, true); err != nil {
 		p.markDead()
 		return err
 	}
@@ -605,8 +611,29 @@ func statsFields(s *ProviderStats) []*int {
 	}
 }
 
-// snapshotVersion versions the provider-state snapshot payload.
-const providerSnapshotVersion = 1
+// providerSnapshotVersion versions the provider-state snapshot
+// payload, and providerDeltaVersion the delta payload.
+const (
+	providerSnapshotVersion = 1
+	providerDeltaVersion    = 1
+)
+
+// snapWriter writes one snapshot: frame, with the store's envelope
+// header reserved at its start, then the further parts, in order.
+type snapWriter func(frame []byte, more ...[]byte) error
+
+// snapState is what a rotation knows of the retained base: its payload
+// size, the delta payload bytes written since it, and where the
+// history and audit sections ended then. A delta rotation is due while
+// the deltas written since the base, the next one included, stay under
+// the base's size: that caps the bytes written per base at about twice
+// the base, and so recovery's reading. delta says the rotation being
+// written, or else the last one written, is a delta.
+type snapState struct {
+	baseSize, sinceBase int
+	history, audit      sectionMark
+	delta               bool
+}
 
 // encodeSnapshot serializes the provider's full durable state and hands
 // it to write in parts, which concatenate to the snapshot payload after
@@ -618,27 +645,92 @@ const providerSnapshotVersion = 1
 //  2. the ledger's balances arena itself;
 //  3. the chunks of the ledger's history section;
 //  4. the chunks of the audit log's section;
-//  5. the session state and every later section, encoded here.
+//  5. the session state and every later section (the tail), encoded
+//     here.
 //
 // Parts 2 to 4 are the ledger's and the audit log's live memory, neither
 // encoded nor copied, so both stay locked until write returns. Every
 // section is written in a canonical order (accounts by name, history and
 // audit in execution order, nonces bytewise, map keys sorted), so the
 // same state always produces the same bytes.
-func (p *Provider) encodeSnapshot(write func(frame []byte, more ...[]byte) error) error {
-	return p.ledger.withState(func(count int, balances []byte, history [][]byte) error {
-		head := make([]byte, store.SnapshotHeaderLen, store.SnapshotHeaderLen+1+4)
-		head = append(head, providerSnapshotVersion)
-		head = binary.BigEndian.AppendUint32(head, uint32(count))
-		tail := p.encodeTail()
-		return p.audit.withParts(func(audit [][]byte) error {
-			parts := make([][]byte, 0, 2+len(history)+len(audit))
-			parts = append(parts, balances)
-			parts = append(parts, history...)
-			parts = append(parts, audit...)
-			return write(head, append(parts, tail)...)
-		})
-	})
+func (p *Provider) encodeSnapshot(write snapWriter) error {
+	return p.encode(write, nil, false)
+}
+
+// encode writes the provider's state as encodeSnapshot does, with full;
+// or, when delta is not nil and a delta is due (a base is retained, the
+// arena's layout has not changed since it, and the deltas written since
+// it stay under its size), as a delta over the base, with delta, after
+// store.DeltaHeaderLen reserved bytes:
+//
+//  1. the reserved header, the delta version, the account count, and
+//     the history's and the audit log's item counts at the base and
+//     since it;
+//  2. the history fields appended since the base, as views;
+//  3. the audit fields appended since the base, as views;
+//  4. the tail, as in a full snapshot, followed by the balances section
+//     records of every account whose balance changed since the base,
+//     in name order, after their count.
+//
+// A rotation (base set, stateMu held) makes a full write the new base.
+func (p *Provider) encode(full, delta snapWriter, base bool) error {
+	l, a := p.ledger, p.audit
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.sortLocked()
+	tail := p.encodeTail()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+
+	if delta != nil && p.snap.baseSize > 0 && !l.moved {
+		history, historySize := l.history.since(p.snap.history)
+		audit, auditSize := a.entries.since(p.snap.audit)
+		last := l.appendDirty(tail)
+		p.snapTail.Store(int64(len(last)))
+		head := make([]byte, store.DeltaHeaderLen, store.DeltaHeaderLen+1+5*4)
+		head = append(head, providerDeltaVersion)
+		for _, n := range []int{l.count, p.snap.history.n, l.history.n - p.snap.history.n,
+			p.snap.audit.n, a.entries.n - p.snap.audit.n} {
+			head = binary.BigEndian.AppendUint32(head, uint32(n))
+		}
+		size := len(head) - store.DeltaHeaderLen + historySize + auditSize + len(last)
+		if p.snap.sinceBase+size < p.snap.baseSize {
+			parts := make([][]byte, 0, len(history)+len(audit)+1)
+			parts = append(append(append(parts, history...), audit...), last)
+			p.snap.delta = true
+			if err := delta(head, parts...); err != nil {
+				return err
+			}
+			p.snap.sinceBase += size
+			return nil
+		}
+		tail = last[:len(tail)]
+	}
+
+	head := make([]byte, store.SnapshotHeaderLen, store.SnapshotHeaderLen+1+4)
+	head = append(head, providerSnapshotVersion)
+	head = binary.BigEndian.AppendUint32(head, uint32(l.count))
+	history, audit := l.history.parts(), a.entries.parts()
+	parts := make([][]byte, 0, 2+len(history)+len(audit))
+	parts = append(parts, l.balances)
+	parts = append(parts, history...)
+	parts = append(parts, audit...)
+	parts = append(parts, tail)
+	if base {
+		p.snap.delta = false
+	}
+	if err := full(head, parts...); err != nil {
+		return err
+	}
+	if base {
+		size := len(head) - store.SnapshotHeaderLen
+		for _, part := range parts {
+			size += len(part)
+		}
+		l.markBase()
+		p.snap = snapState{baseSize: size, history: l.history.mark(), audit: a.entries.mark()}
+	}
+	return nil
 }
 
 // encodeTail encodes the snapshot sections after the audit log: the
@@ -758,10 +850,69 @@ func (p *Provider) encodeTail() []byte {
 	return b.Bytes()
 }
 
-// loadState restores the provider from a snapshot payload. Audit
-// entries go through AuditLog.Restore, which verifies every chain link.
+// loadState restores the provider from a full snapshot payload. Audit
+// entries are verified as AuditLog.Restore does, every chain link.
 func (p *Provider) loadState(data []byte) error {
 	r := cryptoutil.NewReader(data)
+	if err := p.loadSections(r, data); err != nil {
+		return err
+	}
+	if err := p.loadTail(r); err != nil {
+		return err
+	}
+	if err := r.ExpectEOF(); err != nil {
+		return fmt.Errorf("core: provider snapshot: %w", err)
+	}
+	return nil
+}
+
+// loadDelta restores the provider from a full snapshot payload, base,
+// and a delta payload over it (see encode): the base's balances,
+// history and audit sections as loadState takes them, then the delta's
+// history and audit entries appended — every audit chain link verified
+// across the two, on the stored bytes — its tail in place of the
+// base's, and its changed balances.
+func (p *Provider) loadDelta(base, delta []byte) error {
+	if err := p.loadSections(cryptoutil.NewReader(base), base); err != nil {
+		return err
+	}
+	r := cryptoutil.NewReader(delta)
+	if v := r.Uint8(); v != providerDeltaVersion {
+		return fmt.Errorf("core: unsupported provider delta version %d", v)
+	}
+	accounts, baseHistory, nHistory := int(r.Uint32()), int(r.Uint32()), int(r.Uint32())
+	baseAudit, nAudit := int(r.Uint32()), int(r.Uint32())
+	if r.Err() != nil {
+		return fmt.Errorf("core: delta header: %w", r.Err())
+	}
+	if baseAudit != p.audit.Len() {
+		return fmt.Errorf("core: delta over %d audit entries, base holds %d", baseAudit, p.audit.Len())
+	}
+	history, err := readFields(r, delta, nHistory, func(body []byte) error {
+		_, err := UnmarshalTransaction(body)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("core: delta history: %w", err)
+	}
+	if err := p.audit.loadFields(r, delta, nAudit); err != nil {
+		return fmt.Errorf("core: delta audit: %w", err)
+	}
+	if err := p.loadTail(r); err != nil {
+		return err
+	}
+	if err := p.ledger.applyDelta(accounts, baseHistory, history, nHistory, r); err != nil {
+		return err
+	}
+	if err := r.ExpectEOF(); err != nil {
+		return fmt.Errorf("core: provider delta: %w", err)
+	}
+	return nil
+}
+
+// loadSections restores the snapshot sections before the tail: the
+// balances, the history and the audit log.
+func (p *Provider) loadSections(r *cryptoutil.Reader, data []byte) error {
 	if v := r.Uint8(); v != providerSnapshotVersion {
 		return fmt.Errorf("core: unsupported provider snapshot version %d", v)
 	}
@@ -793,7 +944,8 @@ func (p *Provider) loadState(data []byte) error {
 	// The history and audit sections are checked in place, then each is
 	// handed over as one copy; every audit entry's chain link is
 	// verified first.
-	history, n, err := readSection(r, data, func(body []byte) error {
+	n := int(r.Uint32())
+	history, err := readFields(r, data, n, func(body []byte) error {
 		_, err := UnmarshalTransaction(body)
 		return err
 	})
@@ -801,10 +953,15 @@ func (p *Provider) loadState(data []byte) error {
 		return fmt.Errorf("core: snapshot history: %w", err)
 	}
 	p.ledger.restoreState(count, balances, history, n)
-	if err := p.audit.loadSection(r, data); err != nil {
+	if err := p.audit.loadFields(r, data, int(r.Uint32())); err != nil {
 		return fmt.Errorf("core: snapshot audit: %w", err)
 	}
+	return nil
+}
 
+// loadTail restores the snapshot's tail, the sections after the audit
+// log, at r's position.
+func (p *Provider) loadTail(r *cryptoutil.Reader) error {
 	for i, n := 0, int(r.Uint32()); i < n && r.Err() == nil; i++ {
 		var nonce attest.Nonce
 		copy(nonce[:], r.Raw(attest.NonceSize))
@@ -889,9 +1046,8 @@ func (p *Provider) loadState(data []byte) error {
 		*fields[i] = int(r.Uint64())
 	}
 	p.mu.Unlock()
-
-	if err := r.ExpectEOF(); err != nil {
-		return fmt.Errorf("core: provider snapshot: %w", err)
+	if r.Err() != nil {
+		return fmt.Errorf("core: snapshot tail: %w", r.Err())
 	}
 	return nil
 }
@@ -1035,15 +1191,16 @@ func (p *Provider) AttachStore(st *store.Store) error {
 	st.SetMetrics(p.obsReg)
 	p.st = st
 	// No requests have gone through the durable path yet, so the
-	// committer is trivially idle and the snapshot is safe.
-	return p.snapshotIdle()
+	// committer is trivially idle and the snapshot is safe. It is full:
+	// the first base of this store, or of this provider.
+	return p.snapshotIdle(true)
 }
 
 // Store returns the attached durability store (nil if none).
 func (p *Provider) Store() *store.Store { return p.st }
 
-// SnapshotNow forces a snapshot + WAL rotation (graceful shutdown, or
-// an operator checkpoint). It quiesces in-flight commits first.
+// SnapshotNow forces a full snapshot + WAL rotation (graceful shutdown,
+// or an operator checkpoint). It quiesces in-flight commits first.
 func (p *Provider) SnapshotNow() error {
 	if p.st == nil {
 		return nil
@@ -1054,7 +1211,7 @@ func (p *Provider) SnapshotNow() error {
 		return store.ErrCrashed
 	}
 	p.waitCommitterIdle()
-	return p.snapshotIdle()
+	return p.snapshotIdle(true)
 }
 
 // Quiesced runs fn while the provider is fully quiesced: stateMu is
@@ -1074,9 +1231,30 @@ func (p *Provider) Quiesced(fn func() error) error {
 	return fn()
 }
 
+// QuiescedSegment runs fn with the store's current segment while the
+// provider is quiesced, as Quiesced does — the bootstrap of a follower.
+// A segment ships a full state, so a delta generation is first rotated
+// into a full snapshot; the segment is then no larger than one read
+// right after the last full rotation would have been.
+func (p *Provider) QuiescedSegment(fn func(seg store.Segment) error) error {
+	return p.Quiesced(func() error {
+		if st := p.st.Stats(); st.Generation != st.BaseGeneration {
+			if err := p.snapshotIdle(true); err != nil {
+				return err
+			}
+		}
+		seg, err := p.st.ReadSegment()
+		if err != nil {
+			return err
+		}
+		return fn(seg)
+	})
+}
+
 // Health reports the provider's operational readiness for the admin
-// plane: store attachment, WAL sync counts, last-snapshot age, and the
-// dead flag a store failure raises.
+// plane: store attachment, WAL sync counts, the base generation
+// recovery would start from, last-snapshot age, and the dead flag a
+// store failure raises.
 func (p *Provider) Health() obs.Readiness {
 	dead := p.isDead()
 	fenced := p.fenced.Load()
@@ -1090,6 +1268,7 @@ func (p *Provider) Health() obs.Readiness {
 	if p.st != nil {
 		st := p.st.Stats()
 		detail["wal_generation"] = st.Generation
+		detail["base_generation"] = st.BaseGeneration
 		detail["wal_appends"] = st.Appends
 		detail["wal_syncs"] = st.Syncs
 		if last := p.st.LastSnapshotTime(); !last.IsZero() {
@@ -1140,10 +1319,11 @@ func (p *Provider) isDead() bool { return p.dead.Load() }
 func (p *Provider) markDead() { p.dead.Store(true) }
 
 // RestoreProvider rebuilds a provider from a store: latest valid
-// snapshot, then the WAL tail, finishing with a rotation into a fresh
-// generation (which is how torn WAL tails are discarded durably). The
-// audit hash chain is re-verified end to end on the way: the snapshot
-// load and the replay check every entry's link as they take it. The
+// snapshot — its base, then the delta over it when it is one — then
+// the WAL tail, finishing with a full rotation into a fresh generation
+// (which is how torn WAL tails are discarded durably). The audit hash
+// chain is re-verified end to end on the way: the snapshot and delta
+// loads and the replay check every entry's link as they take it. The
 // caller re-applies configuration that is not state — the CA key,
 // provider RSA key, and PAL approvals on Verifier() — exactly as at
 // first construction.
@@ -1156,7 +1336,11 @@ func RestoreProvider(cfg ProviderConfig, st *store.Store) (*Provider, error) {
 	defer tr.Finish()
 
 	sp := tr.StartSpan("recover.snapshot")
-	if snap := st.Snapshot(); snap != nil {
+	if snap, delta := st.Snapshot(), st.Delta(); delta != nil {
+		if err := p.loadDelta(snap, delta); err != nil {
+			return nil, fmt.Errorf("core: restore snapshot and delta: %w", err)
+		}
+	} else if snap != nil {
 		if err := p.loadState(snap); err != nil {
 			return nil, fmt.Errorf("core: restore snapshot: %w", err)
 		}

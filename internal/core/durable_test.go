@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,7 +27,15 @@ type durableRig struct {
 	tear      func(name string, pending []byte) []byte
 	snapEvery int
 	lives     int
+
+	// deltas counts delta rotations completed, and deltaCrashes the
+	// crashes injected into one (see hook).
+	deltas, deltaCrashes int
 }
+
+// rigFillerAccounts pads the rig's bank so a full snapshot outweighs
+// many deltas: with three accounts every rotation would be a full one.
+const rigFillerAccounts = 400
 
 func newDurableRig(t *testing.T, snapEvery int, plan *faults.CrashPlan, tear func(string, []byte) []byte) *durableRig {
 	t.Helper()
@@ -39,6 +48,11 @@ func newDurableRig(t *testing.T, snapEvery int, plan *faults.CrashPlan, tear fun
 		snapEvery: snapEvery,
 	}
 	r.provider.snapEvery = snapEvery
+	for i := 0; i < rigFillerAccounts; i++ {
+		if err := r.provider.Ledger().CreateAccount(fmt.Sprintf("filler-%03d", i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
 	st, err := store.Open(d.backend)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +62,7 @@ func newDurableRig(t *testing.T, snapEvery int, plan *faults.CrashPlan, tear fun
 	}
 	// Hook the crash plan only after the initial snapshot: setup is not
 	// part of the modelled workload.
-	d.backend.SetCrashHook(plan.Hook)
+	d.backend.SetCrashHook(d.hook(r.provider))
 	r.client.transport = netsim.NewPipe(netsim.Config{
 		Clock:  r.clock,
 		Random: sim.NewRand(0xD1A1),
@@ -94,8 +108,28 @@ func (d *durableRig) restart(t *testing.T) {
 	p.Verifier().ApprovePAL(PINPALName, cryptoutil.SHA1(PINPALImage()))
 	p.Verifier().ApprovePAL(BatchPALName, cryptoutil.SHA1(BatchPALImage()))
 	d.rig.provider = p
-	d.backend.SetCrashHook(d.plan.Hook)
+	d.backend.SetCrashHook(d.hook(p))
 	d.plan.Arm()
+}
+
+// hook is the crash plan's hook for provider p's life, counting the
+// delta rotations it completes and the crashes injected into one. A
+// rotation's operations run on the goroutine writing it, which set
+// p.snap.delta before the first of them.
+func (d *durableRig) hook(p *Provider) store.CrashHook {
+	return func(ev store.CrashEvent) bool {
+		crash := d.plan.Hook(ev)
+		rotating := ev.Op == store.OpCreate || ev.Op == store.OpRename || ev.Op == store.OpRemove ||
+			strings.HasSuffix(ev.Name, ".tmp")
+		if rotating && p.snap.delta {
+			if crash {
+				d.deltaCrashes++
+			} else if ev.Op == store.OpRename && ev.Phase == store.PhaseAfter {
+				d.deltas++
+			}
+		}
+		return crash
+	}
 }
 
 // driveCrashWorkload pushes numTx payments of 1000 cents each through
@@ -193,6 +227,7 @@ func assertRecoveryInvariants(t *testing.T, d *durableRig, wantBob int64) {
 // exercises pure WAL-tail replay (no rotation ever runs while armed, so
 // mid-snapshot is skipped there).
 func TestCrashPointSweepInvariants(t *testing.T) {
+	deltas, deltaCrashes := 0, 0
 	for _, point := range faults.CrashPoints() {
 		for _, snapEvery := range []int{0, 1, 3} {
 			if point == faults.CrashMidSnapshot && snapEvery == 0 {
@@ -210,8 +245,12 @@ func TestCrashPointSweepInvariants(t *testing.T) {
 					t.Fatal("scheduled crash never fired; sweep tested nothing")
 				}
 				assertRecoveryInvariants(t, d, 5*1_000)
+				deltas, deltaCrashes = deltas+d.deltas, deltaCrashes+d.deltaCrashes
 			})
 		}
+	}
+	if deltas == 0 || deltaCrashes == 0 {
+		t.Fatalf("sweep completed %d delta rotations and crashed %d: delta recovery untested", deltas, deltaCrashes)
 	}
 }
 
@@ -226,6 +265,9 @@ func TestCrashStormInvariants(t *testing.T) {
 	driveCrashWorkload(t, d, 12, 40)
 	if plan.Stats().Total() == 0 {
 		t.Fatal("storm injected no crashes; raise the rate")
+	}
+	if d.deltas == 0 || d.deltaCrashes == 0 {
+		t.Fatalf("storm completed %d delta rotations and crashed %d: delta recovery untested", d.deltas, d.deltaCrashes)
 	}
 	assertRecoveryInvariants(t, d, 12*1_000)
 }

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"testing"
+	"time"
 
+	"unitp/internal/attest"
 	"unitp/internal/cryptoutil"
 	"unitp/internal/sim"
 	"unitp/internal/store"
@@ -108,4 +111,82 @@ func groupKinds(t *testing.T, group []byte) []recKind {
 		t.Fatal(err)
 	}
 	return kinds
+}
+
+// replayTarget is the provider a fuzzed WAL group replays onto: the
+// accounts a journaled transfer names, and nothing else.
+func replayTarget() *Provider {
+	p := NewProvider(ProviderConfig{Name: "replay", Clock: sim.NewVirtualClock()})
+	for _, name := range []string{"alice", "bob"} {
+		if err := p.Ledger().CreateAccount(name, 1_000_000); err != nil {
+			panic(err)
+		}
+	}
+	return p
+}
+
+// journalSeedGroups returns WAL groups holding every record kind: the
+// two TestJournalGroupPinnedBytes pins (a submit's challenge-issued; a
+// session confirmation's nonce-redeemed, audit-appended, ledger-apply
+// and outcome-cached), then one group of every other kind.
+func journalSeedGroups() [][]byte {
+	at := time.Unix(1_700_000_000, 0)
+	tx := &Transaction{ID: "seed", From: "alice", To: "bob", AmountCents: 25_000, Currency: "EUR", Memo: "seed"}
+	nonce := attest.Nonce{1, 2, 3}
+	outcome := &Outcome{TxID: tx.ID, Accepted: true, Authentic: true, Reason: "confirmed by user"}
+
+	var submit, confirm, rest journal
+	submit.challengeIssued(nonce, pendingChallenge{kind: pendingConfirm, tx: tx, issuedAt: at})
+	confirm.nonceRedeemed(nonce)
+	log := NewAuditLog()
+	log.append(&AuditEntry{Kind: AuditConfirm, TxID: tx.ID, TxDigest: tx.Digest(), Confirmed: true, Nonce: nonce}, confirm.auditAppended)
+	ledger := NewLedger()
+	for _, name := range []string{"alice", "bob"} {
+		if err := ledger.CreateAccount(name, 1_000_000); err != nil {
+			panic(err)
+		}
+	}
+	if err := ledger.apply(tx, confirm.ledgerApplied); err != nil {
+		panic(err)
+	}
+	confirm.outcomeCached(nonce, at, outcome)
+	rest.pendingDropped(attest.Nonce{4})
+	rest.presenceTokenGranted("presence-seed")
+	rest.hmacKeyInstalled("platform-seed", []byte("hmac-key"))
+	rest.credentialEnrolled("alice", [32]byte{9})
+	rest.platformBound("alice", "platform-seed")
+	rest.fallbackOutcomeCached(77, outcome)
+	return [][]byte{submit.group(), confirm.group(), rest.group()}
+}
+
+// FuzzReplayGroup feeds arbitrary WAL groups to the replay path, which
+// reads them from disk at recovery and over the wire in a follower
+// bootstrap's records: it must never panic, a group it accepts must
+// replay to the same state every time, and that state's snapshot must
+// be a fixed point of decode/encode.
+func FuzzReplayGroup(f *testing.F) {
+	for _, g := range journalSeedGroups() {
+		f.Add(g)
+	}
+	f.Fuzz(func(t *testing.T, group []byte) {
+		p := replayTarget()
+		if err := p.replayGroup(group); err != nil {
+			return
+		}
+		once := p.encodeState()
+		again := replayTarget()
+		if err := again.replayGroup(group); err != nil {
+			t.Fatalf("second replay refused: %v", err)
+		}
+		if !bytes.Equal(again.encodeState(), once) {
+			t.Fatal("replay is not deterministic")
+		}
+		q := NewProvider(ProviderConfig{Name: "replayed"})
+		if err := q.loadState(once); err != nil {
+			t.Fatalf("replayed state's snapshot refused: %v", err)
+		}
+		if !bytes.Equal(q.encodeState(), once) {
+			t.Fatal("decode/encode of the replayed state is not a fixed point")
+		}
+	})
 }

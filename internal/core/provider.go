@@ -283,9 +283,11 @@ type Provider struct {
 	st        *store.Store
 	snapEvery int
 	dead      atomic.Bool
-	// snapTail is the length of the last snapshot's sections after the
-	// balances, which sizes the next snapshot's tail buffer up front.
+	// snapTail is the length of the last snapshot's last part, the
+	// sections after the audit log, which sizes the next one's buffer.
 	snapTail atomic.Int64
+	// snap is the delta rotation state, guarded by stateMu.
+	snap snapState
 
 	// Fleet integration (see internal/fleet). epoch is the fencing
 	// generation this instance serves under; fenced is raised when a

@@ -93,34 +93,68 @@ func (s *section) each(fn func(body []byte)) {
 	}
 }
 
-// load replaces the section with raw, an encoded section of n items
-// whose fields the caller has checked, as one copy.
-func (s *section) load(raw []byte, n int) {
-	*s = section{n: n}
-	if n > 0 {
-		c := make([]byte, len(raw), max(len(raw), sectionChunk))
-		copy(c, raw)
-		s.chunks = [][]byte{c}
-	}
+// sectionMark is a position in a section: its item count then, and
+// where the next field went — the end of the last chunk, or just after
+// the count of a section with no chunks yet.
+type sectionMark struct {
+	n, chunk, off int
 }
 
-// readSection reads an encoded section at r's position in data, calling
-// check with each field's body in order, and returns the section's
-// bytes, a view into data, and its item count.
-func readSection(r *cryptoutil.Reader, data []byte, check func(body []byte) error) (raw []byte, n int, err error) {
+// mark returns the section's current end.
+func (s *section) mark() sectionMark {
+	if len(s.chunks) == 0 {
+		return sectionMark{off: 4}
+	}
+	last := len(s.chunks) - 1
+	return sectionMark{s.n, last, len(s.chunks[last])}
+}
+
+// since returns the fields added after m, as views of the chunks the
+// caller must only read, and their total length. Chunks are never
+// regrown, so a mark stays valid until the section is replaced.
+func (s *section) since(m sectionMark) (parts [][]byte, size int) {
+	if s.n == m.n {
+		return nil, 0
+	}
+	for i, c := range s.chunks[m.chunk:] {
+		if i == 0 {
+			c = c[m.off:]
+		}
+		if len(c) > 0 {
+			parts = append(parts, c)
+			size += len(c)
+		}
+	}
+	return parts, size
+}
+
+// extend appends raw, n fields the caller has checked, as one copy.
+func (s *section) extend(raw []byte, n int) {
+	if n == 0 {
+		return
+	}
+	last := s.room(len(raw))
+	s.chunks[len(s.chunks)-1] = append(last, raw...)
+	s.n += n
+	binary.BigEndian.PutUint32(s.chunks[0], uint32(s.n))
+}
+
+// readFields reads n fields at r's position in data, calling check with
+// each field's body in order, and returns their bytes, a view into
+// data.
+func readFields(r *cryptoutil.Reader, data []byte, n int, check func(body []byte) error) ([]byte, error) {
 	start := len(data) - r.Remaining()
-	n = int(r.Uint32())
 	for i := 0; i < n && r.Err() == nil; i++ {
 		body := r.Field()
 		if r.Err() != nil {
 			break
 		}
 		if err := check(body); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
 	if r.Err() != nil {
-		return nil, 0, r.Err()
+		return nil, r.Err()
 	}
-	return data[start : len(data)-r.Remaining()], n, nil
+	return data[start : len(data)-r.Remaining()], nil
 }

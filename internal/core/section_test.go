@@ -157,8 +157,7 @@ func TestAuditLogMatchesModel(t *testing.T) {
 		t.Fatalf("draw too tame: %d boundary entries, %d large, %d chunks", boundaries, large, len(log.entries.chunks))
 	}
 
-	var parts [][]byte
-	log.withParts(func(p [][]byte) error { parts = p; return nil })
+	parts := log.entries.parts()
 	if !bytes.Equal(bytes.Join(parts, nil), refAuditSection(model)) {
 		t.Fatal("audit section parts differ from the struct encoding")
 	}
@@ -198,8 +197,7 @@ func TestAuditLogMatchesModel(t *testing.T) {
 		if err := log.Restore(bad); !errors.Is(err, ErrChainBroken) {
 			t.Fatalf("%s: tampered Restore = %v, want ErrChainBroken", name, err)
 		}
-		var now [][]byte
-		log.withParts(func(p [][]byte) error { now = p; return nil })
+		now := log.entries.parts()
 		if log.Len() != len(model) || log.Head() != head || !bytes.Equal(bytes.Join(now, nil), want) {
 			t.Fatalf("%s: refused Restore changed the log", name)
 		}
@@ -276,8 +274,7 @@ func TestLedgerHistoryMatchesModel(t *testing.T) {
 		t.Fatalf("draw too tame: %d boundary transactions, %d large, %d chunks", boundaries, large, len(l.history.chunks))
 	}
 
-	var parts [][]byte
-	l.withState(func(_ int, _ []byte, history [][]byte) error { parts = history; return nil })
+	parts := l.history.parts()
 	if !bytes.Equal(bytes.Join(parts, nil), refHistorySection(model)) {
 		t.Fatal("history section parts differ from the struct encoding")
 	}
@@ -331,7 +328,7 @@ func TestSectionEmptyAndLoad(t *testing.T) {
 	s.addRaw([]byte("one"))
 	raw := bytes.Join(s.parts(), nil)
 	var loaded section
-	loaded.load(raw, 1)
+	loaded.extend(raw[4:], 1)
 	loaded.addRaw([]byte("two"))
 	s.addRaw([]byte("two"))
 	if !bytes.Equal(bytes.Join(loaded.parts(), nil), bytes.Join(s.parts(), nil)) {

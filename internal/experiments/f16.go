@@ -4,6 +4,7 @@ import (
 	"crypto/rsa"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"unitp/internal/attest"
@@ -39,11 +40,20 @@ import (
 // process, the client is forced back to a full re-quote, and
 // exactly-once plus the audit chain hold across the restart.
 
-// f16Txs is the number of confirmed transactions driven per cell.
-const f16Txs = 400
-
-// f16Reps is best-of-N for each cell (see f12Reps for why).
-const f16Reps = 3
+// F16 drives its cells in f16Rounds rounds; each round runs
+// f16RoundTxs confirmations of every cell in turn, in blocks of the
+// cell's interval (one session open and its whole budget of
+// confirmations, or one full-quote confirmation at interval 1), and
+// times every block. A cell's rate is its interval over its median
+// block time. Interleaving the cells round by round spreads a slow
+// spell on a shared host (seconds of contention from other tenants)
+// over every cell rather than whichever cell it lands in, and the
+// median drops the few blocks a scheduler hiccup or a garbage
+// collection lands in.
+const (
+	f16Rounds   = 20
+	f16RoundTxs = 200
+)
 
 // f16FailTxs is the failover arm's transaction count (half before the
 // kill, half after).
@@ -131,8 +141,8 @@ func (f *f16Fixture) approveF16PALs(p *core.Provider) {
 		cryptoutil.SHA1(core.SessionOpenPALImage(p.PublicKeyDER())))
 }
 
-func (f *f16Fixture) newF16Provider(schemeName string, interval int, seq int) (*core.Provider, error) {
-	cfg, err := f.providerCfg(schemeName, interval, seq)
+func (f *f16Fixture) newF16Provider(schemeName string, interval int) (*core.Provider, error) {
+	cfg, err := f.providerCfg(schemeName, interval, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -313,48 +323,44 @@ func verifyF16(p *core.Provider, txs, opens, interval int) error {
 	return nil
 }
 
-// f16CellResult is one cell's best rep.
-type f16CellResult struct {
-	providerTput float64 // confirmations/sec/core, provider side
-	e2eTput      float64 // confirmations/sec, device+provider serial
+// f16Cell is one cell: the drive of its provider and its timed blocks.
+type f16Cell struct {
+	dr            *f16Driver
+	txs           int
+	provider, e2e []time.Duration // per block: provider time, and device+provider time
 }
 
-// runF16Rep is one measured repetition of a cell on a fresh provider.
-func (f *f16Fixture) runF16Rep(schemeName string, interval, seq int) (*f16CellResult, error) {
-	p, err := f.newF16Provider(schemeName, interval, seq)
-	if err != nil {
-		return nil, err
-	}
-	dr := &f16Driver{p: p, client: f.clients[schemeName], interval: interval}
-	runtime.GC()
-	for i := 0; i < f16Txs; i++ {
-		if err := dr.confirmOne(fmt.Sprintf("f16-%s-%d-%d-%d", schemeName, interval, seq, i)); err != nil {
-			return nil, err
+// runBlocks drives n more confirmations through the cell, timing each
+// block of interval confirmations.
+func (c *f16Cell) runBlocks(schemeName string, n int) error {
+	for end := c.txs + n; c.txs < end; {
+		prov0, client0 := c.dr.providerNS, c.dr.clientNS
+		for stop := c.txs + c.dr.interval; c.txs < stop; c.txs++ {
+			if err := c.dr.confirmOne(fmt.Sprintf("f16-%s-%d-%d", schemeName, c.dr.interval, c.txs)); err != nil {
+				return err
+			}
 		}
+		c.provider = append(c.provider, c.dr.providerNS-prov0)
+		c.e2e = append(c.e2e, c.dr.providerNS-prov0+c.dr.clientNS-client0)
 	}
-	if err := verifyF16(p, f16Txs, dr.opens, interval); err != nil {
-		return nil, err
-	}
-	return &f16CellResult{
-		providerTput: float64(f16Txs) / dr.providerNS.Seconds(),
-		e2eTput:      float64(f16Txs) / (dr.providerNS + dr.clientNS).Seconds(),
-	}, nil
+	return nil
 }
 
-// f16Cell keeps the best-of-reps by provider throughput; every rep is
-// verified regardless.
-func (f *f16Fixture) f16Cell(schemeName string, interval int) (*f16CellResult, error) {
-	var best *f16CellResult
-	for rep := 0; rep < f16Reps; rep++ {
-		res, err := f.runF16Rep(schemeName, interval, rep)
-		if err != nil {
-			return nil, err
-		}
-		if best == nil || res.providerTput > best.providerTput {
-			best = res
-		}
-	}
-	return best, nil
+// providerTput is the cell's confirmations/sec/core, provider side.
+func (c *f16Cell) providerTput() float64 {
+	return float64(c.dr.interval) / medianDuration(c.provider).Seconds()
+}
+
+// e2eTput is the cell's confirmations/sec, device+provider serial.
+func (c *f16Cell) e2eTput() float64 {
+	return float64(c.dr.interval) / medianDuration(c.e2e).Seconds()
+}
+
+// medianDuration returns the median of ds.
+func medianDuration(ds []time.Duration) time.Duration {
+	ds = slices.Clone(ds)
+	slices.Sort(ds)
+	return ds[len(ds)/2]
 }
 
 // runF16Failover is the security arm: a durable provider is killed 60
@@ -440,30 +446,47 @@ func RunF16() (*Result, error) {
 		return nil, err
 	}
 	table := metrics.NewTable(
-		fmt.Sprintf("F16: confirmations/sec by crypto profile × re-quote interval — %d confirms per cell, best of %d (real wall time, GOMAXPROCS=%d)",
-			f16Txs, f16Reps, runtime.GOMAXPROCS(0)),
+		fmt.Sprintf("F16: confirmations/sec by crypto profile × re-quote interval — %d confirms per cell in %d interleaved rounds; rate = interval / median time of a block of interval confirms (real wall time, GOMAXPROCS=%d)",
+			f16Rounds*f16RoundTxs, f16Rounds, runtime.GOMAXPROCS(0)),
 		"scheme", "interval", "provider conf/s/core", "device+provider conf/s")
 	series := metrics.Series{Name: "provider-conf-per-sec-vs-interval (rsa)"}
 
-	cells := map[string]map[int]*f16CellResult{}
+	cells := map[string]map[int]*f16Cell{}
 	for _, schemeName := range f16Schemes {
-		cells[schemeName] = map[int]*f16CellResult{}
+		cells[schemeName] = map[int]*f16Cell{}
 		for _, interval := range f16Intervals {
-			res, err := fixture.f16Cell(schemeName, interval)
+			p, err := fixture.newF16Provider(schemeName, interval)
 			if err != nil {
 				return nil, err
 			}
-			cells[schemeName][interval] = res
+			cells[schemeName][interval] = &f16Cell{dr: &f16Driver{p: p, client: fixture.clients[schemeName], interval: interval}}
+		}
+	}
+	for round := 0; round < f16Rounds; round++ {
+		for _, schemeName := range f16Schemes {
+			for _, interval := range f16Intervals {
+				if err := cells[schemeName][interval].runBlocks(schemeName, f16RoundTxs); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	for _, schemeName := range f16Schemes {
+		for _, interval := range f16Intervals {
+			c := cells[schemeName][interval]
+			if err := verifyF16(c.dr.p, c.txs, c.dr.opens, interval); err != nil {
+				return nil, err
+			}
 			table.AddRow(schemeName, fmt.Sprintf("%d", interval),
-				fmt.Sprintf("%8.0f", res.providerTput), fmt.Sprintf("%8.0f", res.e2eTput))
+				fmt.Sprintf("%8.0f", c.providerTput()), fmt.Sprintf("%8.0f", c.e2eTput()))
 			if schemeName == "rsa" {
-				series.Add(float64(interval), res.providerTput)
+				series.Add(float64(interval), c.providerTput())
 			}
 		}
 	}
 
 	// Verdict 1: the session fast path amortizes the quote away.
-	speedup := cells["rsa"][100].providerTput / cells["rsa"][1].providerTput
+	speedup := cells["rsa"][100].providerTput() / cells["rsa"][1].providerTput()
 	sessionVerdict := "PASS"
 	if speedup < 5 {
 		sessionVerdict = "FAIL"
@@ -473,10 +496,10 @@ func RunF16() (*Result, error) {
 	// bound and device-bound views at interval 1 (full quote per tx) —
 	// whichever profile wins one view loses the other.
 	provWinner, e2eWinner := "rsa", "rsa"
-	if cells["ed25519"][1].providerTput > cells["rsa"][1].providerTput {
+	if cells["ed25519"][1].providerTput() > cells["rsa"][1].providerTput() {
 		provWinner = "ed25519"
 	}
-	if cells["ed25519"][1].e2eTput > cells["rsa"][1].e2eTput {
+	if cells["ed25519"][1].e2eTput() > cells["rsa"][1].e2eTput() {
 		e2eWinner = "ed25519"
 	}
 	crossoverVerdict := "PASS"

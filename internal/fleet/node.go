@@ -258,14 +258,17 @@ func (n *Node) wireLocked(prov *core.Provider, upTo uint64, peers []PeerAddr, pe
 	}
 	n.helloOffset.Store(upTo)
 
-	seg, err := prov.Store().ReadSegment()
+	var boot []byte
+	err := prov.QuiescedSegment(func(seg store.Segment) error {
+		boot = encodeBootstrap(bootstrapFrame{
+			Epoch: n.epoch, UpTo: upTo, Gen: seg.Generation,
+			State: seg.State, Records: seg.Records,
+		})
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("fleet: node %d/%d: read segment: %w", n.cfg.Shard, n.cfg.Member, err)
 	}
-	boot := encodeBootstrap(bootstrapFrame{
-		Epoch: n.epoch, UpTo: upTo, Gen: seg.Generation,
-		State: seg.State, Records: seg.Records,
-	})
 
 	for _, p := range peers {
 		conn := n.cfg.Net.ship(n, p)
@@ -675,11 +678,7 @@ func (n *Node) Adopt(cmd adoptCmd) error {
 		}
 	}
 	conn := n.cfg.Net.ship(n, PeerAddr{Member: cmd.Member, Addr: cmd.Addr})
-	err := n.primary.Quiesced(func() error {
-		seg, err := n.primary.Store().ReadSegment()
-		if err != nil {
-			return fmt.Errorf("fleet: adopt member %d: %w", cmd.Member, err)
-		}
+	err := n.primary.QuiescedSegment(func(seg store.Segment) error {
 		boot := encodeBootstrap(bootstrapFrame{
 			Epoch: n.epoch, UpTo: n.rep.frontier(), Gen: seg.Generation,
 			State: seg.State, Records: seg.Records,
@@ -688,7 +687,7 @@ func (n *Node) Adopt(cmd adoptCmd) error {
 	})
 	if err != nil {
 		conn.Close()
-		return err
+		return fmt.Errorf("fleet: adopt member %d: %w", cmd.Member, err)
 	}
 	n.count("fleet.adoptions")
 	n.logger.Info("adopted follower", "member", cmd.Member, "addr", cmd.Addr, "epoch", n.epoch)

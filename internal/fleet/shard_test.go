@@ -523,3 +523,135 @@ func TestShardAddFollowerDuringTraffic(t *testing.T) {
 		t.Fatalf("adopted follower applied %d of %d groups", a, total)
 	}
 }
+
+// deltaMember is localMember with a bank large enough, and a snapshot
+// cadence short enough, that the primary's rotations write deltas.
+func deltaMember(m int, backends map[string]*store.MemBackend) NodeConfig {
+	life := func(epoch uint64) core.ProviderConfig {
+		return core.ProviderConfig{
+			Name: "delta-shard", Clock: sim.NewVirtualClock(), Random: sim.NewRand(epoch),
+			ConfirmThresholdCents: 1_000_000, Epoch: epoch, SnapshotEvery: 2,
+		}
+	}
+	cfg := localMember(0, m, nil, nil, backends)
+	cfg.Build = func(epoch uint64) (*core.Provider, error) {
+		p := core.NewProvider(life(epoch))
+		if err := p.Ledger().CreateAccount("payer", 1_000_000); err != nil {
+			return nil, err
+		}
+		for i := 0; i < 500; i++ {
+			if err := p.Ledger().CreateAccount(fmt.Sprintf("filler-%03d", i), 0); err != nil {
+				return nil, err
+			}
+		}
+		return p, p.Ledger().CreateAccount("sink", 0)
+	}
+	cfg.Restore = func(epoch uint64, st *store.Store) (*core.Provider, error) {
+		return core.RestoreProvider(life(epoch), st)
+	}
+	return cfg
+}
+
+// Adopting a follower while the primary's current generation is a
+// delta ships a full snapshot, and nothing else: the primary rotates to
+// a full generation first, so the segment holds no WAL records and is
+// no larger than a segment read right after a full rotation. A
+// provider restored from the adopted member's store — what promoting
+// it runs — holds every transaction exactly once.
+func TestShardAdoptAfterDeltaRotations(t *testing.T) {
+	ln := &LocalNet{}
+	backends := map[string]*store.MemBackend{}
+	s, err := ln.StartShard(0, 1, func(m int) NodeConfig { return deltaMember(m, backends) }, ShardHandleConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for st := s.Primary().Store().Stats(); n < 10 || st.Generation == st.BaseGeneration; st = s.Primary().Store().Stats() {
+		if n == 100 {
+			t.Fatalf("no delta generation after %d transactions: %+v", n, st)
+		}
+		resp, err := s.Handle(submitFrame(t, fmt.Sprintf("tx-%d", n)))
+		expectAccepted(t, resp, err)
+		n++
+	}
+
+	cfg := deltaMember(2, backends)
+	cfg.Member, cfg.StartRole, cfg.Net = 2, NodeRoleFollower, ln
+	fresh, err := ln.join(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ln.ctl(0, MemberAddr{Member: s.PrimaryMember()}, ctlReq{adopt: &adoptCmd{Member: 2}}); err != nil {
+		t.Fatalf("adopt: %v", err)
+	}
+	st := s.Primary().Store().Stats()
+	if st.Generation != st.BaseGeneration {
+		t.Fatalf("primary still at delta generation %d over %d after the adoption", st.Generation, st.BaseGeneration)
+	}
+	seg, err := s.Primary().Store().ReadSegment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seg.Records) != 0 {
+		t.Fatalf("adoption segment carried %d WAL records beside its full state", len(seg.Records))
+	}
+	for i := 0; i < 5; i++ {
+		resp, err := s.Handle(submitFrame(t, fmt.Sprintf("tx-%d", n)))
+		expectAccepted(t, resp, err)
+		n++
+	}
+	if got := fresh.Status().Applied; got != uint64(n) {
+		t.Fatalf("adopted member applied %d groups, want %d", got, n)
+	}
+
+	p := restoreBackendCopy(t, backends["2/state"])
+	resp, err := p.Handle(submitFrame(t, "tx-3"))
+	expectAccepted(t, resp, err)
+	seen := map[string]bool{}
+	for _, tx := range p.Ledger().History() {
+		if seen[tx.ID] {
+			t.Fatalf("transaction %s applied twice", tx.ID)
+		}
+		seen[tx.ID] = true
+	}
+	if bal, _ := p.Ledger().Balance("sink"); len(seen) != n || bal != int64(n) {
+		t.Fatalf("restored member holds %d transactions, sink %d; want %d", len(seen), bal, n)
+	}
+}
+
+// restoreBackendCopy restores a provider from a copy of b's files,
+// leaving the member that owns b alone.
+func restoreBackendCopy(t *testing.T, b *store.MemBackend) *core.Provider {
+	t.Helper()
+	names, err := b.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := store.NewMemBackend()
+	for _, name := range names {
+		data, err := b.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := cp.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	st, err := store.Open(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.RestoreProvider(core.ProviderConfig{Name: "promoted", Clock: sim.NewVirtualClock(), ConfirmThresholdCents: 1_000_000}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
