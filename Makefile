@@ -47,8 +47,11 @@ bench-smoke:
 # multi-process cell (router + one shard primary + follower as real
 # child processes, one SIGKILL failover mid-drain, exactly-once audited
 # from the survivors' data directories), failing on any lost or doubled
-# transaction, broken audit chain, or unexpected failover count.
+# transaction, broken audit chain, or unexpected failover count. Every
+# cell is audited by internal/check, whose tests run first: a checker
+# that stops catching its seeded faults fails the gate too.
 chaos-smoke:
+	$(GO) test ./internal/check -count=1 -v
 	$(GO) test ./internal/experiments -run 'TestF13ChaosSmoke|TestF13MatrixCells|TestF13KillUnderLoadExactlyOnce|TestF14ChaosSmoke|TestF14ChaosCellsExactlyOnce|TestF15ProcSmoke' -count=1 -v
 
 # results regenerates every table/figure into results/.

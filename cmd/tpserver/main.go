@@ -598,15 +598,7 @@ func buildProvider(cfg core.ProviderConfig, dataDir string, logger *slog.Logger)
 	}
 
 	provider := core.NewProvider(cfg)
-	for _, acct := range []struct {
-		name  string
-		cents int64
-	}{{"alice", 1_000_000}, {"bob", 0}, {"mallory", 0}} {
-		if err := provider.Ledger().CreateAccount(acct.name, acct.cents); err != nil {
-			return nil, err
-		}
-	}
-	if err := provider.EnrollCredential("alice", "2468"); err != nil {
+	if err := seedNodeAccounts(provider, 0); err != nil {
 		return nil, err
 	}
 	if st != nil {

@@ -26,6 +26,7 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -41,6 +42,7 @@ import (
 	"unitp/internal/sim"
 	"unitp/internal/store"
 	"unitp/internal/wire"
+	"unitp/internal/workload"
 )
 
 // roleParams carries the flag values every role shares plus the
@@ -492,33 +494,21 @@ func linkDetail(links []fleet.LinkHealth) []map[string]any {
 	return out
 }
 
-// seedNodeAccounts seeds the demo accounts plus n workload accounts
-// (acct-00000..) holding 1<<40 cents each and their drain sink —
-// the lean fleet-experiment fixture.
+// seedNodeAccounts seeds workload.NodeAccounts(n), in name order so
+// every node lays out its ledger alike, and enrolls alice's PIN.
 func seedNodeAccounts(prov *core.Provider, n int) error {
-	for _, acct := range []struct {
-		name  string
-		cents int64
-	}{{"alice", 1_000_000}, {"bob", 0}, {"mallory", 0}} {
-		if err := prov.Ledger().CreateAccount(acct.name, acct.cents); err != nil {
+	accounts := workload.NodeAccounts(n)
+	names := make([]string, 0, len(accounts))
+	for name := range accounts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if err := prov.Ledger().CreateAccount(name, accounts[name]); err != nil {
 			return err
 		}
 	}
-	if err := prov.EnrollCredential("alice", "2468"); err != nil {
-		return err
-	}
-	if n <= 0 {
-		return nil
-	}
-	if err := prov.Ledger().CreateAccount("sink", 0); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		if err := prov.Ledger().CreateAccount(fmt.Sprintf("acct-%05d", i), 1<<40); err != nil {
-			return err
-		}
-	}
-	return nil
+	return prov.EnrollCredential("alice", workload.DefaultPIN)
 }
 
 // parsePeers parses "member=addr[,member=addr...]" into ship peers.

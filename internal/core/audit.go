@@ -379,22 +379,30 @@ type AuditReport struct {
 
 // VerifyAuditChain checks the structural hash-chain invariants of a log
 // (sequence numbers, prev links, chain values) without re-verifying
-// evidence — the cheap end-to-end check recovery runs on every restart.
-// ReplayAudit is the full auditor pass on top of this.
+// evidence. ReplayAudit takes the same per-entry link step and adds the
+// evidence re-verification, so an auditor runs one or the other.
 func VerifyAuditChain(entries []AuditEntry) error {
 	var prev cryptoutil.Digest
 	for i := range entries {
-		e := &entries[i]
-		if e.Seq != uint64(i) {
-			return fmt.Errorf("%w: entry %d claims seq %d", ErrChainBroken, i, e.Seq)
+		if err := entries[i].link(i, prev); err != nil {
+			return err
 		}
-		if e.PrevChain != prev {
-			return fmt.Errorf("%w: entry %d prev link", ErrChainBroken, i)
-		}
-		if e.computeChain(prev) != e.Chain {
-			return fmt.Errorf("%w: entry %d chain value", ErrChainBroken, i)
-		}
-		prev = e.Chain
+		prev = entries[i].Chain
+	}
+	return nil
+}
+
+// link checks that e sits at position i of a chain whose head before it
+// is prev: its sequence number, its prev link and its chain value. It
+// is the step VerifyAuditChain and ReplayAudit take per entry.
+func (e *AuditEntry) link(i int, prev cryptoutil.Digest) error {
+	switch {
+	case e.Seq != uint64(i):
+		return fmt.Errorf("%w: entry %d claims seq %d", ErrChainBroken, i, e.Seq)
+	case e.PrevChain != prev:
+		return fmt.Errorf("%w: entry %d prev link", ErrChainBroken, i)
+	case e.computeChain(prev) != e.Chain:
+		return fmt.Errorf("%w: entry %d chain value", ErrChainBroken, i)
 	}
 	return nil
 }
@@ -408,14 +416,8 @@ func ReplayAudit(entries []AuditEntry, verifier *attest.Verifier) (*AuditReport,
 	var prev cryptoutil.Digest
 	for i := range entries {
 		e := &entries[i]
-		if e.Seq != uint64(i) {
-			return nil, fmt.Errorf("%w: entry %d claims seq %d", ErrChainBroken, i, e.Seq)
-		}
-		if e.PrevChain != prev {
-			return nil, fmt.Errorf("%w: entry %d prev link", ErrChainBroken, i)
-		}
-		if e.computeChain(prev) != e.Chain {
-			return nil, fmt.Errorf("%w: entry %d chain value", ErrChainBroken, i)
+		if err := e.link(i, prev); err != nil {
+			return nil, err
 		}
 		prev = e.Chain
 		report.Entries++

@@ -122,3 +122,18 @@ func joinSections(sections ...string) string {
 // linkForExperiments is the default network path of the latency
 // experiments.
 func linkForExperiments() netsim.Link { return netsim.LinkBroadband() }
+
+// submitted decodes the transactions in a drain's SubmitTx frames, ID
+// to amount: what a drain that saw every frame accepted has accepted.
+func submitted(frames [][][]byte) map[string]int64 {
+	out := map[string]int64{}
+	for _, wf := range frames {
+		for _, frame := range wf {
+			if msg, _ := core.DecodeMessage(frame); msg != nil {
+				tx := msg.(*core.SubmitTx).Tx
+				out[tx.ID] = tx.AmountCents
+			}
+		}
+	}
+	return out
+}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"unitp/internal/core"
+	"unitp/internal/check"
 	"unitp/internal/faults"
 	"unitp/internal/metrics"
 	"unitp/internal/netsim"
@@ -18,10 +18,11 @@ import (
 // the plan kills it at injected points, the disk is torn (partial
 // writes plus trailing garbage), and the harness restarts it from the
 // latest snapshot + WAL tail. What F10 measures is (a) whether recovery
-// ever fails, (b) whether any recovery violates an exactly-once
-// invariant — double-applied transfers, lost accepted transfers,
-// duplicate ledger entries, a broken audit chain — and (c) what WAL
-// replay costs as the snapshot interval stretches.
+// ever fails, (b) whether the final restored provider breaks any
+// invariant internal/check judges against the client's acceptances —
+// lost, doubled or unsubmitted transfers, unreconciled balances, an
+// audit log that does not replay — and (c) what WAL replay costs as
+// the snapshot interval stretches.
 
 // f10Summary is one cell of the crash sweep. RecoveryTime is real
 // (host) time — replay speed is a property of the machine, not of the
@@ -84,43 +85,6 @@ func f10Recover(d *workload.Deployment, backend *store.MemBackend,
 	return nil
 }
 
-// f10Violations audits a freshly restored provider against the oracle
-// of client-visible acceptances: exactly the accepted transactions are
-// in the ledger history, exactly once each, balances reconcile, and the
-// audit hash chain verifies structurally and under full auditor replay.
-func f10Violations(d *workload.Deployment, accepted map[string]int64) int {
-	p := d.Provider
-	violations := 0
-	seen := map[string]bool{}
-	for _, tx := range p.Ledger().History() {
-		if seen[tx.ID] {
-			violations++ // duplicate apply
-		}
-		seen[tx.ID] = true
-		if _, ok := accepted[tx.ID]; !ok {
-			violations++ // executed without a reported acceptance
-		}
-	}
-	var total int64
-	for id, amount := range accepted {
-		if !seen[id] {
-			violations++ // accepted but not executed
-		}
-		total += amount
-	}
-	if bal, err := p.Ledger().Balance("alice"); err != nil || bal != 1_000_000-total {
-		violations++ // debits do not reconcile with acceptances
-	}
-	entries := p.AuditLog().Entries()
-	if core.VerifyAuditChain(entries) != nil {
-		violations++
-	}
-	if _, err := core.ReplayAudit(entries, p.Verifier()); err != nil {
-		violations++
-	}
-	return violations
-}
-
 // runF10Cell drives txCount transactions through a durable deployment
 // under the given crash plan, restarting the provider whenever a crash
 // kills a session, then restarts once more and audits the invariants.
@@ -175,7 +139,9 @@ func runF10Cell(seed uint64, snapEvery int, plan *faults.CrashPlan,
 	}
 	sum.Accepted = len(accepted)
 	sum.Crashes = plan.Stats().Total()
-	sum.Violations = f10Violations(d, accepted)
+	sum.Violations = len(check.Run(accepted, []check.Shard{{
+		Provider: d.Provider, Initial: workload.DefaultAccounts(),
+	}}).Violations)
 	sum.AuditEntries = len(d.Provider.AuditLog().Entries())
 	return sum, nil
 }

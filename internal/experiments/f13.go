@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"unitp/internal/check"
 	"unitp/internal/core"
 	"unitp/internal/faults"
 	"unitp/internal/fleet"
@@ -25,10 +26,10 @@ import (
 //     storage and a virtual clock, driven sequentially while the fault
 //     plan kills the busy shard's primary before shipping, after
 //     shipping, partitions its replication link, or slows its follower.
-//     The oracle is fleet-wide exactly-once: every client-accepted
-//     transaction appears in exactly one shard's ledger exactly once,
-//     balances conserve per shard, and every audit chain verifies and
-//     replays.
+//     The oracle is internal/check over every shard's primary:
+//     every client-accepted transaction appears in exactly one shard's
+//     ledger exactly once, each shard's balances reconcile with what it
+//     executed, and every audit log replays.
 //
 //   - F13b, shard scaling: a deterministic model arm drives the real
 //     router and replication path, then prices each shard's observed
@@ -158,68 +159,19 @@ func runF13MatrixCell(seed uint64, c f13MatrixCase, txs int) (*f13Cell, error) {
 	if cell.Failovers != c.wantFailovers {
 		return nil, fmt.Errorf("f13: %s: %d failovers, want %d", c.name, cell.Failovers, c.wantFailovers)
 	}
-	cell.Violations = f13FleetViolations(d, accepted)
+	cell.Violations = len(check.Run(accepted, f13Shards(d.Router, workload.DefaultAccounts())).Violations)
 	cell.Stats = plan.Stats()
 	return cell, nil
 }
 
-// f13FleetViolations audits the whole fleet against the client-visible
-// acceptances: fleet-wide exactly-once, per-shard balance conservation,
-// and per-shard audit-chain integrity (structural verify plus full
-// auditor replay).
-func f13FleetViolations(d *workload.FleetDeployment, accepted map[string]int64) int {
-	violations := 0
-	initial := map[string]int64{"alice": 1_000_000, "bob": 0, "mallory": 0}
-	seen := map[string]int{}
-	var debited int64
-
-	for _, sh := range d.Router.Shards() {
-		p := sh.Primary()
-		for _, tx := range p.Ledger().History() {
-			seen[tx.ID]++
-			if _, ok := accepted[tx.ID]; !ok {
-				violations++ // executed without a reported acceptance
-			}
-		}
-		// Per-shard conservation: transfers are internal to one ledger.
-		var sum, want int64
-		for name, cents := range initial {
-			bal, err := p.Ledger().Balance(name)
-			if err != nil {
-				violations++
-				continue
-			}
-			sum += bal
-			want += cents
-		}
-		if sum != want {
-			violations++ // money created or destroyed
-		}
-		entries := p.AuditLog().Entries()
-		if core.VerifyAuditChain(entries) != nil {
-			violations++
-		}
-		if _, err := core.ReplayAudit(entries, p.Verifier()); err != nil {
-			violations++
-		}
+// f13Shards is the checker's input for a fleet: every shard's primary,
+// opening with initial, its audit log replayed in full.
+func f13Shards(router *fleet.Router, initial map[string]int64) []check.Shard {
+	var shards []check.Shard
+	for _, sh := range router.Shards() {
+		shards = append(shards, check.Shard{Provider: sh.Primary(), Initial: initial})
 	}
-	for id, amount := range accepted {
-		switch seen[id] {
-		case 1:
-			debited += amount
-		case 0:
-			violations++ // lost: accepted but nowhere executed
-		default:
-			violations++ // doubled: executed more than once fleet-wide
-		}
-	}
-	// All debits ride alice's home shard; her balance there must account
-	// for exactly the accepted total.
-	home := d.Router.Shards()[d.Router.ShardFor("alice")].Primary()
-	if bal, err := home.Ledger().Balance("alice"); err != nil || bal != 1_000_000-debited {
-		violations++
-	}
-	return violations
+	return shards
 }
 
 // f13Matrix runs the deterministic kill matrix.
@@ -253,6 +205,7 @@ type f13Fleet struct {
 	router  *fleet.Router
 	reg     *obs.Registry
 	baseDir string
+	initial map[string]int64 // every shard's opening balances
 }
 
 // f13HomedAccounts generates perShard account names that the fleet ring
@@ -273,6 +226,9 @@ func f13HomedAccounts(shards, perShard int) [][]string {
 	return out
 }
 
+// f13Opening is every lean fleet account's opening balance.
+const f13Opening = int64(1) << 40
+
 // newF13Fleet builds the lean fleet. onDisk selects real directory
 // stores (true fsyncs, the measured configuration) vs in-memory ones
 // (the smoke configuration). Every shard is seeded with every account.
@@ -288,6 +244,10 @@ func newF13Fleet(shards, followers int, homed [][]string, plan *faults.FleetPlan
 	all := []string{"sink"}
 	for _, names := range homed {
 		all = append(all, names...)
+	}
+	initial := make(map[string]int64, len(all))
+	for _, name := range all {
+		initial[name] = f13Opening
 	}
 	reg := obs.NewRegistry()
 	ln := &fleet.LocalNet{}
@@ -313,7 +273,7 @@ func newF13Fleet(shards, followers int, homed [][]string, plan *faults.FleetPlan
 				Build: func(epoch uint64) (*core.Provider, error) {
 					p := core.NewProvider(life(epoch))
 					for _, name := range all {
-						if err := p.Ledger().CreateAccount(name, 1<<40); err != nil {
+						if err := p.Ledger().CreateAccount(name, f13Opening); err != nil {
 							return nil, err
 						}
 					}
@@ -338,6 +298,7 @@ func newF13Fleet(shards, followers int, homed [][]string, plan *faults.FleetPlan
 		router:  fleet.NewRouter(shardList, 0, reg),
 		reg:     reg,
 		baseDir: baseDir,
+		initial: initial,
 	}, nil
 }
 
@@ -439,62 +400,6 @@ func f13Drain(router *fleet.Router, frames [][][]byte) (float64, int, error) {
 	return float64(total) / elapsed.Seconds(), accepted, nil
 }
 
-// f13LeanViolations audits the lean fleet: every drained transaction ID
-// executed exactly once fleet-wide, per-shard balance conservation, and
-// per-shard audit-chain structural integrity.
-func f13LeanViolations(f *f13Fleet, homed [][]string, frames [][][]byte) int {
-	violations := 0
-	want := map[string]bool{}
-	for _, wf := range frames {
-		for _, frame := range wf {
-			if msg, err := core.DecodeMessage(frame); err == nil {
-				if sub, ok := msg.(*core.SubmitTx); ok {
-					want[sub.Tx.ID] = true
-				}
-			}
-		}
-	}
-	all := []string{"sink"}
-	for _, names := range homed {
-		all = append(all, names...)
-	}
-	seen := map[string]int{}
-	for _, sh := range f.router.Shards() {
-		p := sh.Primary()
-		for _, tx := range p.Ledger().History() {
-			seen[tx.ID]++
-			if !want[tx.ID] {
-				violations++ // executed a transaction nobody submitted
-			}
-		}
-		var sum int64
-		for _, name := range all {
-			bal, err := p.Ledger().Balance(name)
-			if err != nil {
-				violations++
-				continue
-			}
-			sum += bal
-		}
-		if sum != int64(len(all))*(1<<40) {
-			violations++ // money created or destroyed
-		}
-		if core.VerifyAuditChain(p.AuditLog().Entries()) != nil {
-			violations++
-		}
-	}
-	for id := range want {
-		switch seen[id] {
-		case 1:
-		case 0:
-			violations++ // lost
-		default:
-			violations++ // doubled
-		}
-	}
-	return violations
-}
-
 // ---------------------------------------------------------------------
 // F13b: shard scaling
 // ---------------------------------------------------------------------
@@ -564,8 +469,8 @@ func f13ModelCell(shards, accounts, totalTxs int) (tput, hotShare float64, err e
 			return 0, 0, fmt.Errorf("f13b: model drain rejected at %d shards", shards)
 		}
 	}
-	if violations := f13LeanViolations(f, [][]string{names}, [][][]byte{frames}); violations != 0 {
-		return 0, 0, fmt.Errorf("f13b: model drain at %d shards: %d violations", shards, violations)
+	if err := check.Run(submitted([][][]byte{frames}), f13Shards(f.router, f.initial)).Err(); err != nil {
+		return 0, 0, fmt.Errorf("f13b: model drain at %d shards: %w", shards, err)
 	}
 	snap := f.reg.Snapshot()
 	var makespan time.Duration
@@ -633,9 +538,9 @@ func f13ScaleCell(shards, txsPerWorker, reps int) (float64, error) {
 			f.close()
 			return 0, err
 		}
-		if violations := f13LeanViolations(f, homed, frames); violations != 0 {
+		if err := check.Run(submitted(frames), f13Shards(f.router, f.initial)).Err(); err != nil {
 			f.close()
-			return 0, fmt.Errorf("f13b: %d shards rep %d: %d violations", shards, rep, violations)
+			return 0, fmt.Errorf("f13b: %d shards rep %d: %w", shards, rep, err)
 		}
 		f.close()
 		if tput > best {
@@ -695,7 +600,7 @@ func f13KillLoadCell(phase faults.KillPhase, shards, txsPerWorker int, onDisk bo
 	for _, sh := range f.router.Shards() {
 		failovers += sh.Failovers()
 	}
-	violations = f13LeanViolations(f, homed, frames)
+	violations = len(check.Run(submitted(frames), f13Shards(f.router, f.initial)).Violations)
 	failoverMS = f.reg.Snapshot().Histograms["fleet.failover_latency"].MaxMS
 	return accepted, failovers, violations, failoverMS, nil
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"unitp/internal/check"
 	"unitp/internal/core"
 	"unitp/internal/faults"
 	"unitp/internal/metrics"
@@ -26,8 +27,8 @@ import (
 //     corruption, mid-stream truncation, a partition window opened
 //     mid-drain, and slowloris throttling while supervised clients
 //     (wire.Client + RetryTransport) drain a fixed workload. The oracle
-//     is exactly-once: every submitted transaction executes exactly
-//     once, balances conserve, and the audit chain verifies — losses
+//     is internal/check: every submitted transaction executes exactly
+//     once, balances reconcile, and the audit chain verifies — losses
 //     and resubmissions must be absorbed by fail-fast supervision,
 //     retry classification, and the provider's idempotence, never by
 //     double execution.
@@ -49,8 +50,9 @@ const f14Workers = 4
 // chaos matrix.
 const f14TxsPerWorker = 25
 
-// f14Initial funds each account; conservation is audited against it.
-const f14Initial = int64(1) << 30
+// f14Accounts is every F14 provider's ledger at start, which the checker
+// reconciles each drain against.
+var f14Accounts = map[string]int64{"payer": 1 << 30, "sink": 1 << 30}
 
 // f14FrameAttempts bounds a worker's resubmissions of one frame across
 // retry-policy runs (each run is itself several attempts with backoff).
@@ -92,8 +94,8 @@ func startF14Server(tag string, tweak func(*wire.ServerConfig)) (*f14Server, err
 		Random:                sim.NewRand(seedFor("f14-provider-"+tag, 0)),
 		ConfirmThresholdCents: 1_000_000, // every drain tx auto-accepts
 	})
-	for _, name := range []string{"payer", "sink"} {
-		if err := p.Ledger().CreateAccount(name, f14Initial); err != nil {
+	for name, cents := range f14Accounts {
+		if err := p.Ledger().CreateAccount(name, cents); err != nil {
 			return nil, err
 		}
 	}
@@ -253,51 +255,6 @@ func f14Drain(addr string, frames [][][]byte, cliReg *obs.Registry, progress *at
 	return accepted, elapsed, nil
 }
 
-// f14Violations audits the provider after a drain: every minted ID
-// executed exactly once (zero lost, zero doubled), nothing executed
-// that was never minted, money conserved, audit chain intact.
-func f14Violations(p *core.Provider, frames [][][]byte) int {
-	want := map[string]bool{}
-	for _, wf := range frames {
-		for _, frame := range wf {
-			if msg, err := core.DecodeMessage(frame); err == nil {
-				if sub, ok := msg.(*core.SubmitTx); ok {
-					want[sub.Tx.ID] = true
-				}
-			}
-		}
-	}
-	violations := 0
-	seen := map[string]int{}
-	for _, tx := range p.Ledger().History() {
-		seen[tx.ID]++
-		if !want[tx.ID] {
-			violations++ // executed a transaction nobody submitted
-		}
-	}
-	for id := range want {
-		switch seen[id] {
-		case 1:
-		case 0:
-			violations++ // lost: accepted by the drain, absent from the ledger
-		default:
-			violations++ // doubled: a resubmission executed twice
-		}
-	}
-	payer, errP := p.Ledger().Balance("payer")
-	sink, errS := p.Ledger().Balance("sink")
-	if errP != nil || errS != nil || payer+sink != 2*f14Initial {
-		violations++ // money created or destroyed
-	}
-	if errP == nil && payer != f14Initial-int64(len(want)) {
-		violations++ // payer debited a different total than was accepted
-	}
-	if core.VerifyAuditChain(p.AuditLog().Entries()) != nil {
-		violations++
-	}
-	return violations
-}
-
 // ---------------------------------------------------------------------
 // F14a: TCP chaos matrix
 // ---------------------------------------------------------------------
@@ -405,7 +362,7 @@ func runF14ChaosCell(seed uint64, k int, c f14ChaosCase, workers, per int) (*f14
 		Stats:      stats,
 		Reconnects: snap.Counters["wire.client.reconnects"],
 		ConnFails:  snap.Counters["wire.client.conn_failures"],
-		Violations: f14Violations(srv.provider, frames),
+		Violations: len(check.Run(submitted(frames), []check.Shard{{Provider: srv.provider, Initial: f14Accounts}}).Violations),
 	}, nil
 }
 
@@ -461,7 +418,8 @@ func runF14OverloadRate(workers, per int) (goodput float64, shed int64, violatio
 		return 0, 0, 0, fmt.Errorf("f14b: accepted %d of %d", accepted, workers*per)
 	}
 	shed = srv.reg.Snapshot().Counters["wire.rate_limited"]
-	return float64(accepted) / elapsed.Seconds(), shed, f14Violations(srv.provider, frames), nil
+	rep := check.Run(submitted(frames), []check.Shard{{Provider: srv.provider, Initial: f14Accounts}})
+	return float64(accepted) / elapsed.Seconds(), shed, len(rep.Violations), nil
 }
 
 // runF14OverloadPool exhausts a 2-connection accept pool, verifies the
@@ -604,8 +562,8 @@ func f14SideBySide(workers, per int) (string, error) {
 		Random:                sim.NewRand(seedFor("f14c-pipe", 0)),
 		ConfirmThresholdCents: 1_000_000,
 	})
-	for _, name := range []string{"payer", "sink"} {
-		if err := p.Ledger().CreateAccount(name, f14Initial); err != nil {
+	for name, cents := range f14Accounts {
+		if err := p.Ledger().CreateAccount(name, cents); err != nil {
 			return "", err
 		}
 	}
@@ -622,8 +580,8 @@ func f14SideBySide(workers, per int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if v := f14Violations(p, pipeFrames); v != 0 {
-		return "", fmt.Errorf("f14c: pipe arm: %d violations", v)
+	if err := check.Run(submitted(pipeFrames), []check.Shard{{Provider: p, Initial: f14Accounts}}).Err(); err != nil {
+		return "", fmt.Errorf("f14c: pipe arm: %w", err)
 	}
 
 	// Arm 2: the same drain over real TCP, all workers pipelining on
@@ -649,8 +607,8 @@ func f14SideBySide(workers, per int) (string, error) {
 	if pushErr != nil {
 		return "", pushErr
 	}
-	if v := f14Violations(srv.provider, tcpFrames); v != 0 {
-		return "", fmt.Errorf("f14c: tcp arm: %d violations", v)
+	if err := check.Run(submitted(tcpFrames), []check.Shard{{Provider: srv.provider, Initial: f14Accounts}}).Err(); err != nil {
+		return "", fmt.Errorf("f14c: tcp arm: %w", err)
 	}
 
 	table := metrics.NewTable(

@@ -12,9 +12,9 @@ package experiments
 //
 // The oracle is post-mortem and on-disk: after every process stops,
 // each shard's final lineage is located through the durable node
-// manifests, its provider restored from its data directory, and the
-// drain audited for exactly-once execution, balance conservation, and
-// audit-chain integrity. Expected shape: zero lost, zero doubled
+// manifests, its provider restored from its data directory, and
+// internal/check audits the drain against the restored providers:
+// exactly-once execution, reconciled balances, audit-chain integrity. Expected shape: zero lost, zero doubled
 // confirmations in every cell; exactly the scripted number of
 // failovers; the partition cell's failover completing *while* the
 // replication link is severed; and the rejoined deposed primary ending
@@ -22,6 +22,7 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"sync/atomic"
 	"time"
 
@@ -57,19 +58,18 @@ type f15Row struct {
 // drains concurrently — so the scripted chaos always lands with traffic
 // both behind and ahead of it, regardless of machine load. after runs
 // once the drain is done but while the fleet is still up (rejoin,
-// re-link waits) and may extend the want-set with extra drained
-// transactions. wantFail -1 means the cell does not script its failover
-// count (the corruption cell: a badly-timed run of corrupted
-// retransmissions may legitimately exhaust the ship retry budget and
-// fail over — the invariant is that state stays exactly-once either
-// way).
+// re-link waits) and may add the transactions it drains to accepted.
+// wantFail -1 means the cell does not script its failover count (the
+// corruption cell: a badly-timed run of corrupted retransmissions may
+// legitimately exhaust the ship retry budget and fail over — the
+// invariant is that state stays exactly-once either way).
 type f15CellSpec struct {
 	name     string
 	cfg      procFleetConfig
 	per      int
 	wantFail int
 	during   func(pf *procFleet) (string, error)
-	after    func(pf *procFleet, want map[string]bool) (string, error)
+	after    func(pf *procFleet, accepted map[string]int64) (string, error)
 }
 
 // f15SplitFrames cuts each worker's frame stream at cut: the head is
@@ -98,19 +98,20 @@ func runF15Cell(spec f15CellSpec) (f15Row, error) {
 	defer pf.destroy()
 	row.procs = spec.cfg.shards*(spec.cfg.followers+1) + 1 // members + router
 
-	frames, want, err := procMint(spec.cfg.tag, pf.homed, spec.per)
+	frames, err := procMint(spec.cfg.tag, pf.homed, spec.per)
 	if err != nil {
 		return row, err
 	}
+	accepted := submitted(frames)
 	row.txs = spec.per * spec.cfg.shards
 
 	var progress atomic.Int64
 	if spec.during == nil {
-		accepted, _, err := f14Drain(pf.routerAddr, frames, obs.NewRegistry(), &progress)
+		drained, _, err := f14Drain(pf.routerAddr, frames, obs.NewRegistry(), &progress)
 		if err != nil {
 			return row, fmt.Errorf("f15 %s: drain: %w", spec.name, pf.bootError(err))
 		}
-		row.accepted = accepted
+		row.accepted = drained
 	} else {
 		// Two-phase drain: settle the first third, then fire the chaos
 		// script while the tail drains concurrently. The script always
@@ -143,7 +144,7 @@ func runF15Cell(spec f15CellSpec) (f15Row, error) {
 	}
 
 	if spec.after != nil {
-		note, aerr := spec.after(pf, want)
+		note, aerr := spec.after(pf, accepted)
 		if aerr != nil {
 			return row, fmt.Errorf("f15 %s: after: %w", spec.name, pf.bootError(aerr))
 		}
@@ -157,7 +158,7 @@ func runF15Cell(spec f15CellSpec) (f15Row, error) {
 
 	row.failovers = pf.failovers()
 	pf.stopAll()
-	violations, err := pf.procAudit(want)
+	violations, err := pf.procAudit(accepted)
 	if err != nil {
 		return row, fmt.Errorf("f15 %s: audit: %w", spec.name, err)
 	}
@@ -183,7 +184,7 @@ func f15PartitionDuring(pf *procFleet) (string, error) {
 
 // f15RelinkAfter waits for the warden to re-adopt the partitioned
 // follower into the new lineage once the link heals.
-func f15RelinkAfter(pf *procFleet, _ map[string]bool) (string, error) {
+func f15RelinkAfter(pf *procFleet, _ map[string]int64) (string, error) {
 	if err := pf.waitFollowerLinked(0, 2, procReadyTimeout); err != nil {
 		return "", err
 	}
@@ -196,7 +197,7 @@ func f15RelinkAfter(pf *procFleet, _ map[string]bool) (string, error) {
 // new lineage, demotes itself to follower, and is re-adopted by the
 // warden — after which a second drain proves the healed fleet still
 // serves with the old primary replicating under the new epoch.
-func f15RejoinAfter(pf *procFleet, want map[string]bool) (string, error) {
+func f15RejoinAfter(pf *procFleet, accepted map[string]int64) (string, error) {
 	deposed := pf.members[0][0]
 	if err := deposed.start(pf.bin); err != nil {
 		return "", err
@@ -210,20 +211,19 @@ func f15RejoinAfter(pf *procFleet, want map[string]bool) (string, error) {
 	if err := pf.waitFollowerLinked(0, 0, procReadyTimeout); err != nil {
 		return "", fmt.Errorf("deposed primary not re-adopted: %w", err)
 	}
-	frames, extra, err := procMint(pf.cfg.tag+"-rejoin", pf.homed, f15RejoinTxs)
+	frames, err := procMint(pf.cfg.tag+"-rejoin", pf.homed, f15RejoinTxs)
 	if err != nil {
 		return "", err
 	}
-	accepted, _, err := f14Drain(pf.routerAddr, frames, obs.NewRegistry(), nil)
+	extra := submitted(frames)
+	drained, _, err := f14Drain(pf.routerAddr, frames, obs.NewRegistry(), nil)
 	if err != nil {
 		return "", fmt.Errorf("post-rejoin drain: %w", err)
 	}
-	if accepted != len(extra) {
-		return "", fmt.Errorf("post-rejoin drain accepted %d of %d", accepted, len(extra))
+	if drained != len(extra) {
+		return "", fmt.Errorf("post-rejoin drain accepted %d of %d", drained, len(extra))
 	}
-	for id := range extra {
-		want[id] = true
-	}
+	maps.Copy(accepted, extra)
 	if err := pf.waitFollowerLinked(0, 0, procReadyTimeout); err != nil {
 		return "", fmt.Errorf("rejoined follower lagging after drain: %w", err)
 	}
@@ -231,7 +231,7 @@ func f15RejoinAfter(pf *procFleet, want map[string]bool) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("rejoined as follower at epoch %d, +%d txs replicated", st.Epoch, accepted), nil
+	return fmt.Sprintf("rejoined as follower at epoch %d, +%d txs replicated", st.Epoch, drained), nil
 }
 
 // f15ProxyNote renders a spliced proxy's fault counters for the table.
@@ -287,7 +287,7 @@ func f15Cells() []f15CellSpec {
 			cfg: procFleetConfig{tag: "slow", shards: 1, followers: 1,
 				chaos: map[[2]int]procChaos{{0, 1}: {throttle: 32 << 10}}},
 			per: f15TxsPerShard,
-			after: func(pf *procFleet, _ map[string]bool) (string, error) {
+			after: func(pf *procFleet, _ map[string]int64) (string, error) {
 				if err := pf.waitAllLinked(0, procReadyTimeout); err != nil {
 					return "", err
 				}
@@ -306,7 +306,7 @@ func f15Cells() []f15CellSpec {
 			cfg: procFleetConfig{tag: "corr", shards: 1, followers: 1,
 				chaos: map[[2]int]procChaos{{0, 1}: {corrupt: 0.02}}},
 			per: f15TxsPerShard, wantFail: -1,
-			after: func(pf *procFleet, _ map[string]bool) (string, error) {
+			after: func(pf *procFleet, _ map[string]int64) (string, error) {
 				if err := pf.waitAllLinked(0, procReadyTimeout); err != nil {
 					return "", err
 				}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"unitp/internal/attest"
+	"unitp/internal/check"
 	"unitp/internal/core"
 	"unitp/internal/cryptoutil"
 	"unitp/internal/metrics"
@@ -66,6 +67,9 @@ var f16Intervals = []int{1, 10, 100}
 
 // f16Schemes is the crypto-profile sweep.
 var f16Schemes = []string{"rsa", "ed25519"}
+
+// f16Accounts is every F16 provider's ledger at start.
+var f16Accounts = map[string]int64{"alice": 1 << 40, "bob": 0}
 
 // f16Fixture holds the expensive, reusable material: one CA, one
 // provider keypair, and one certified synthetic client per scheme. Keys
@@ -148,7 +152,7 @@ func (f *f16Fixture) newF16Provider(schemeName string, interval int) (*core.Prov
 	}
 	p := core.NewProvider(cfg)
 	f.approveF16PALs(p)
-	for acct, cents := range map[string]int64{"alice": 1 << 40, "bob": 0} {
+	for acct, cents := range f16Accounts {
 		if err := p.Ledger().CreateAccount(acct, cents); err != nil {
 			return nil, err
 		}
@@ -172,7 +176,8 @@ type f16Driver struct {
 	sessUsed int
 	nextSID  uint64
 	opens    int
-	requotes int // stale-session refusals that forced a fresh open
+	requotes int              // stale-session refusals that forced a fresh open
+	accepted map[string]int64 // confirmed transaction ID -> amount
 }
 
 // handle round-trips one message through the provider, timing only the
@@ -284,40 +289,31 @@ func (dr *f16Driver) confirmOne(id string) error {
 		return fmt.Errorf("experiments: f16 confirm %s refused: %s", id, out.Reason)
 	}
 	dr.sessUsed++
+	if dr.accepted == nil {
+		dr.accepted = map[string]int64{}
+	}
+	dr.accepted[id] = tx.AmountCents
 	return nil
 }
 
-// verifyF16 audits one finished drive: exactly-once in the ledger,
-// the audit chain replaying end to end, and the per-mode entry counts
-// matching what the drive did.
-func verifyF16(p *core.Provider, txs, opens, interval int) error {
-	history := p.Ledger().History()
-	if len(history) != txs {
-		return fmt.Errorf("experiments: f16 ledger holds %d transfers, drove %d", len(history), txs)
+// verifyF16 audits one finished drive: the checker, replaying the audit
+// log, over what the drive saw accepted, and the replay's per-mode
+// entry counts matching what the drive did.
+func verifyF16(dr *f16Driver) error {
+	rep := check.Run(dr.accepted, []check.Shard{{Provider: dr.p, Initial: f16Accounts}})
+	if err := rep.Err(); err != nil {
+		return fmt.Errorf("experiments: f16: %w", err)
 	}
-	seen := map[string]bool{}
-	for _, tx := range history {
-		if seen[tx.ID] {
-			return fmt.Errorf("experiments: f16 transaction %s applied twice", tx.ID)
-		}
-		seen[tx.ID] = true
-	}
-	if bal, err := p.Ledger().Balance("alice"); err != nil || bal != 1<<40-int64(txs) {
-		return fmt.Errorf("experiments: f16 alice balance %d (err %v), want %d", bal, err, 1<<40-int64(txs))
-	}
-	report, err := core.ReplayAudit(p.AuditLog().Entries(), p.Verifier())
-	if err != nil {
-		return fmt.Errorf("experiments: f16 audit replay: %w", err)
-	}
+	report, txs := rep.Audits[0], len(dr.accepted)
 	wantSessionConfirms := 0
-	if interval > 1 {
+	if dr.interval > 1 {
 		wantSessionConfirms = txs
 	}
-	if report.SessionOpens != opens || report.SessionConfirms != wantSessionConfirms {
+	if report.SessionOpens != dr.opens || report.SessionConfirms != wantSessionConfirms {
 		return fmt.Errorf("experiments: f16 audit records %d opens / %d session confirms, want %d / %d",
-			report.SessionOpens, report.SessionConfirms, opens, wantSessionConfirms)
+			report.SessionOpens, report.SessionConfirms, dr.opens, wantSessionConfirms)
 	}
-	if interval == 1 && report.Reverified != txs {
+	if dr.interval == 1 && report.Reverified != txs {
 		return fmt.Errorf("experiments: f16 audit re-verified %d quote confirms, want %d", report.Reverified, txs)
 	}
 	return nil
@@ -380,7 +376,7 @@ func (f *f16Fixture) runF16Failover() (requotes, opens int, err error) {
 	}
 	p := core.NewProvider(cfg)
 	f.approveF16PALs(p)
-	for acct, cents := range map[string]int64{"alice": 1 << 40, "bob": 0} {
+	for acct, cents := range f16Accounts {
 		if err := p.Ledger().CreateAccount(acct, cents); err != nil {
 			return 0, 0, err
 		}
@@ -424,7 +420,7 @@ func (f *f16Fixture) runF16Failover() (requotes, opens int, err error) {
 	if dr.requotes < 1 {
 		return 0, 0, fmt.Errorf("experiments: f16 failover forced no re-quote (session survived a restart?)")
 	}
-	if err := verifyF16(p2, f16FailTxs, dr.opens, 100); err != nil {
+	if err := verifyF16(dr); err != nil {
 		return 0, 0, err
 	}
 	return dr.requotes, dr.opens, nil
@@ -474,7 +470,7 @@ func RunF16() (*Result, error) {
 	for _, schemeName := range f16Schemes {
 		for _, interval := range f16Intervals {
 			c := cells[schemeName][interval]
-			if err := verifyF16(c.dr.p, c.txs, c.dr.opens, interval); err != nil {
+			if err := verifyF16(c.dr); err != nil {
 				return nil, err
 			}
 			table.AddRow(schemeName, fmt.Sprintf("%d", interval),

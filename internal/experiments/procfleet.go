@@ -24,11 +24,13 @@ import (
 	"syscall"
 	"time"
 
+	"unitp/internal/check"
 	"unitp/internal/core"
 	"unitp/internal/faults"
 	"unitp/internal/fleet"
 	"unitp/internal/sim"
 	"unitp/internal/store"
+	"unitp/internal/workload"
 )
 
 // procReadyTimeout bounds fleet boot (binary spawn through router
@@ -151,25 +153,22 @@ func procHomedAccounts(shards int) ([]string, int) {
 // transactions from its shard-homed account into the sink, so every
 // shard sees a single sequential commit stream and the -kill-*-ship
 // offsets are deterministic.
-func procMint(tag string, homed []string, per int) ([][][]byte, map[string]bool, error) {
+func procMint(tag string, homed []string, per int) ([][][]byte, error) {
 	frames := make([][][]byte, 0, len(homed))
-	want := map[string]bool{}
 	for w, from := range homed {
 		wf := make([][]byte, 0, per)
 		for k := 0; k < per; k++ {
-			id := fmt.Sprintf("f15-%s-w%d-%d", tag, w, k)
 			frame, err := core.EncodeMessage(&core.SubmitTx{Tx: &core.Transaction{
-				ID: id, From: from, To: "sink", AmountCents: 1, Currency: "EUR",
+				ID: fmt.Sprintf("f15-%s-w%d-%d", tag, w, k), From: from, To: "sink", AmountCents: 1, Currency: "EUR",
 			}})
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			wf = append(wf, frame)
-			want[id] = true
 		}
 		frames = append(frames, wf)
 	}
-	return frames, want, nil
+	return frames, nil
 }
 
 // startProcFleet boots the cell: followers first (their listeners must
@@ -626,19 +625,17 @@ func (pf *procFleet) bootError(err error) error {
 // procAudit is the post-mortem oracle. With every process stopped, it
 // reads each member's durable node manifest to find the shard's final
 // lineage (the primary role at the highest epoch), restores that
-// member's provider from its data directory, and audits: every drained
-// transaction ID executed exactly once fleet-wide, nothing executed
-// that was never submitted, per-shard balance conservation, and the
-// audit hash chain verifying end to end.
-func (pf *procFleet) procAudit(want map[string]bool) (int, error) {
-	violations := 0
-	accounts := []string{"sink", "alice", "bob", "mallory"}
-	for i := 0; i < pf.seedN; i++ {
-		accounts = append(accounts, fmt.Sprintf("acct-%05d", i))
-	}
-	expectSum := int64(pf.seedN)*(1<<40) + 1_000_000 // workload accounts + alice
-
-	seen := map[string]int{}
+// member's provider from its data directory, and runs the checker over
+// the restored providers against the drained acceptances. Every shard
+// opens with the ledger the tpserver node roles seed.
+func (pf *procFleet) procAudit(accepted map[string]int64) (int, error) {
+	initial := workload.NodeAccounts(pf.seedN)
+	var shards []check.Shard
+	defer func() {
+		for _, sh := range shards {
+			sh.Provider.Store().Close()
+		}
+	}()
 	for s, shardMembers := range pf.members {
 		winner := -1
 		var winEpoch uint64
@@ -674,41 +671,12 @@ func (pf *procFleet) procAudit(want map[string]bool) (int, error) {
 			Epoch:                 winEpoch + 1,
 		}, st)
 		if err != nil {
+			st.Close()
 			return 0, fmt.Errorf("procfleet: shard %d post-mortem restore: %w", s, err)
 		}
-		for _, tx := range p.Ledger().History() {
-			seen[tx.ID]++
-			if !want[tx.ID] {
-				violations++ // executed a transaction nobody submitted
-			}
-		}
-		var sum int64
-		for _, name := range accounts {
-			bal, err := p.Ledger().Balance(name)
-			if err != nil {
-				violations++
-				continue
-			}
-			sum += bal
-		}
-		if sum != expectSum {
-			violations++ // money created or destroyed
-		}
-		if core.VerifyAuditChain(p.AuditLog().Entries()) != nil {
-			violations++
-		}
-		p.Store().Close()
+		shards = append(shards, check.Shard{Provider: p, Initial: initial})
 	}
-	for id := range want {
-		switch seen[id] {
-		case 1:
-		case 0:
-			violations++ // lost
-		default:
-			violations++ // doubled
-		}
-	}
-	return violations, nil
+	return len(check.Run(accepted, shards).Violations), nil
 }
 
 // procFreeAddr grabs an ephemeral localhost port and releases it for

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -422,6 +423,71 @@ func TestFollowerUnbootstrappedAndRetired(t *testing.T) {
 		return nil, nil
 	}); err == nil {
 		t.Fatal("promoted a retired follower twice")
+	}
+}
+
+// A follower whose newest snapshot rotted has nothing store.Open may
+// fall back to, but a bootstrap replaces its state whole: it must
+// re-seed the follower, and leave files outside the store alone.
+func TestFollowerRebootstrapsOverDamagedStore(t *testing.T) {
+	b := store.NewMemBackend()
+	f := NewFollower(0, 0, b)
+	bootFollower(t, f, 1, 0)
+	ack := mustAck(t, f, encodeAppend(appendFrame{Epoch: 1, From: 0, Groups: [][]byte{[]byte("g1")}}))
+	if ack.Status != ackOK || ack.Applied != 1 {
+		t.Fatalf("append ack = %+v", ack)
+	}
+	write := func(name string, data []byte) {
+		t.Helper()
+		w, err := b.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+	}
+	write(nodeManifestName, []byte("manifest"))
+	names, err := b.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if strings.HasPrefix(name, "snap-") {
+			data, err := b.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)-1] ^= 0xFF
+			write(name, data)
+		}
+	}
+	if _, err := store.Open(b); !errors.Is(err, store.ErrNoFallback) {
+		t.Fatalf("damaged store opened: %v", err)
+	}
+
+	ack = mustAck(t, f, encodeBootstrap(bootstrapFrame{
+		Epoch: 2, UpTo: 5, Gen: 3, State: []byte("fresh"), Records: [][]byte{[]byte("r5")},
+	}))
+	if ack.Status != ackOK || ack.Applied != 5 || ack.Epoch != 2 {
+		t.Fatalf("re-bootstrap ack = %+v", ack)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs := st.Records(); string(st.Snapshot()) != "fresh" || len(recs) != 1 || string(recs[0]) != "r5" {
+		t.Fatalf("re-seeded store holds %q + %q", st.Snapshot(), recs)
+	}
+	if data, err := b.ReadFile(nodeManifestName); err != nil || string(data) != "manifest" {
+		t.Fatalf("bootstrap touched the manifest: %q, %v", data, err)
 	}
 }
 

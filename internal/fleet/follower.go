@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -109,6 +110,13 @@ func (f *Follower) applyBootstrap(boot *bootstrapFrame) ([]byte, error) {
 		f.st = nil
 	}
 	st, err := store.Open(f.backend)
+	if errors.Is(err, store.ErrNoFallback) {
+		// Nothing on disk is worth recovering: the bootstrap replaces
+		// it whole. Only a restore must refuse a damaged store.
+		if err = store.Discard(f.backend); err == nil {
+			st, err = store.Open(f.backend)
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("fleet: follower bootstrap: %w", err)
 	}

@@ -106,7 +106,8 @@ func TestDeltaNeedsBase(t *testing.T) {
 
 // TestDeltaRefusedWithoutItsBase checks Open refuses a delta whose base
 // is missing, is another file than the one it names (a different CRC),
-// or is itself a delta.
+// or is itself a delta, and, with no older generation that still holds
+// its WAL, refuses to open at all and deletes nothing.
 func TestDeltaRefusedWithoutItsBase(t *testing.T) {
 	forge := func(t *testing.T, b *MemBackend, gen uint64, enc []byte) {
 		t.Helper()
@@ -155,15 +156,26 @@ func TestDeltaRefusedWithoutItsBase(t *testing.T) {
 			appendSynced(t, s, "r2")
 			s.Close()
 			damage(t, b)
-			// A refused delta falls back to an older generation, as any
-			// invalid snapshot does: here a base whose WAL is gone, or
-			// nothing.
-			r := reopen(t, b)
-			if r.Delta() != nil || bytes.Equal(r.Snapshot(), []byte("d2")) {
-				t.Fatalf("recovered %s from a delta without its base", recovered(r))
+			if _, err := b.Create(snapName(3) + tmpSuffix); err != nil { // stray, as a crash leaves one
+				t.Fatal(err)
 			}
-			if r.Stats().SkippedSnapshots == 0 {
-				t.Fatal("refused delta not counted as skipped")
+			before, err := b.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The only fallbacks past the refused delta are a base whose
+			// WAL is gone, or nothing: both would silently drop r2, so
+			// Open refuses and leaves every file in place.
+			r, err := Open(b)
+			if !errors.Is(err, ErrNoFallback) {
+				t.Fatalf("Open = %v, %v; want ErrNoFallback", r, err)
+			}
+			after, err := b.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(before, after) {
+				t.Fatalf("refused Open changed the files: %v -> %v", before, after)
 			}
 		})
 	}

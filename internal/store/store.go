@@ -25,7 +25,7 @@ import (
 // generation only, unless that is its base. Recovery scans for the
 // highest-numbered valid snapshot — a delta is valid only with its base
 // present and matching — and replays its WAL; stray *.tmp files and
-// every other generation are deleted.
+// every other generation are deleted (see Open for when it refuses).
 
 const (
 	snapPrefix = "snap-"
@@ -56,6 +56,10 @@ func parseGen(name, prefix, suffix string) (uint64, bool) {
 // WriteSnapshot: a store only becomes writable once it has a snapshot
 // to anchor the WAL's generation.
 var ErrNoSnapshot = errors.New("store: no snapshot written yet")
+
+// ErrNoFallback is returned by Open when the newest snapshot is invalid
+// and no older generation can stand in for it without losing records.
+var ErrNoFallback = errors.New("store: no safe fallback generation")
 
 // ErrDeltaSegment is returned by ReadSegment when the current
 // generation's snapshot is a delta: a segment ships a full state.
@@ -150,6 +154,9 @@ func (s *Store) LastSnapshotTime() time.Time {
 // with its base), and loads the valid prefix of its WAL. On a virgin
 // backend Snapshot() returns nil and the caller bootstraps with
 // WriteSnapshot. Stray temp files and stale generations are removed.
+// An invalid newest snapshot falls back to an older generation only
+// when that generation's WAL is present and no newer WAL exists;
+// otherwise Open fails with ErrNoFallback and removes nothing.
 func Open(b Backend) (*Store, error) {
 	names, err := b.List()
 	if err != nil {
@@ -160,19 +167,20 @@ func Open(b Backend) (*Store, error) {
 
 	// Collect candidate snapshots, newest generation first.
 	var snapGens []uint64
+	var tmps []string
 	walGens := make(map[uint64]bool)
+	var newestWAL uint64
 	for _, name := range names {
 		if strings.HasSuffix(name, tmpSuffix) {
-			// Leftover from a crash mid-snapshot: never valid, delete.
-			if err := b.Remove(name); err != nil {
-				return nil, fmt.Errorf("store: open: remove %s: %w", name, err)
-			}
+			// Leftover from a crash mid-snapshot: never valid.
+			tmps = append(tmps, name)
 			continue
 		}
 		if gen, ok := parseGen(name, snapPrefix, snapSuffix); ok {
 			snapGens = append(snapGens, gen)
 		} else if gen, ok := parseGen(name, walPrefix, walSuffix); ok {
 			walGens[gen] = true
+			newestWAL = max(newestWAL, gen)
 		}
 	}
 	sort.Slice(snapGens, func(i, j int) bool { return snapGens[i] > snapGens[j] })
@@ -205,6 +213,18 @@ func Open(b Backend) (*Store, error) {
 		s.gen, s.base, s.baseCRC, s.snapshot, s.delta = gen, env.base, baseCRC, base, state
 		chosen = true
 		break
+	}
+
+	// A rotation removes its predecessor's WAL, so an older generation
+	// without its WAL, or with a newer WAL beside it, or no generation
+	// at all, would silently lose records: refuse and keep every file.
+	if s.stats.SkippedSnapshots > 0 && (!chosen || !walGens[s.gen] || newestWAL > s.gen) {
+		return nil, fmt.Errorf("store: open: snapshot %d is invalid: %w", snapGens[0], ErrNoFallback)
+	}
+	for _, name := range tmps {
+		if err := b.Remove(name); err != nil {
+			return nil, fmt.Errorf("store: open: remove %s: %w", name, err)
+		}
 	}
 
 	if chosen {
@@ -243,6 +263,29 @@ func Open(b Backend) (*Store, error) {
 	}
 
 	return s, nil
+}
+
+// Discard removes every snapshot, WAL and snapshot temp file from b,
+// for a caller about to write a whole new state that needs nothing Open
+// would recover (a follower re-seeded by its primary). Files outside
+// the store's naming scheme are left alone.
+func Discard(b Backend) error {
+	names, err := b.List()
+	if err != nil {
+		return fmt.Errorf("store: discard: %w", err)
+	}
+	for _, name := range names {
+		_, snap := parseGen(name, snapPrefix, snapSuffix)
+		_, tmp := parseGen(name, snapPrefix, snapSuffix+tmpSuffix)
+		_, wal := parseGen(name, walPrefix, walSuffix)
+		if !snap && !tmp && !wal {
+			continue
+		}
+		if err := b.Remove(name); err != nil {
+			return fmt.Errorf("store: discard: %w", err)
+		}
+	}
+	return nil
 }
 
 // readSnapshot reads and validates generation gen's snapshot. A missing

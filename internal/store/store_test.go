@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"testing"
 )
 
@@ -398,6 +399,63 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 			t.Fatalf("corrupt snapshot not removed: %v", names)
 		}
 	}
+}
+
+// TestCorruptSnapshotRefusedWithNewerWAL leaves the files a crash
+// between creating generation 2's WAL and removing generation 1's
+// leaves, then damages snapshot 2: falling back to generation 1 would
+// delete wal-2 and the records in it, so Open must refuse and keep
+// every file.
+func TestCorruptSnapshotRefusedWithNewerWAL(t *testing.T) {
+	b := NewMemBackend()
+	s := openFresh(t, b, []byte("good"))
+	appendSynced(t, s, "tail")
+	s.Close()
+
+	for name, data := range map[string][]byte{
+		snapName(2): encodeSnapshot(2, []byte("next")),
+		walName(2):  mustFrame(t, "after"),
+	} {
+		if name == snapName(2) {
+			data[len(data)-1] ^= 0xFF
+		}
+		f, err := b.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	before, err := b.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(b)
+	if !errors.Is(err, ErrNoFallback) {
+		t.Fatalf("Open = %v, %v; want ErrNoFallback", r, err)
+	}
+	after, err := b.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(before, after) {
+		t.Fatalf("refused Open changed the files: %v -> %v", before, after)
+	}
+}
+
+// mustFrame frames one WAL record.
+func mustFrame(t *testing.T, rec string) []byte {
+	t.Helper()
+	data, err := appendFrame(nil, []byte(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestDirBackendRoundTrip runs the same write/recover cycle over a real

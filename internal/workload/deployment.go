@@ -46,8 +46,7 @@ type DeploymentConfig struct {
 	// NonceTTL bounds challenge freshness (default 5 min).
 	NonceTTL time.Duration
 
-	// Accounts seeds the provider ledger; nil gets a default
-	// alice/bob/mallory set.
+	// Accounts seeds the provider ledger; nil gets DefaultAccounts.
 	Accounts map[string]int64
 
 	// Credentials seeds username/PIN pairs for the login flow; nil
@@ -102,6 +101,27 @@ type DeploymentConfig struct {
 
 // DefaultPIN is the PIN enrolled for alice in default deployments.
 const DefaultPIN = "2468"
+
+// DefaultAccounts returns the ledger a deployment opens with when its
+// config names none: alice funded, bob and mallory empty.
+func DefaultAccounts() map[string]int64 {
+	return map[string]int64{"alice": 1_000_000, "bob": 0, "mallory": 0}
+}
+
+// NodeAccounts returns the ledger a tpserver node opens with: the
+// default accounts, plus, for n > 0, n workload accounts (acct-00000..)
+// holding 1<<40 cents each and their empty drain sink.
+func NodeAccounts(n int) map[string]int64 {
+	accounts := DefaultAccounts()
+	if n <= 0 {
+		return accounts
+	}
+	accounts["sink"] = 0
+	for i := 0; i < n; i++ {
+		accounts[fmt.Sprintf("acct-%05d", i)] = 1 << 40
+	}
+	return accounts
+}
 
 // Deployment is one complete simulated system: a client machine with OS
 // and PAL manager, the privacy CA, the service provider, and the network
@@ -231,7 +251,7 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 
 	accounts := cfg.Accounts
 	if accounts == nil {
-		accounts = map[string]int64{"alice": 1_000_000, "bob": 0, "mallory": 0}
+		accounts = DefaultAccounts()
 	}
 	for name, cents := range accounts {
 		if err := provider.Ledger().CreateAccount(name, cents); err != nil {

@@ -150,7 +150,7 @@ func NewFleet(cfg FleetConfig) (*FleetDeployment, error) {
 
 	accounts := cfg.Accounts
 	if accounts == nil {
-		accounts = map[string]int64{"alice": 1_000_000, "bob": 0, "mallory": 0}
+		accounts = DefaultAccounts()
 	}
 	creds := cfg.Credentials
 	if creds == nil {
