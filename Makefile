@@ -40,19 +40,21 @@ bench-crypto:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x ./...
 
-# chaos-smoke is the truncated chaos gate: the F13 kill-a-shard sweep
-# (every kill-phase cell plus a primary killed under concurrent load),
-# the F14 TCP chaos matrix (resets, corruption, truncation, partition,
-# slowloris, and overload shedding over real sockets), and the F15
-# multi-process cell (router + one shard primary + follower as real
-# child processes, one SIGKILL failover mid-drain, exactly-once audited
-# from the survivors' data directories), failing on any lost or doubled
-# transaction, broken audit chain, or unexpected failover count. Every
-# cell is audited by internal/check, whose tests run first: a checker
-# that stops catching its seeded faults fails the gate too.
+# chaos-smoke is the truncated chaos gate: F10b's heaviest crash-storm
+# cell (crash rate 0.05, a snapshot rotation after every commit), the
+# F13 kill-a-shard sweep (every kill-phase cell plus a primary killed
+# under concurrent load), the F14 TCP chaos matrix (resets, corruption,
+# truncation, partition, slowloris, and overload shedding over real
+# sockets), and the F15 multi-process cell (router + one shard primary
+# + follower as real child processes, one SIGKILL failover mid-drain,
+# exactly-once audited from the survivors' data directories), failing
+# on any lost or doubled transaction, broken audit chain, or unexpected
+# failover count. Every cell is audited by internal/check, whose tests
+# run first: a checker that stops catching its seeded faults fails the
+# gate too.
 chaos-smoke:
 	$(GO) test ./internal/check -count=1 -v
-	$(GO) test ./internal/experiments -run 'TestF13ChaosSmoke|TestF13MatrixCells|TestF13KillUnderLoadExactlyOnce|TestF14ChaosSmoke|TestF14ChaosCellsExactlyOnce|TestF15ProcSmoke' -count=1 -v
+	$(GO) test ./internal/experiments -run 'TestF10StormCellCompletes|TestF13ChaosSmoke|TestF13MatrixCells|TestF13KillUnderLoadExactlyOnce|TestF14ChaosSmoke|TestF14ChaosCellsExactlyOnce|TestF15ProcSmoke' -count=1 -v
 
 # results regenerates every table/figure into results/.
 results:

@@ -3,13 +3,15 @@
 // on-disk store so every commit pays a true fsync. These are the
 // testing.B counterpart of experiment F12 — the pipeline arm amortizes
 // syncs across in-flight requests via group commit, the single-lock arm
-// pays one per request — reported as ns/op plus an avg reqs/commit
-// metric showing the batching the drain achieved.
+// takes one caller-side lock around Handle and so pays one sync per
+// request — reported as ns/op plus an avg reqs/commit metric showing
+// the batching the drain achieved.
 package unitp_test
 
 import (
 	"fmt"
 	"os"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -24,7 +26,7 @@ import (
 // newParallelBenchProvider builds a provider over a fresh on-disk store
 // plus a synthetic platform to mint evidence (1024-bit keys: cheap
 // client, full provider-side verification).
-func newParallelBenchProvider(b *testing.B, serialize bool) (*core.Provider, *workload.SyntheticClient, func()) {
+func newParallelBenchProvider(b *testing.B) (*core.Provider, *workload.SyntheticClient, func()) {
 	b.Helper()
 	caKey, err := cryptoutil.PooledKey(3201)
 	if err != nil {
@@ -52,11 +54,10 @@ func newParallelBenchProvider(b *testing.B, serialize bool) (*core.Provider, *wo
 		b.Fatal(err)
 	}
 	p := core.NewProvider(core.ProviderConfig{
-		Name:              "bench",
-		CAPub:             ca.PublicKey(),
-		Clock:             sim.WallClock{},
-		Random:            sim.NewRand(0xBE3),
-		SerializeRequests: serialize,
+		Name:   "bench",
+		CAPub:  ca.PublicKey(),
+		Clock:  sim.WallClock{},
+		Random: sim.NewRand(0xBE3),
 	})
 	p.Verifier().ApprovePAL(core.ConfirmPALName, palMeas)
 	if err := p.Ledger().CreateAccount("alice", 1<<40); err != nil {
@@ -116,21 +117,31 @@ func mintParallelConfirms(b *testing.B, p *core.Provider, client *workload.Synth
 
 // benchQuoteConfirmParallel drains b.N pre-minted confirmations through
 // Handle from 8 concurrent goroutines (RunParallel distributes exactly
-// b.N iterations across them).
-func benchQuoteConfirmParallel(b *testing.B, serialize bool) {
-	p, client, cleanup := newParallelBenchProvider(b, serialize)
+// b.N iterations across them); serial makes them take turns on one
+// mutex around Handle.
+func benchQuoteConfirmParallel(b *testing.B, serial bool) {
+	p, client, cleanup := newParallelBenchProvider(b)
 	defer cleanup()
 	frames := mintParallelConfirms(b, p, client, b.N)
 	// Minting runs through Handle too; diff the batch distribution so
 	// the reported metric covers only the measured drain.
 	before := p.CommitBatchSizes()
-	var next atomic.Int64
+	var (
+		next atomic.Int64
+		turn sync.Mutex
+	)
 	b.SetParallelism(8) // 8 goroutines even at GOMAXPROCS=1
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			i := int(next.Add(1)) - 1
+			if serial {
+				turn.Lock()
+			}
 			resp, err := p.Handle(frames[i])
+			if serial {
+				turn.Unlock()
+			}
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -162,7 +173,7 @@ func BenchmarkQuoteConfirmParallelPipeline(b *testing.B) {
 }
 
 // BenchmarkQuoteConfirmParallelSingleLock is the serialized baseline:
-// one lock and one fsync per request.
+// one caller-side lock around Handle, so one fsync per request.
 func BenchmarkQuoteConfirmParallelSingleLock(b *testing.B) {
 	benchQuoteConfirmParallel(b, true)
 }

@@ -414,7 +414,7 @@ func buildFleetEngine(p fleetParams) (engine, error) {
 		}
 		handles = append(handles, h)
 	}
-	router := fleet.NewRouter(handles, 0, p.registry)
+	router := fleet.NewRouter(handles, p.registry)
 	p.logger.Info("fleet assembled", "shards", p.shards, "followers_per_shard", p.followers)
 
 	return engine{

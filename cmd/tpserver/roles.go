@@ -240,7 +240,7 @@ func runRouter(p roleParams) error {
 		}
 		handles[i] = h
 	}
-	router := fleet.NewRouter(handles, 0, registry)
+	router := fleet.NewRouter(handles, registry)
 	warden := fleet.NewWarden(handles, p.healthEvery, p.logger)
 	warden.Start()
 	p.logger.Info("fleet router assembled", "shards", len(specs), "health_every", p.healthEvery.String())

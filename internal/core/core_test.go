@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/rsa"
 	"strings"
 	"testing"
 	"time"
@@ -24,14 +25,21 @@ type rig struct {
 	ca       *attest.PrivacyCA
 	provider *Provider
 	client   *Client
+	// handle serves the client's requests; newRig points it at
+	// provider.Handle, and a test may swap it before the first request.
+	handle netsim.Handler
 }
+
+// rigSeed seeds every rig, so providers built by newRigProvider are
+// byte-for-byte twins of a rig's own.
+const rigSeed = 0xC0DE
 
 // newRig wires a full deployment: machine with ideal TPM, OS, CA
 // enrollment, provider approving the protocol PALs, in-memory transport.
 func newRig(t testing.TB, prot *platform.Protections) *rig {
 	t.Helper()
 	clock := sim.NewVirtualClock()
-	rng := sim.NewRand(0xC0DE)
+	rng := sim.NewRand(rigSeed)
 
 	machine, err := platform.New(platform.Config{
 		Clock:       clock,
@@ -61,16 +69,43 @@ func newRig(t testing.TB, prot *platform.Protections) *rig {
 		t.Fatal(err)
 	}
 
+	r := &rig{clock: clock, machine: machine, os: osys, manager: manager, ca: ca}
+	r.provider = newRigProvider(t, clock, ca.PublicKey())
+	r.handle = r.provider.Handle
+	pipe := netsim.NewPipe(netsim.Config{
+		Clock:  clock,
+		Random: rng.Fork("net"),
+		Link:   netsim.LinkBroadband(),
+	}, func(req []byte) ([]byte, error) { return r.handle(req) })
+
+	r.client, err = NewClient(ClientConfig{
+		Manager:   manager,
+		OS:        osys,
+		Transport: pipe,
+		AIK:       aik,
+		Cert:      cert,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// newRigProvider builds a rig's provider: approving the protocol PALs,
+// alice enrolled (PIN 2468) and funded, bob and mallory at zero. Two
+// calls with the same clock and CA build identical providers.
+func newRigProvider(t testing.TB, clock sim.Clock, caPub *rsa.PublicKey) *Provider {
+	t.Helper()
 	provKey, err := cryptoutil.PooledKey(3001)
 	if err != nil {
 		t.Fatal(err)
 	}
 	provider := NewProvider(ProviderConfig{
 		Name:   "test-bank",
-		CAPub:  ca.PublicKey(),
+		CAPub:  caPub,
 		Key:    provKey,
 		Clock:  clock,
-		Random: rng.Fork("provider"),
+		Random: sim.NewRand(rigSeed).Fork("provider"),
 	})
 	provider.Verifier().ApprovePAL(ConfirmPALName, cryptoutil.SHA1(ConfirmPALImage()))
 	provider.Verifier().ApprovePAL(PresencePALName, cryptoutil.SHA1(PresencePALImage()))
@@ -91,27 +126,7 @@ func newRig(t testing.TB, prot *platform.Protections) *rig {
 	if err := provider.Ledger().CreateAccount("mallory", 0); err != nil {
 		t.Fatal(err)
 	}
-
-	pipe := netsim.NewPipe(netsim.Config{
-		Clock:  clock,
-		Random: rng.Fork("net"),
-		Link:   netsim.LinkBroadband(),
-	}, provider.Handle)
-
-	client, err := NewClient(ClientConfig{
-		Manager:   manager,
-		OS:        osys,
-		Transport: pipe,
-		AIK:       aik,
-		Cert:      cert,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &rig{
-		clock: clock, machine: machine, os: osys, manager: manager,
-		ca: ca, provider: provider, client: client,
-	}
+	return provider
 }
 
 // pressOnce arms the input pump to press one key after a human reaction

@@ -364,10 +364,9 @@ func (p *Provider) commitLoop() {
 		// rotation failure is their failure: the snapshot then lands at
 		// a deterministic point in the request stream (the commit that
 		// crossed the cadence, which also carries a mid-snapshot crash
-		// back to its session), exactly as in the serialized engine —
-		// not whenever the loop next happens to go quiet. Generation
-		// boundaries and crash cascades must not depend on goroutine
-		// scheduling.
+		// back to its session), not whenever the loop next happens to
+		// go quiet. Generation boundaries and crash cascades must not
+		// depend on goroutine scheduling.
 		for _, r := range batch {
 			r.done <- err
 		}
@@ -438,27 +437,6 @@ func (p *Provider) commitBatch(batch []*commitReq) error {
 	// The batch-size distribution rides the duration-valued histogram:
 	// one sample per group commit, size n recorded as n microseconds.
 	p.ins.commitBatchSize.Record(time.Duration(len(batch)) * time.Microsecond)
-	return nil
-}
-
-// commitSerial is the baseline engine's commit: one group, appended and
-// synced inline while the caller holds stateMu (the committer queue is
-// never used in serialize mode, so it is trivially idle for the
-// snapshot rotation).
-func (p *Provider) commitSerial(j *journal) error {
-	req := &commitReq{group: j.group()}
-	if err := p.commitBatch([]*commitReq{req}); err != nil {
-		return err
-	}
-	c := &p.commit
-	c.mu.Lock()
-	c.sinceSnap++
-	c.batchSizes[1]++
-	due := p.snapEvery > 0 && c.sinceSnap >= p.snapEvery
-	c.mu.Unlock()
-	if due {
-		return p.snapshotIdle(false)
-	}
 	return nil
 }
 
@@ -1302,10 +1280,6 @@ func (p *Provider) mutateDurable(fn func(j *journal) error) error {
 	if j.n == 0 {
 		p.stateMu.Unlock()
 		return nil
-	}
-	if p.serialize {
-		defer p.stateMu.Unlock()
-		return p.commitSerial(j)
 	}
 	req := p.enqueueGroup(j)
 	p.stateMu.Unlock()

@@ -28,9 +28,10 @@ import (
 //     re-attributed where the inline check would have failed.
 //
 // A nil pre-struct always means "not pre-verified": the outcome
-// functions fall back to the identical inline computation, so the
-// serialized baseline engine (ProviderConfig.SerializeRequests) and any
-// race between peek and take degrade to today's behavior.
+// functions fall back to the identical inline computation, so a race
+// between peek and take (or a proof the stage skipped) degrades to
+// inline verification. TestInlineVerifyMatchesPreVerified pins the two
+// routes to the same responses, stats and audit entries.
 
 // preVerified carries the per-flow pre-computed verification for one
 // request. At most one field is non-nil.

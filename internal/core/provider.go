@@ -173,11 +173,6 @@ type ProviderConfig struct {
 	// transaction does.
 	ConfirmThresholdCents int64
 
-	// Captcha is the degraded-path challenge service. When nil, one is
-	// created from Random — set it only to share a service with a
-	// baseline experiment.
-	Captcha *captcha.Service
-
 	// SnapshotEvery rotates the durability snapshot after this many WAL
 	// group commits (0 = only on AttachStore/SnapshotNow). Irrelevant
 	// until a store is attached.
@@ -189,10 +184,10 @@ type ProviderConfig struct {
 	// Zero is a valid epoch for standalone providers.
 	Epoch uint64
 
-	// Scheme selects the quote-signature crypto profile (nil = the
+	// Scheme selects the quote-signature crypto profile the verifier
+	// checks every quote signature with, once, inline (nil = the
 	// paper-faithful RSA/SHA-1 profile, byte-identical to the
-	// pre-scheme code path). Batch-capable schemes additionally get a
-	// cohort signature batcher installed on the verifier.
+	// pre-scheme code path).
 	Scheme cryptoutil.Scheme
 
 	// SessionMaxTx caps how many transactions one attested session may
@@ -202,12 +197,6 @@ type ProviderConfig struct {
 	// SessionMaxAge caps an attested session's lifetime before a full
 	// re-quote is forced (0 = default 10 min).
 	SessionMaxAge time.Duration
-
-	// SerializeRequests restores the pre-pipeline engine: one global
-	// lock across decode, verification, the state transition, AND a
-	// per-request WAL sync. It exists as the baseline arm of the F12
-	// throughput experiment and for A/B debugging; leave it false.
-	SerializeRequests bool
 
 	// Metrics, when non-nil, receives live outcome, replay-cache, and
 	// in-flight instrumentation.
@@ -258,7 +247,6 @@ type Provider struct {
 	ttl       time.Duration
 	gcTick    atomic.Int64
 	gcLast    atomic.Int64 // clock time (UnixNano) the last opportunistic sweep started
-	serialize bool
 
 	// Attested sessions (see session.go). sessMu guards the table; the
 	// table is deliberately NOT journaled, so restarts and failovers
@@ -396,10 +384,6 @@ func NewProvider(cfg ProviderConfig) *Provider {
 	if ttl == 0 {
 		ttl = 5 * time.Minute
 	}
-	svc := cfg.Captcha
-	if svc == nil {
-		svc = captcha.NewService(rng.Fork("captcha"))
-	}
 	p := &Provider{
 		name:      cfg.Name,
 		verifier:  attest.NewVerifier(cfg.CAPub),
@@ -413,13 +397,12 @@ func NewProvider(cfg ProviderConfig) *Provider {
 		presence:  make(map[string]bool),
 		creds:     make(map[string][32]byte),
 		platforms: make(map[string]string),
-		captcha:   svc,
+		captcha:   captcha.NewService(rng.Fork("captcha")),
 		counters:  metrics.NewCounterSet(),
 		obsReg:    cfg.Metrics,
 		tracer:    cfg.Tracer,
 		thresh:    cfg.ConfirmThresholdCents,
 		ttl:       ttl,
-		serialize: cfg.SerializeRequests,
 		snapEvery: cfg.SnapshotEvery,
 		epoch:     cfg.Epoch,
 	}
@@ -739,10 +722,6 @@ func (p *Provider) Handle(req []byte) ([]byte, error) {
 		// ledger and audit chain.
 		return p.dispatch(msg, p.preVerify(msg, tr), nil, tr)
 	}
-	if p.serialize {
-		return p.handleSerialized(msg, tr)
-	}
-
 	// Pipelined durable path. Stage 1: all crypto, outside every lock.
 	// The arriving count tells a commit leader this request is on its
 	// way to the queue, so the leader holds the sync open for it.
@@ -775,32 +754,6 @@ func (p *Provider) Handle(req []byte) ([]byte, error) {
 	wsp.End()
 	if cerr != nil {
 		return nil, cerr
-	}
-	return resp, nil
-}
-
-// handleSerialized is the single-lock baseline engine: decode already
-// happened, but verification, the state transition, and a per-request
-// append+sync all run under stateMu — the pre-pipeline behavior, kept
-// as the F12 comparison arm.
-func (p *Provider) handleSerialized(msg any, tr *obs.SessionTrace) ([]byte, error) {
-	p.stateMu.Lock()
-	defer p.stateMu.Unlock()
-	if p.isDead() {
-		return nil, store.ErrCrashed
-	}
-	j := &journal{}
-	resp, err := p.dispatch(msg, nil, j, tr)
-	if err != nil {
-		return nil, err
-	}
-	if j.n > 0 {
-		wsp := tr.StartSpan("provider.wal_commit")
-		cerr := p.commitSerial(j)
-		wsp.End()
-		if cerr != nil {
-			return nil, cerr
-		}
 	}
 	return resp, nil
 }

@@ -23,6 +23,10 @@ import (
 // failed and the degradation threshold was not yet reached.
 var ErrTrustedPathDown = errors.New("core: trusted path unavailable")
 
+// fallbackAttempts bounds CAPTCHA rounds on the degraded path (the
+// modelled human fails ~10% of challenges).
+const fallbackAttempts = 3
+
 // RecoveryConfig tunes session-level retries and graceful degradation.
 type RecoveryConfig struct {
 	// MaxSessionAttempts bounds full submit→challenge→confirm attempts
@@ -33,10 +37,6 @@ type RecoveryConfig struct {
 	// the client falls back to the CAPTCHA gate (default 3). The streak
 	// persists across SubmitResilient calls and resets on any success.
 	DegradeAfter int
-
-	// FallbackAttempts bounds CAPTCHA rounds on the degraded path
-	// (default 3; the modelled human fails ~10% of challenges).
-	FallbackAttempts int
 
 	// Solver models who answers the fallback CAPTCHA (default
 	// captcha.HumanSolver).
@@ -54,9 +54,6 @@ func (rc RecoveryConfig) withDefaults() RecoveryConfig {
 	}
 	if rc.DegradeAfter <= 0 {
 		rc.DegradeAfter = 3
-	}
-	if rc.FallbackAttempts <= 0 {
-		rc.FallbackAttempts = 3
 	}
 	if rc.Solver.Name == "" {
 		rc.Solver = captcha.HumanSolver()
@@ -185,7 +182,7 @@ func (c *Client) fallbackSubmit(tx *Transaction, rc RecoveryConfig, reason strin
 	defer c.endSession(tr, owner)
 	clock := c.manager.Machine().Clock()
 	var last *Outcome
-	for try := 0; try < rc.FallbackAttempts; try++ {
+	for try := 0; try < fallbackAttempts; try++ {
 		tr.Event("fallback.request", fmt.Sprintf("try=%d", try+1))
 		resp, err := c.roundTrip(&FallbackRequest{
 			PlatformID: c.cert.PlatformID,
@@ -227,5 +224,5 @@ func (c *Client) fallbackSubmit(tx *Transaction, rc RecoveryConfig, reason strin
 		return last, nil
 	}
 	return nil, fmt.Errorf("%w: fallback path failed after %d attempts",
-		ErrTrustedPathDown, rc.FallbackAttempts)
+		ErrTrustedPathDown, fallbackAttempts)
 }

@@ -57,7 +57,7 @@ func All() []Runner {
 		{ID: "f9", Title: "Figure F9: chaos sweep (fault injection, retry, degradation)", Run: RunF9},
 		{ID: "f10", Title: "Figure F10: crash sweep (crash rate × crash point × snapshot interval)", Run: RunF10},
 		{ID: "f11", Title: "Figure F11: observability overhead and chaos attribution", Run: RunF11},
-		{ID: "f12", Title: "Figure F12: request pipeline vs single-lock engine (group commit)", Run: RunF12},
+		{ID: "f12", Title: "Figure F12: request pipeline vs one request at a time (group commit)", Run: RunF12},
 		{ID: "f13", Title: "Figure F13: provider fleet — kill-a-shard chaos and shard scaling", Run: RunF13},
 		{ID: "f14", Title: "Figure F14: hardened TCP transport — socket chaos, overload shedding, netsim vs TCP", Run: RunF14},
 		{ID: "f15", Title: "Figure F15: distributed fleet — multi-process kill matrix over real TCP", Run: RunF15},

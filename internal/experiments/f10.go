@@ -85,6 +85,17 @@ func f10Recover(d *workload.Deployment, backend *store.MemBackend,
 	return nil
 }
 
+// f10MaxFailures bounds a transaction's failed attempts during which
+// no crash fired. Such a failure is a fault of its own, not crash
+// fallout, so the budget stays tight.
+const f10MaxFailures = 16
+
+// f10MaxCrashedAttempts bounds a transaction's attempts that a crash
+// killed. Storm cells legitimately need dozens of them (each rotation
+// is many crashable store operations); the cap only guards against a
+// cell that never finishes.
+const f10MaxCrashedAttempts = 256
+
 // runF10Cell drives txCount transactions through a durable deployment
 // under the given crash plan, restarting the provider whenever a crash
 // kills a session, then restarts once more and audits the invariants.
@@ -107,19 +118,28 @@ func runF10Cell(seed uint64, snapEvery int, plan *faults.CrashPlan,
 
 	sum := &f10Summary{SnapEvery: snapEvery, Transactions: txCount}
 	accepted := map[string]int64{}
-	const maxAttempts = 16
 	for i := 0; i < txCount; i++ {
 		tx, _ := stream.Next()
 		user.Intend(tx)
-		for attempt := 0; ; attempt++ {
-			if attempt >= maxAttempts {
-				return nil, fmt.Errorf("f10: %s made no progress in %d attempts", tx.ID, attempt)
-			}
+		failures, crashed := 0, 0
+		for {
+			crashesBefore := plan.Stats().Total()
 			outcome, err := d.Client.SubmitTransaction(tx)
 			if err != nil {
 				// The session died (provider crash surfaces as a reset,
 				// exhausting the transport retries). Power-cycle and retry
 				// the same order — its ID is the idempotence key.
+				if plan.Stats().Total() > crashesBefore {
+					crashed++
+				} else {
+					failures++
+				}
+				if failures >= f10MaxFailures {
+					return nil, fmt.Errorf("f10: %s failed %d attempts without a crash: %w", tx.ID, failures, err)
+				}
+				if crashed >= f10MaxCrashedAttempts {
+					return nil, fmt.Errorf("f10: %s made no progress in %d crashed attempts", tx.ID, crashed)
+				}
 				if rerr := f10Recover(d, backend, plan, tear, sum); rerr != nil {
 					return nil, rerr
 				}
@@ -144,6 +164,15 @@ func runF10Cell(seed uint64, snapEvery int, plan *faults.CrashPlan,
 	}}).Violations)
 	sum.AuditEntries = len(d.Provider.AuditLog().Entries())
 	return sum, nil
+}
+
+// runF10StormCell runs one F10b cell: eight transactions under a
+// uniform crash rate. k is the cell's position in RunF10's order, which
+// seeds it.
+func runF10StormCell(k int, rate float64, snapEvery int) (*f10Summary, error) {
+	seed := seedFor("f10b", k)
+	plan := faults.NewCrashPlan(sim.NewRand(seed^0xC4A5), faults.UniformCrash(rate))
+	return runF10Cell(seed, snapEvery, plan, f10Tear(seed), 8)
 }
 
 // f10Tear is the harsh recovery policy of the sweep: torn writes plus
@@ -194,9 +223,7 @@ func RunF10() (*Result, error) {
 	for _, rate := range []float64{0.005, 0.02, 0.05} {
 		for _, snapEvery := range []int{1, 4, 16} {
 			k++
-			seed := seedFor("f10b", k)
-			plan := faults.NewCrashPlan(sim.NewRand(seed^0xC4A5), faults.UniformCrash(rate))
-			cell, err := runF10Cell(seed, snapEvery, plan, f10Tear(seed), 8)
+			cell, err := runF10StormCell(k, rate, snapEvery)
 			if err != nil {
 				return nil, err
 			}

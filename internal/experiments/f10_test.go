@@ -68,3 +68,28 @@ func TestF10CellDeterminism(t *testing.T) {
 		t.Fatalf("same seed diverged:\n  a=%+v\n  b=%+v", *a, *b)
 	}
 }
+
+// F10b's heaviest cell — crash rate 0.05 with a rotation after every
+// commit — crashes dozens of times, some transactions many times over.
+// It must still finish every transaction with zero violations: crashed
+// attempts are recovered from, not counted against the budget that
+// catches crash-free failures.
+func TestF10StormCellCompletes(t *testing.T) {
+	// RunF10 seeds cells by position: the F10a sweep (two snapshot
+	// intervals per crash point), then F10b rates × intervals, of which
+	// 0.05 × snap-every 1 is the seventh.
+	k := 2*len(faults.CrashPoints()) + 7
+	cell, err := runF10StormCell(k, 0.05, 1)
+	if err != nil {
+		t.Fatalf("storm cell: %v", err)
+	}
+	if cell.Crashes == 0 {
+		t.Fatal("storm cell injected no crashes")
+	}
+	if cell.Accepted != cell.Transactions {
+		t.Fatalf("accepted %d of %d transactions", cell.Accepted, cell.Transactions)
+	}
+	if cell.Violations != 0 {
+		t.Fatalf("storm cell reported %d invariant violations", cell.Violations)
+	}
+}

@@ -20,18 +20,20 @@ import (
 	"unitp/internal/workload"
 )
 
-// F12 measures the provider request pipeline against the engine it
-// replaced. Both arms run the same quote-confirm drain — pre-minted
+// F12 measures the provider request pipeline against requests handled
+// one at a time. Both arms run the same quote-confirm drain — pre-minted
 // ConfirmTx frames with genuine RSA evidence, pushed through
 // Provider.Handle by a worker pool over a real on-disk store — so every
 // request pays full verification plus a durable WAL commit. The
-// baseline arm (ProviderConfig.SerializeRequests) holds one global lock
-// across decode, verify, state transition, and a per-request fsync; the
-// pipeline arm verifies outside the lock and group-commits in-flight
+// baseline arm serializes its workers on one caller-side mutex around
+// Handle, so each request decodes, verifies, transitions state and
+// syncs its own WAL group alone; the pipeline arm lets the workers in
+// together, verifies outside the state lock and group-commits in-flight
 // journals under one fsync. The gap between the arms at high worker
 // counts is the figure, and the recorded commit batch sizes are the
-// mechanism: batches above 1 are exactly the syncs the baseline would
-// have paid separately.
+// mechanism: the baseline's must be all 1 (one sync per request), and
+// the pipeline's batches above 1 are exactly the syncs the baseline
+// paid separately.
 
 // f12Txs is the number of pre-minted confirmations drained per cell.
 const f12Txs = 1000
@@ -77,7 +79,7 @@ func buildF12Fixture() (*f12Fixture, error) {
 
 // newF12Provider builds one cell: a provider over a real directory
 // store (genuine fsyncs), challenging every transaction.
-func (f *f12Fixture) newF12Provider(serialize bool) (*core.Provider, func(), error) {
+func (f *f12Fixture) newF12Provider() (*core.Provider, func(), error) {
 	dir, err := os.MkdirTemp("", "unitp-f12-*")
 	if err != nil {
 		return nil, nil, err
@@ -93,11 +95,10 @@ func (f *f12Fixture) newF12Provider(serialize bool) (*core.Provider, func(), err
 		return nil, nil, err
 	}
 	p := core.NewProvider(core.ProviderConfig{
-		Name:              "f12",
-		CAPub:             f.caPub,
-		Clock:             sim.WallClock{},
-		Random:            sim.NewRand(seedFor("f12-provider", 0)),
-		SerializeRequests: serialize,
+		Name:   "f12",
+		CAPub:  f.caPub,
+		Clock:  sim.WallClock{},
+		Random: sim.NewRand(seedFor("f12-provider", 0)),
 	})
 	p.Verifier().ApprovePAL(core.ConfirmPALName, f.palMeas)
 	cleanup := func() {
@@ -159,13 +160,24 @@ func (f *f12Fixture) mintConfirms(p *core.Provider, n int) ([][]byte, error) {
 
 // drainConfirms pushes the prepared frames through Handle with the
 // given worker count and returns requests/sec plus the commit batch
-// sizes the drain produced.
-func drainConfirms(p *core.Provider, frames [][]byte, workers int) (float64, map[int]int, error) {
+// sizes the drain produced. serial makes the workers take turns on one
+// mutex around Handle: the baseline arm, one request in the provider at
+// a time.
+func drainConfirms(p *core.Provider, frames [][]byte, workers int, serial bool) (float64, map[int]int, error) {
 	// Settle the garbage minting left behind (a thousand RSA signatures)
 	// so collection triggered by prep debt doesn't land inside the
 	// measured window — the same hygiene testing.B applies before timing.
 	runtime.GC()
 	before := p.CommitBatchSizes()
+	handle := p.Handle
+	if serial {
+		var turn sync.Mutex
+		handle = func(req []byte) ([]byte, error) {
+			turn.Lock()
+			defer turn.Unlock()
+			return p.Handle(req)
+		}
+	}
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
@@ -183,7 +195,7 @@ func drainConfirms(p *core.Provider, frames [][]byte, workers int) (float64, map
 				if i >= len(frames) {
 					return
 				}
-				resp, err := p.Handle(frames[i])
+				resp, err := handle(frames[i])
 				if err != nil {
 					mu.Lock()
 					if fail == nil {
@@ -223,17 +235,23 @@ func drainConfirms(p *core.Provider, frames [][]byte, workers int) (float64, map
 	return float64(len(frames)) / elapsed.Seconds(), dist, nil
 }
 
-// f12Cell runs one (engine, workers) cell on a fresh store per rep and
+// f12Cell runs one (arm, workers) cell on a fresh store per rep and
 // keeps the best rep's throughput (with that rep's batch distribution).
-func (f *f12Fixture) f12Cell(serialize bool, workers, txs int) (float64, map[int]int, error) {
+// Every baseline rep must have paid one sync per request — batches of
+// exactly 1 — or the arm is not the baseline it claims to be.
+func (f *f12Fixture) f12Cell(serial bool, workers, txs int) (float64, map[int]int, error) {
 	var (
 		best     float64
 		bestDist map[int]int
 	)
 	for rep := 0; rep < f12Reps; rep++ {
-		tput, dist, err := f.runF12Rep(serialize, workers, txs)
+		tput, dist, err := f.runF12Rep(serial, workers, txs)
 		if err != nil {
 			return 0, nil, err
+		}
+		if serial && (len(dist) != 1 || dist[1] != txs) {
+			return 0, nil, fmt.Errorf("experiments: f12 baseline @%d workers committed %s, want 1×%d",
+				workers, renderBatchDist(dist), txs)
 		}
 		if tput > best {
 			best, bestDist = tput, dist
@@ -243,8 +261,8 @@ func (f *f12Fixture) f12Cell(serialize bool, workers, txs int) (float64, map[int
 }
 
 // runF12Rep is one measured repetition of a cell.
-func (f *f12Fixture) runF12Rep(serialize bool, workers, txs int) (float64, map[int]int, error) {
-	p, cleanup, err := f.newF12Provider(serialize)
+func (f *f12Fixture) runF12Rep(serial bool, workers, txs int) (float64, map[int]int, error) {
+	p, cleanup, err := f.newF12Provider()
 	if err != nil {
 		return 0, nil, err
 	}
@@ -253,7 +271,7 @@ func (f *f12Fixture) runF12Rep(serialize bool, workers, txs int) (float64, map[i
 	if err != nil {
 		return 0, nil, err
 	}
-	return drainConfirms(p, frames, workers)
+	return drainConfirms(p, frames, workers, serial)
 }
 
 // renderBatchDist renders a batch-size histogram as "size×count" pairs.
@@ -274,9 +292,9 @@ func renderBatchDist(dist map[int]int) string {
 }
 
 // RunF12 compares the three-stage request pipeline (parallel verify,
-// sharded session state, WAL group commit) against the single-lock
-// serialized engine on the quote-confirm hot path, over a real on-disk
-// store so every commit pays a true fsync.
+// sharded session state, WAL group commit) against the same provider
+// fed one request at a time, on the quote-confirm hot path, over a real
+// on-disk store so every commit pays a true fsync.
 //
 // Shape expectations: the serialized arm is flat-to-declining in the
 // worker count (one lock, one fsync per request); the pipeline arm
@@ -290,7 +308,7 @@ func RunF12() (*Result, error) {
 		return nil, err
 	}
 	table := metrics.NewTable(
-		fmt.Sprintf("F12: request pipeline vs single-lock engine — %d quote-confirms drained per cell, on-disk WAL (real wall time, GOMAXPROCS=%d)",
+		fmt.Sprintf("F12: request pipeline vs one request at a time — %d quote-confirms drained per cell, on-disk WAL (real wall time, GOMAXPROCS=%d)",
 			f12Txs, runtime.GOMAXPROCS(0)),
 		"workers", "baseline req/s", "pipeline req/s", "speedup")
 	series := metrics.Series{Name: "pipeline-req-per-sec-vs-workers"}
@@ -302,7 +320,7 @@ func RunF12() (*Result, error) {
 		batchTotal int
 	)
 	for _, workers := range f12Workers {
-		base, _, err := fixture.f12Cell(true, workers, f12Txs)
+		base, baseDist, err := fixture.f12Cell(true, workers, f12Txs)
 		if err != nil {
 			return nil, err
 		}
@@ -326,6 +344,7 @@ func RunF12() (*Result, error) {
 			fmt.Sprintf("%5.2fx", pipe/base))
 		series.Add(float64(workers), pipe)
 		distLines = append(distLines,
+			fmt.Sprintf("baseline commit batches @%d workers: %s", workers, renderBatchDist(baseDist)),
 			fmt.Sprintf("pipeline commit batches @%d workers: %s", workers, renderBatchDist(dist)))
 	}
 	speedup := pipe8 / base8

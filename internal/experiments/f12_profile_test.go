@@ -18,7 +18,7 @@ func TestF12ProfileCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, cleanup, err := f.newF12Provider(false)
+	p, cleanup, err := f.newF12Provider()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestF12ProfileCell(t *testing.T) {
 	if err := pprof.StartCPUProfile(prof); err != nil {
 		t.Fatal(err)
 	}
-	tput, dist, err := drainConfirms(p, frames, 8)
+	tput, dist, err := drainConfirms(p, frames, 8, false)
 	pprof.StopCPUProfile()
 	if err != nil {
 		t.Fatal(err)

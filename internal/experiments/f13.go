@@ -295,7 +295,7 @@ func newF13Fleet(shards, followers int, homed [][]string, plan *faults.FleetPlan
 		shardList = append(shardList, sh)
 	}
 	return &f13Fleet{
-		router:  fleet.NewRouter(shardList, 0, reg),
+		router:  fleet.NewRouter(shardList, reg),
 		reg:     reg,
 		baseDir: baseDir,
 		initial: initial,

@@ -500,7 +500,7 @@ func TestFollowerRebootstrapsOverDamagedStore(t *testing.T) {
 // where the other accounts don't exist, a silent wrong-shard rejection
 // for a perfectly valid batch.
 func TestRouterRejectsCrossShardBatch(t *testing.T) {
-	r := NewRouter([]*ShardHandle{nil, nil, nil, nil}, 0, nil)
+	r := NewRouter([]*ShardHandle{nil, nil, nil, nil}, nil)
 
 	// Find two accounts the ring places on different shards.
 	a := "acct-0"

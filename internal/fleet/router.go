@@ -44,15 +44,15 @@ type Router struct {
 const maxRoutePins = 1 << 14
 
 // NewRouter fronts shard handles — in-process or over the wire — with a
-// consistent-hash ring. virtualNodes <= 0 uses DefaultVirtualNodes;
-// metrics may be nil.
-func NewRouter(shards []*ShardHandle, virtualNodes int, metrics *obs.Registry) *Router {
+// consistent-hash ring of DefaultVirtualNodes points per shard; metrics
+// may be nil.
+func NewRouter(shards []*ShardHandle, metrics *obs.Registry) *Router {
 	routed := make([]string, len(shards))
 	for i := range routed {
 		routed[i] = fmt.Sprintf("fleet.shard%d.routed", i)
 	}
 	return &Router{
-		ring:         NewRing(len(shards), virtualNodes),
+		ring:         NewRing(len(shards), DefaultVirtualNodes),
 		shards:       shards,
 		metrics:      metrics,
 		routed:       routed,

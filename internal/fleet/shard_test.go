@@ -192,7 +192,7 @@ func TestShardFailoverExactlyOnceBothPhases(t *testing.T) {
 func TestShardFailoverFencesDeposedPrimary(t *testing.T) {
 	ln := &LocalNet{}
 	s := startLocalShard(t, ln, 0, 1, nil, nil, nil)
-	r := NewRouter([]*ShardHandle{s}, 0, nil)
+	r := NewRouter([]*ShardHandle{s}, nil)
 	resp, err := r.Handle(submitFrame(t, "tx-0"))
 	expectAccepted(t, resp, err)
 
@@ -343,7 +343,7 @@ func TestRouterFailsOverTransparently(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StartShard: %v", err)
 	}
-	r := NewRouter([]*ShardHandle{h}, 0, reg)
+	r := NewRouter([]*ShardHandle{h}, reg)
 
 	for i := 0; i < 4; i++ {
 		resp, err := r.Handle(submitFrame(t, fmt.Sprintf("tx-%d", i)))
@@ -379,7 +379,7 @@ func TestRouterFailsOverTransparently(t *testing.T) {
 // Challenge answers must return to the shard that issued the nonce,
 // and the pin must be released once the answer is delivered.
 func TestRouterNoncePinning(t *testing.T) {
-	r := NewRouter([]*ShardHandle{nil, nil, nil, nil}, 0, nil)
+	r := NewRouter([]*ShardHandle{nil, nil, nil, nil}, nil)
 
 	confirm := &core.ConfirmTx{}
 	confirm.Nonce[0] = 0xAB

@@ -221,16 +221,9 @@ type Config struct {
 	// Link is the path model.
 	Link Link
 
-	// Timeout is how long a lost message costs before a retry
-	// (defaults to 2 s).
-	Timeout time.Duration
-
-	// MaxRetries bounds retransmissions (defaults to 3). Ignored when
-	// Retry is set.
-	MaxRetries int
-
-	// Retry, when non-nil, replaces the legacy fixed-timeout retry loop
-	// with a full policy (backoff, jitter, deadline, classification).
+	// Retry, when non-nil, replaces the default retry loop (immediate
+	// retransmission, 4 attempts, 2 s lost per dropped message) with a
+	// full policy (backoff, jitter, deadline, classification).
 	Retry *RetryPolicy
 
 	// Faults, when non-nil, is consulted on every message traversal.
@@ -287,32 +280,18 @@ func NewPipe(cfg Config, handler Handler) *Pipe {
 	if cfg.Random == nil {
 		cfg.Random = sim.NewRand(0x9E)
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Second
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 3
-	}
-	retry := RetryPolicy{}
+	// The zero policy normalizes to the default: no backoff, so the
+	// per-attempt timeout is the only cost of a loss.
+	var retry RetryPolicy
 	if cfg.Retry != nil {
 		retry = *cfg.Retry
-	} else {
-		// Legacy semantics: immediate retransmission, no backoff, the
-		// per-attempt timeout is the only cost of a loss.
-		retry = RetryPolicy{
-			MaxAttempts:    cfg.MaxRetries + 1,
-			AttemptTimeout: cfg.Timeout,
-		}
 	}
 	retry.normalize()
-	if retry.AttemptTimeout > 0 {
-		cfg.Timeout = retry.AttemptTimeout
-	}
 	return &Pipe{
 		clock:   cfg.Clock,
 		rng:     cfg.Random,
 		link:    cfg.Link,
-		timeout: cfg.Timeout,
+		timeout: retry.AttemptTimeout,
 		retry:   retry,
 		faults:  cfg.Faults,
 		handler: handler,

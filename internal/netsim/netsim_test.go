@@ -76,7 +76,7 @@ func TestPipeHandlesLossWithRetry(t *testing.T) {
 		Random: sim.NewRand(13),
 		Link:   Link{Name: "lossy", Latency: time.Millisecond, LossProb: 0.3},
 		// generous retries: must eventually succeed
-		MaxRetries: 50,
+		Retry: &RetryPolicy{MaxAttempts: 51},
 	}, echoHandler)
 	for i := 0; i < 50; i++ {
 		if _, err := p.RoundTrip([]byte("x")); err != nil {
@@ -95,11 +95,10 @@ func TestPipeHandlesLossWithRetry(t *testing.T) {
 func TestPipeTimesOutOnTotalLoss(t *testing.T) {
 	clock := sim.NewVirtualClock()
 	p := NewPipe(Config{
-		Clock:      clock,
-		Random:     sim.NewRand(17),
-		Link:       Link{Name: "dead", LossProb: 1.0},
-		Timeout:    time.Second,
-		MaxRetries: 2,
+		Clock:  clock,
+		Random: sim.NewRand(17),
+		Link:   Link{Name: "dead", LossProb: 1.0},
+		Retry:  &RetryPolicy{MaxAttempts: 3, AttemptTimeout: time.Second},
 	}, echoHandler)
 	_, err := p.RoundTrip([]byte("x"))
 	if !errors.Is(err, ErrTimeout) {

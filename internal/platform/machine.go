@@ -175,9 +175,6 @@ type Config struct {
 	// means all.
 	Protections *Protections
 
-	// Costs overrides the late-launch cost model; nil means defaults.
-	Costs *CostModel
-
 	// SINITImage, when set, switches the DRTM model from AMD SKINIT to
 	// Intel TXT semantics: the authenticated code module is measured
 	// into the dynamic PCR before the launched code, so the PAL's
@@ -218,10 +215,6 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Protections != nil {
 		prot = *cfg.Protections
 	}
-	costs := DefaultCosts()
-	if cfg.Costs != nil {
-		costs = *cfg.Costs
-	}
 	dev, err := tpm.New(tpm.Config{
 		Profile: cfg.TPMProfile,
 		Clock:   cfg.Clock,
@@ -242,7 +235,7 @@ func New(cfg Config) (*Machine, error) {
 		display:     NewDisplay(cfg.Clock),
 		memory:      NewMemory(),
 		protections: prot,
-		costs:       costs,
+		costs:       DefaultCosts(),
 		sinit:       append([]byte{}, cfg.SINITImage...),
 		osRunning:   true,
 	}

@@ -44,10 +44,6 @@ type ClientConfig struct {
 	// between dial attempts after a connection failure.
 	ReconnectMin, ReconnectMax time.Duration
 
-	// ReconnectJitter randomizes each backoff by ±this fraction
-	// (default DefaultReconnectJitter).
-	ReconnectJitter float64
-
 	// MaxInflight bounds pipelined round trips on the connection
 	// (default DefaultMaxInflight). The protocol matches responses to
 	// requests positionally; Server's per-connection writer keeps
@@ -114,9 +110,6 @@ func NewClient(cfg ClientConfig) *Client {
 	}
 	if cfg.ReconnectMax <= 0 {
 		cfg.ReconnectMax = DefaultReconnectMax
-	}
-	if cfg.ReconnectJitter <= 0 {
-		cfg.ReconnectJitter = DefaultReconnectJitter
 	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = DefaultMaxInflight
@@ -210,11 +203,8 @@ func (c *Client) scheduleRedialLocked() {
 			c.backoff = c.cfg.ReconnectMax
 		}
 	}
-	pause := c.backoff
-	if j := c.cfg.ReconnectJitter; j > 0 {
-		span := float64(pause) * j
-		pause = time.Duration(float64(pause) - span + 2*span*c.cfg.Rng.Float64())
-	}
+	span := float64(c.backoff) * DefaultReconnectJitter
+	pause := time.Duration(float64(c.backoff) - span + 2*span*c.cfg.Rng.Float64())
 	c.nextDial = time.Now().Add(pause)
 }
 

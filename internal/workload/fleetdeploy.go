@@ -65,9 +65,6 @@ type FleetConfig struct {
 	Retry    *netsim.RetryPolicy
 	Recovery core.RecoveryConfig
 
-	// VirtualNodes tunes the router's ring (0 = default).
-	VirtualNodes int
-
 	// Metrics and Tracer instrument every subsystem; both may be nil.
 	Metrics *obs.Registry
 	Tracer  *obs.Tracer
@@ -180,7 +177,7 @@ func NewFleet(cfg FleetConfig) (*FleetDeployment, error) {
 	d := &FleetDeployment{
 		Clock: clock, Rng: rng, Machine: machine, OS: osys,
 		Manager: manager, CA: ca, AIK: aik, Cert: cert,
-		Router: fleet.NewRouter(shards, cfg.VirtualNodes, cfg.Metrics),
+		Router: fleet.NewRouter(shards, cfg.Metrics),
 	}
 	d.Pipe = netsim.NewPipe(netsim.Config{
 		Clock:   clock,
