@@ -10,15 +10,19 @@ vet:
 build:
 	$(GO) build ./...
 
+# test runs the suite in a shuffled order: pooled simulation keys come
+# from one cycling cursor, so a test that leans on the tests before it
+# fails here. A failure prints its -test.shuffle seed; rerun with
+# `go test -shuffle=<seed> ./<pkg>` to reproduce it.
 test:
-	$(GO) test ./...
+	$(GO) test -shuffle=on ./...
 
 race:
 	$(GO) test -race ./...
 
-# check is the full gate: vet, build, tests with and without the race
-# detector, plus one pass of every benchmark (bench-smoke) so the
-# measurement code stays honest.
+# check is the full gate: vet, build, tests (shuffled) with and without
+# the race detector, plus one pass of every benchmark (bench-smoke) so
+# the measurement code stays honest.
 check: vet build test race bench-smoke
 
 bench:

@@ -15,6 +15,7 @@ import (
 	"unitp/internal/core"
 	"unitp/internal/cryptoutil"
 	"unitp/internal/sim"
+	"unitp/internal/tpm"
 	"unitp/internal/workload"
 )
 
@@ -32,7 +33,8 @@ func newBenchCryptoFixture(b testing.TB, schemeName string) *benchCryptoFixture 
 	if err != nil {
 		b.Fatal(err)
 	}
-	caKey, err := cryptoutil.GenerateRSAKey(sim.NewRand(0xC0), cryptoutil.DefaultRSABits)
+	keys := tpm.PooledKeySource()
+	caKey, err := keys.Next()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func newBenchCryptoFixture(b testing.TB, schemeName string) *benchCryptoFixture 
 	if err != nil {
 		b.Fatal(err)
 	}
-	provKey, err := cryptoutil.GenerateRSAKey(sim.NewRand(0xC3), cryptoutil.DefaultRSABits)
+	provKey, err := keys.Next()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,6 +17,7 @@ package main
 
 import (
 	"bufio"
+	"crypto/rand"
 	"crypto/rsa"
 	"crypto/x509"
 	"flag"
@@ -83,11 +84,13 @@ func run() error {
 		return err
 	}
 	// Wall clock: the modelled TPM latencies are actually felt, so the
-	// demo conveys the paper's timing story.
+	// demo conveys the paper's timing story. The EK and AIK are fresh
+	// keys: the simulation key pool is public.
 	machine, err := platform.New(platform.Config{
 		Clock:      sim.WallClock{},
 		Random:     sim.NewRand(uint64(time.Now().UnixNano())),
 		TPMProfile: profile,
+		Keys:       tpm.FreshKeySource(rand.Reader, cryptoutil.DefaultRSABits),
 	})
 	if err != nil {
 		return err

@@ -28,7 +28,7 @@ type fixture struct {
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	clock := sim.NewVirtualClock()
-	caKey, err := cryptoutil.PooledKey(2000)
+	caKey, err := tpm.PooledKeySource().Next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestCAEnrollmentAndCertification(t *testing.T) {
 
 func TestCARefusesUnknownAndMismatchedEK(t *testing.T) {
 	f := newFixture(t)
-	otherKey, err := cryptoutil.PooledKey(2001)
+	otherKey, err := tpm.PooledKeySource().Next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestCertTamperDetected(t *testing.T) {
 	}
 	// A self-signed cert from an attacker CA must fail under the real
 	// CA key.
-	attackerKey, err := cryptoutil.PooledKey(2002)
+	attackerKey, err := tpm.PooledKeySource().Next()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,14 +86,10 @@ func (d *durableRig) restart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("life %d: reopen store: %v", d.lives, err)
 	}
-	provKey, err := cryptoutil.PooledKey(3001) // same deterministic key as newRig
-	if err != nil {
-		t.Fatal(err)
-	}
 	p, err := RestoreProvider(ProviderConfig{
 		Name:          "test-bank",
 		CAPub:         d.ca.PublicKey(),
-		Key:           provKey,
+		Key:           d.provider.key, // the key the rig's provider was built with
 		Clock:         d.clock,
 		Random:        sim.NewRand(0x11FE).Fork(fmt.Sprintf("life-%d", d.lives)),
 		SnapshotEvery: d.snapEvery,

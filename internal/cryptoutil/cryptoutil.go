@@ -1,7 +1,7 @@
 // Package cryptoutil provides the cryptographic substrate shared by the
 // software TPM, the attestation infrastructure, and the trusted-path
 // protocol: digest helpers matching TPM v1.2 conventions (SHA-1), HMAC
-// helpers, RSA key management with a deterministic test pool, and a
+// helpers, RSA key management with a committed simulation key pool, and a
 // big-endian serialization buffer matching TPM wire structure style.
 package cryptoutil
 
@@ -11,6 +11,9 @@ import (
 	"crypto/sha1"
 	"crypto/sha256"
 	"crypto/subtle"
+	"crypto/x509"
+	_ "embed"
+	"encoding/asn1"
 	"fmt"
 	"io"
 	"sync"
@@ -126,64 +129,56 @@ const DefaultRSABits = 2048
 
 // Key pool
 //
-// RSA key generation costs ~50–400 ms per key; a test run constructs dozens
-// of simulated platforms. PooledKey hands out process-lifetime cached keys,
-// so each index costs one generation per process. The keys are not
-// reproducible across processes: rsa.GenerateKey does not keep to the
-// seeded stream it is given, so two processes asking for the same index get
-// different keys. Production-style callers that need unique keys use
-// GenerateRSAKey directly.
+// RSA key generation costs ~50–400 ms per key, and a test run builds
+// hundreds of simulated platforms, so simulations draw their keys from a
+// committed pool instead: keypool.der holds PoolSize RSA-2048 keys in
+// PKCS#1 DER, concatenated, generated once by the go:generate line
+// below (regenerating changes every key, so TestPooledKeyModuliPinned's
+// digests change with it). A slot is parsed on first use and cached.
+// The keys are public: they are for simulation only, and a deployed
+// binary generates its own from crypto/rand (GenerateRSAKey).
 
-var (
-	poolMu   sync.Mutex
-	poolKeys = map[int]*rsa.PrivateKey{}
-)
+//go:generate sh -c ": > keypool.der; seq 64 | while read -r _; do openssl genrsa 2048 2>/dev/null | openssl rsa -traditional -outform DER >> keypool.der; done"
 
-// PooledKey returns the idx-th pooled RSA-2048 key, generating and caching
-// it on first use. Within one process an index always yields the same key;
-// across processes it does not (see above).
+// PoolSize is the number of keys in the pool.
+const PoolSize = 64
+
+//go:embed keypool.der
+var keyPoolDER []byte
+
+var keyPool [PoolSize]struct {
+	once sync.Once
+	key  *rsa.PrivateKey
+	err  error
+}
+
+// PooledKey returns the RSA-2048 key in pool slot idx mod PoolSize. The
+// keys are public, committed with the source, and for simulation only.
+// Indices that differ by a multiple of PoolSize yield the same key, in
+// every process.
 func PooledKey(idx int) (*rsa.PrivateKey, error) {
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	if k, ok := poolKeys[idx]; ok {
-		return k, nil
+	if idx < 0 {
+		return nil, fmt.Errorf("cryptoutil: pooled key index %d is negative", idx)
 	}
-	seed := sha256.Sum256([]byte(fmt.Sprintf("unitp-keypool-%d", idx)))
-	k, err := rsa.GenerateKey(newDRBG(seed), DefaultRSABits)
-	if err != nil {
-		return nil, fmt.Errorf("cryptoutil: pooled key %d: %w", idx, err)
-	}
-	poolKeys[idx] = k
-	return k, nil
+	i := idx % PoolSize
+	slot := &keyPool[i]
+	slot.once.Do(func() { slot.key, slot.err = parsePoolSlot(i) })
+	return slot.key, slot.err
 }
 
-// drbg is a minimal SHA-256 counter DRBG implementing io.Reader, used only
-// to derive the deterministic key pool.
-type drbg struct {
-	key     [32]byte
-	counter uint64
-	buf     []byte
-}
-
-func newDRBG(key [32]byte) *drbg { return &drbg{key: key} }
-
-func (d *drbg) Read(p []byte) (int, error) {
-	n := len(p)
-	for len(p) > 0 {
-		if len(d.buf) == 0 {
-			h := sha256.New()
-			h.Write(d.key[:])
-			var ctr [8]byte
-			for i := 0; i < 8; i++ {
-				ctr[i] = byte(d.counter >> (56 - 8*i))
-			}
-			d.counter++
-			h.Write(ctr[:])
-			d.buf = h.Sum(nil)
+// parsePoolSlot parses the slot-th DER key of the pool.
+func parsePoolSlot(slot int) (*rsa.PrivateKey, error) {
+	rest := keyPoolDER
+	var der asn1.RawValue
+	for i := 0; i <= slot; i++ {
+		var err error
+		if rest, err = asn1.Unmarshal(rest, &der); err != nil {
+			return nil, fmt.Errorf("cryptoutil: key pool entry %d: %w", i, err)
 		}
-		c := copy(p, d.buf)
-		d.buf = d.buf[c:]
-		p = p[c:]
 	}
-	return n, nil
+	k, err := x509.ParsePKCS1PrivateKey(der.FullBytes)
+	if err != nil {
+		return nil, fmt.Errorf("cryptoutil: key pool entry %d: %w", slot, err)
+	}
+	return k, nil
 }

@@ -2,7 +2,12 @@ package cryptoutil
 
 import (
 	"bytes"
+	"crypto/rand"
+	"crypto/rsa"
 	"crypto/sha1"
+	"encoding/asn1"
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -102,33 +107,110 @@ func TestConstantTimeEqual(t *testing.T) {
 	}
 }
 
+// TestPooledKeyModuliPinned pins the first pool slots' public moduli,
+// so a key pool that is not byte-stable across processes fails here.
+func TestPooledKeyModuliPinned(t *testing.T) {
+	want := []string{
+		"39be3fb858a27b6fb7b13069e48246835b0cb847c3fae9f7d51b3c3665825f05",
+		"1b27cbb9d7bc8cd4190ff7c4e7b401cf8768746ac29ee9dde635083d0987ba15",
+		"bf614aa59f745caa69f6e0eb39f70b2ca3d070e534cc714a637399682b0196fc",
+		"62551aaa6556c96ea429a825a8977f2434e658258af9c74ff29abffc8af1f3e0",
+	}
+	for i, w := range want {
+		k, err := PooledKey(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", SHA256Sum(k.N.Bytes())); got != w {
+			t.Errorf("PooledKey(%d) modulus SHA-256 = %s, want %s", i, got, w)
+		}
+	}
+}
+
+// TestKeyPoolEntriesValid checks the fixture holds exactly PoolSize
+// entries, each a valid RSA-2048 key.
+func TestKeyPoolEntriesValid(t *testing.T) {
+	rest := keyPoolDER
+	for i := 0; i < PoolSize; i++ {
+		var der asn1.RawValue
+		var err error
+		if rest, err = asn1.Unmarshal(rest, &der); err != nil {
+			t.Fatalf("entry %d: %v", i, err)
+		}
+		k, err := PooledKey(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Validate(); err != nil {
+			t.Fatalf("entry %d invalid: %v", i, err)
+		}
+		if k.N.BitLen() != DefaultRSABits {
+			t.Fatalf("entry %d size = %d, want %d", i, k.N.BitLen(), DefaultRSABits)
+		}
+	}
+	if len(rest) != 0 {
+		t.Fatalf("%d bytes after the last pool entry", len(rest))
+	}
+}
+
+// TestPooledKeyCachedAndDistinct checks the pool's contract: any PoolSize
+// consecutive indices yield distinct keys, and the keys repeat after
+// that.
 func TestPooledKeyCachedAndDistinct(t *testing.T) {
-	k0a, err := PooledKey(0)
-	if err != nil {
-		t.Fatal(err)
+	const start = 37 // the window crosses the wrap from slot 63 to slot 0
+	seen := map[string]int{}
+	for i := start; i < start+PoolSize; i++ {
+		k, err := PooledKey(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j, dup := seen[k.N.String()]; dup {
+			t.Fatalf("PooledKey(%d) repeats PooledKey(%d)", i, j)
+		}
+		seen[k.N.String()] = i
+		again, err := PooledKey(i + PoolSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != k {
+			t.Fatalf("PooledKey(%d) is not PooledKey(%d)", i+PoolSize, i)
+		}
 	}
-	k0b, err := PooledKey(0)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := PooledKey(-1); err == nil {
+		t.Fatal("negative index accepted")
 	}
-	if k0a != k0b {
-		t.Fatal("PooledKey(0) not cached")
+}
+
+// TestPooledKeyConcurrent has several goroutines parse and read the
+// same slots at once; every caller must get the one cached key.
+func TestPooledKeyConcurrent(t *testing.T) {
+	const goroutines = 4
+	got := make([][PoolSize]*rsa.PrivateKey, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range PoolSize {
+				k, err := PooledKey(i)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g][i] = k
+			}
+		}()
 	}
-	k1, err := PooledKey(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k0a.N.Cmp(k1.N) == 0 {
-		t.Fatal("distinct pool indices produced the same modulus")
-	}
-	if k0a.N.BitLen() != DefaultRSABits {
-		t.Fatalf("pool key size = %d, want %d", k0a.N.BitLen(), DefaultRSABits)
+	wg.Wait()
+	for g := 1; g < goroutines; g++ {
+		if got[g] != got[0] {
+			t.Fatalf("goroutine %d got different keys than goroutine 0", g)
+		}
 	}
 }
 
 func TestGenerateRSAKey(t *testing.T) {
-	seed := SHA256Sum([]byte("test"))
-	k, err := GenerateRSAKey(newDRBG(seed), 1024)
+	k, err := GenerateRSAKey(rand.Reader, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,19 +336,6 @@ func TestBufferReaderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDRBGDeterminism(t *testing.T) {
-	seed := SHA256Sum([]byte("seed"))
-	a := newDRBG(seed)
-	b := newDRBG(seed)
-	ba := make([]byte, 100)
-	bb := make([]byte, 100)
-	_, _ = a.Read(ba)
-	_, _ = b.Read(bb)
-	if !bytes.Equal(ba, bb) {
-		t.Fatal("DRBG not deterministic")
 	}
 }
 

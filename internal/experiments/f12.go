@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"cmp"
 	"crypto/rsa"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -38,11 +40,12 @@ import (
 // f12Txs is the number of pre-minted confirmations drained per cell.
 const f12Txs = 1000
 
-// f12Reps is how many times each cell is measured; the best rep is
-// reported. Real wall-clock cells on a shared single-CPU host see GC
-// and scheduler noise worth tens of percent, and best-of-N is the
-// standard way to read the machine's actual capability through it.
-const f12Reps = 3
+// f12Reps is how many times each arm is measured per worker count. Real
+// wall-clock cells on a shared host see GC, scheduler and disk noise
+// worth tens of percent, so the arms' reps are interleaved (a noisy
+// stretch lands on both arms, not one) and each arm is rated by its
+// median rep.
+const f12Reps = 5
 
 // f12KeyBits sizes the synthetic CA/EK/AIK keys. 1024-bit keys keep
 // the verify stage cheap relative to the fsync so the experiment
@@ -235,43 +238,58 @@ func drainConfirms(p *core.Provider, frames [][]byte, workers int, serial bool) 
 	return float64(len(frames)) / elapsed.Seconds(), dist, nil
 }
 
-// f12Cell runs one (arm, workers) cell on a fresh store per rep and
-// keeps the best rep's throughput (with that rep's batch distribution).
-// Every baseline rep must have paid one sync per request — batches of
-// exactly 1 — or the arm is not the baseline it claims to be.
-func (f *f12Fixture) f12Cell(serial bool, workers, txs int) (float64, map[int]int, error) {
-	var (
-		best     float64
-		bestDist map[int]int
-	)
-	for rep := 0; rep < f12Reps; rep++ {
-		tput, dist, err := f.runF12Rep(serial, workers, txs)
-		if err != nil {
-			return 0, nil, err
-		}
-		if serial && (len(dist) != 1 || dist[1] != txs) {
-			return 0, nil, fmt.Errorf("experiments: f12 baseline @%d workers committed %s, want 1×%d",
-				workers, renderBatchDist(dist), txs)
-		}
-		if tput > best {
-			best, bestDist = tput, dist
-		}
-	}
-	return best, bestDist, nil
+// f12Rep is one measured drain: its throughput and the commit batch
+// sizes it produced.
+type f12Rep struct {
+	tput float64
+	dist map[int]int
 }
 
-// runF12Rep is one measured repetition of a cell.
-func (f *f12Fixture) runF12Rep(serial bool, workers, txs int) (float64, map[int]int, error) {
+// f12Cell measures both arms at one worker count, f12Reps reps each on a
+// fresh store per rep. The reps alternate arms, and so does which arm
+// runs first in each pair. Each arm reports its median rep. Every
+// baseline rep must have paid one sync per request — batches of exactly
+// 1 — or the arm is not the baseline it claims to be.
+func (f *f12Fixture) f12Cell(workers, txs int) (base, pipe f12Rep, err error) {
+	var reps [2][]f12Rep // baseline, pipeline
+	for rep := 0; rep < f12Reps; rep++ {
+		for i := 0; i < 2; i++ {
+			arm := (rep + i) % 2
+			serial := arm == 0
+			r, err := f.runF12Rep(serial, workers, txs)
+			if err != nil {
+				return f12Rep{}, f12Rep{}, err
+			}
+			if serial && (len(r.dist) != 1 || r.dist[1] != txs) {
+				return f12Rep{}, f12Rep{}, fmt.Errorf("experiments: f12 baseline @%d workers committed %s, want 1×%d",
+					workers, renderBatchDist(r.dist), txs)
+			}
+			reps[arm] = append(reps[arm], r)
+		}
+	}
+	return medianRep(reps[0]), medianRep(reps[1]), nil
+}
+
+// medianRep returns the rep with the median throughput.
+func medianRep(reps []f12Rep) f12Rep {
+	reps = slices.Clone(reps)
+	slices.SortFunc(reps, func(a, b f12Rep) int { return cmp.Compare(a.tput, b.tput) })
+	return reps[len(reps)/2]
+}
+
+// runF12Rep is one measured repetition of one arm.
+func (f *f12Fixture) runF12Rep(serial bool, workers, txs int) (f12Rep, error) {
 	p, cleanup, err := f.newF12Provider()
 	if err != nil {
-		return 0, nil, err
+		return f12Rep{}, err
 	}
 	defer cleanup()
 	frames, err := f.mintConfirms(p, txs)
 	if err != nil {
-		return 0, nil, err
+		return f12Rep{}, err
 	}
-	return drainConfirms(p, frames, workers, serial)
+	tput, dist, err := drainConfirms(p, frames, workers, serial)
+	return f12Rep{tput: tput, dist: dist}, err
 }
 
 // renderBatchDist renders a batch-size histogram as "size×count" pairs.
@@ -308,8 +326,8 @@ func RunF12() (*Result, error) {
 		return nil, err
 	}
 	table := metrics.NewTable(
-		fmt.Sprintf("F12: request pipeline vs one request at a time — %d quote-confirms drained per cell, on-disk WAL (real wall time, GOMAXPROCS=%d)",
-			f12Txs, runtime.GOMAXPROCS(0)),
+		fmt.Sprintf("F12: request pipeline vs one request at a time — %d quote-confirms drained per cell, median of %d interleaved reps, on-disk WAL (real wall time, GOMAXPROCS=%d)",
+			f12Txs, f12Reps, runtime.GOMAXPROCS(0)),
 		"workers", "baseline req/s", "pipeline req/s", "speedup")
 	series := metrics.Series{Name: "pipeline-req-per-sec-vs-workers"}
 	var (
@@ -320,14 +338,11 @@ func RunF12() (*Result, error) {
 		batchTotal int
 	)
 	for _, workers := range f12Workers {
-		base, baseDist, err := fixture.f12Cell(true, workers, f12Txs)
+		baseRep, pipeRep, err := fixture.f12Cell(workers, f12Txs)
 		if err != nil {
 			return nil, err
 		}
-		pipe, dist, err := fixture.f12Cell(false, workers, f12Txs)
-		if err != nil {
-			return nil, err
-		}
+		base, pipe, dist := baseRep.tput, pipeRep.tput, pipeRep.dist
 		if workers == 8 {
 			base8, pipe8 = base, pipe
 		}
@@ -344,7 +359,7 @@ func RunF12() (*Result, error) {
 			fmt.Sprintf("%5.2fx", pipe/base))
 		series.Add(float64(workers), pipe)
 		distLines = append(distLines,
-			fmt.Sprintf("baseline commit batches @%d workers: %s", workers, renderBatchDist(baseDist)),
+			fmt.Sprintf("baseline commit batches @%d workers: %s", workers, renderBatchDist(baseRep.dist)),
 			fmt.Sprintf("pipeline commit batches @%d workers: %s", workers, renderBatchDist(dist)))
 	}
 	speedup := pipe8 / base8

@@ -14,6 +14,7 @@ import (
 	"unitp/internal/metrics"
 	"unitp/internal/sim"
 	"unitp/internal/store"
+	"unitp/internal/tpm"
 	"unitp/internal/workload"
 )
 
@@ -83,12 +84,13 @@ type f16Fixture struct {
 }
 
 func buildF16Fixture() (*f16Fixture, error) {
-	caKey, err := cryptoutil.GenerateRSAKey(sim.NewRand(seedFor("f16-ca", 0)), cryptoutil.DefaultRSABits)
+	keys := tpm.PooledKeySource()
+	caKey, err := keys.Next()
 	if err != nil {
 		return nil, err
 	}
 	ca := attest.NewPrivacyCA("f16-ca", caKey, nil, sim.NewRand(seedFor("f16-ca", 1)))
-	provKey, err := cryptoutil.GenerateRSAKey(sim.NewRand(seedFor("f16-prov", 0)), cryptoutil.DefaultRSABits)
+	provKey, err := keys.Next()
 	if err != nil {
 		return nil, err
 	}

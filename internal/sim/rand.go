@@ -11,8 +11,10 @@ import (
 
 // Rand is a deterministic random source used by every stochastic model in
 // the simulation (latency jitter, user error rates, attacker strategies).
-// It also implements io.Reader so it can seed deterministic key generation
-// in tests.
+// It also implements io.Reader, so it can stand in for crypto/rand. Note
+// that rsa.GenerateKey does not keep to the stream it is given: an RSA
+// key generated from a seeded Rand differs from run to run (simulations
+// take theirs from cryptoutil.PooledKey).
 //
 // The generator is a SHA-256-based counter DRBG: slow compared to PCG but
 // more than fast enough for simulation control flow, and it guarantees the

@@ -58,7 +58,7 @@ func TestQuoteVerifies(t *testing.T) {
 
 func TestQuoteRejectsWrongKey(t *testing.T) {
 	dev, _, q := quoteFixture(t)
-	otherKey, err := cryptoutil.PooledKey(1000)
+	otherKey, err := PooledKeySource().Next()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,30 +58,33 @@ type Handle uint32
 // KeySource supplies RSA private keys for EK/AIK creation. Real TPMs
 // generate keys internally (tens of seconds on era chips, modelled by
 // OpCreateKey latency); the source abstraction lets simulations draw from
-// the deterministic process-wide pool instead of paying real generation
-// cost for every simulated platform.
+// the committed key pool instead of paying real generation cost for
+// every simulated platform, while a deployed binary generates fresh keys.
 type KeySource interface {
-	// Next returns a fresh RSA private key.
+	// Next returns an RSA private key.
 	Next() (*rsa.PrivateKey, error)
 }
 
-// pooledKeySource hands out keys from the deterministic process-wide pool.
+// pooledKeySource hands out keys from the process-wide pool cursor.
 type pooledKeySource struct{ next *atomic.Int64 }
 
-// poolCursor is shared across all pooled sources so two TPMs in one
-// process never receive the same key.
+// poolCursor is shared across all pooled sources, so draws anywhere in a
+// process walk the pool in one sequence.
 var poolCursor atomic.Int64
 
-// PooledKeySource returns a KeySource drawing from the deterministic
-// process-wide key pool. Distinct calls to Next never return the same key
-// within a process.
+// PooledKeySource returns a KeySource drawing from the committed
+// simulation key pool (cryptoutil.PooledKey) through one process-wide
+// cursor. Any cryptoutil.PoolSize consecutive draws are distinct keys;
+// after that the keys repeat. The pool's keys are public: use this
+// source for simulation only, never in a deployed binary (see
+// FreshKeySource).
 func PooledKeySource() KeySource {
 	return pooledKeySource{next: &poolCursor}
 }
 
 func (s pooledKeySource) Next() (*rsa.PrivateKey, error) {
 	idx := s.next.Add(1) - 1
-	return cryptoutil.PooledKey(int(idx))
+	return cryptoutil.PooledKey(int(idx % cryptoutil.PoolSize))
 }
 
 // freshKeySource generates real keys from a randomness source.

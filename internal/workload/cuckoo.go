@@ -47,7 +47,6 @@ func (a CuckooRelay) Execute(cfg DeploymentConfig) (AttackResult, error) {
 	attackerMachine, err := platform.New(platform.Config{
 		Clock:  d.Clock,
 		Random: d.Rng.Fork("attacker-machine"),
-		Keys:   tpm.PooledKeySource(),
 	})
 	if err != nil {
 		return AttackResult{}, err

@@ -234,20 +234,7 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		Tracer:                cfg.Tracer,
 	}
 	provider := core.NewProvider(providerCfg)
-	// Approvals follow the client platform's DRTM flavour: plain image
-	// measurement on SKINIT, (SINIT, image) chain on TXT.
-	approve := func(name string, image []byte) {
-		provider.Verifier().ApprovePALChain(name,
-			machine.LaunchChain(cryptoutil.SHA1(image))...)
-	}
-	approve(core.ConfirmPALName, core.ConfirmPALImage())
-	approve(core.PresencePALName, core.PresencePALImage())
-	approve(core.ProvisionPALName, core.ProvisionPALImage(provider.PublicKeyDER()))
-	approve(core.PINPALName, core.PINPALImage())
-	approve(core.BatchPALName, core.BatchPALImage())
-	approve(core.SessionConfirmPALName, core.SessionConfirmPALImage())
-	approve(core.SessionOpenPALNameFor(provider.PublicKeyDER()),
-		core.SessionOpenPALImage(provider.PublicKeyDER()))
+	approvePALs(provider, machine)
 
 	accounts := cfg.Accounts
 	if accounts == nil {
@@ -350,9 +337,19 @@ func (d *Deployment) RestartProvider() error {
 	if err != nil {
 		return fmt.Errorf("workload: restore provider: %w", err)
 	}
+	approvePALs(p, d.Machine)
+	d.Provider = p
+	d.Pipe.SetHandler(d.handle)
+	return nil
+}
+
+// approvePALs approves every PAL the client platform runs, following its
+// DRTM flavour: plain image measurement on SKINIT, (SINIT, image) chain
+// on TXT.
+func approvePALs(p *core.Provider, machine *platform.Machine) {
 	approve := func(name string, image []byte) {
 		p.Verifier().ApprovePALChain(name,
-			d.Machine.LaunchChain(cryptoutil.SHA1(image))...)
+			machine.LaunchChain(cryptoutil.SHA1(image))...)
 	}
 	approve(core.ConfirmPALName, core.ConfirmPALImage())
 	approve(core.PresencePALName, core.PresencePALImage())
@@ -362,9 +359,6 @@ func (d *Deployment) RestartProvider() error {
 	approve(core.SessionConfirmPALName, core.SessionConfirmPALImage())
 	approve(core.SessionOpenPALNameFor(p.PublicKeyDER()),
 		core.SessionOpenPALImage(p.PublicKeyDER()))
-	d.Provider = p
-	d.Pipe.SetHandler(d.handle)
-	return nil
 }
 
 // Restarts reports how many times the provider has been restarted.

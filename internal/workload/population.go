@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"crypto/rsa"
 	"fmt"
 
 	"unitp/internal/attest"
@@ -14,34 +13,6 @@ import (
 	"unitp/internal/sim"
 	"unitp/internal/tpm"
 )
-
-// cyclicKeySource reuses a small fixed key set. Population experiments
-// need many simulated platforms whose RSA keys are irrelevant to the
-// measured quantity (fraud outcomes); cycling a cached pool keeps a
-// 100-client world affordable. Never use outside simulation.
-type cyclicKeySource struct {
-	keys []*rsa.PrivateKey
-	next int
-}
-
-func newCyclicKeySource(n int) (*cyclicKeySource, error) {
-	keys := make([]*rsa.PrivateKey, 0, n)
-	for i := 0; i < n; i++ {
-		k, err := cryptoutil.PooledKey(100 + i)
-		if err != nil {
-			return nil, err
-		}
-		keys = append(keys, k)
-	}
-	return &cyclicKeySource{keys: keys}, nil
-}
-
-// Next implements tpm.KeySource.
-func (s *cyclicKeySource) Next() (*rsa.PrivateKey, error) {
-	k := s.keys[s.next%len(s.keys)]
-	s.next++
-	return k, nil
-}
 
 // PopulationConfig parameterizes a multi-client fraud simulation.
 type PopulationConfig struct {
@@ -108,11 +79,7 @@ func RunPopulation(cfg PopulationConfig) (*PopulationResult, error) {
 	}
 	clock := sim.NewVirtualClock()
 	rng := sim.NewRand(cfg.Seed ^ 0x90B)
-	keys, err := newCyclicKeySource(4)
-	if err != nil {
-		return nil, err
-	}
-
+	keys := tpm.PooledKeySource()
 	caKey, err := keys.Next()
 	if err != nil {
 		return nil, err
@@ -156,7 +123,7 @@ func RunPopulation(cfg PopulationConfig) (*PopulationResult, error) {
 
 	for i := 0; i < cfg.Clients; i++ {
 		infected := i < res.Infected
-		if err := runPopulationClient(i, infected, cfg, clock, rng, keys, ca, provider, res); err != nil {
+		if err := runPopulationClient(i, infected, cfg, clock, rng, ca, provider, res); err != nil {
 			return nil, fmt.Errorf("workload: client %d: %w", i, err)
 		}
 	}
@@ -165,14 +132,13 @@ func RunPopulation(cfg PopulationConfig) (*PopulationResult, error) {
 
 // runPopulationClient simulates one client's activity.
 func runPopulationClient(idx int, infected bool, cfg PopulationConfig, clock sim.Clock,
-	rng *sim.Rand, keys tpm.KeySource, ca *attest.PrivacyCA, provider *core.Provider,
+	rng *sim.Rand, ca *attest.PrivacyCA, provider *core.Provider,
 	res *PopulationResult) error {
 
 	clientRng := rng.Fork(fmt.Sprintf("client-%d", idx))
 	machine, err := platform.New(platform.Config{
 		Clock:  clock,
 		Random: clientRng.Fork("machine"),
-		Keys:   keys,
 	})
 	if err != nil {
 		return err

@@ -78,31 +78,6 @@ func TestPopulationValidation(t *testing.T) {
 	}
 }
 
-func TestCyclicKeySourceCycles(t *testing.T) {
-	src, err := newCyclicKeySource(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k1, err := src.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := src.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	k3, err := src.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 == k2 {
-		t.Fatal("consecutive keys identical")
-	}
-	if k1 != k3 {
-		t.Fatal("source did not cycle")
-	}
-}
-
 func TestUserTypesPINAtSecurePrompt(t *testing.T) {
 	d, err := NewDeployment(DeploymentConfig{Seed: 31})
 	if err != nil {

@@ -46,7 +46,9 @@ func TestTCPLoopbackSmoke(t *testing.T) {
 	var serverLog bytes.Buffer
 	addrCh := make(chan string, 1)
 	addrRe := regexp.MustCompile(`msg=listening.*addr=(\S+)`)
+	logDone := make(chan struct{}) // closed once the log is read to EOF
 	go func() {
+		defer close(logDone)
 		scanner := bufio.NewScanner(stderr)
 		for scanner.Scan() {
 			line := scanner.Text()
@@ -83,26 +85,23 @@ func TestTCPLoopbackSmoke(t *testing.T) {
 	}
 
 	// Graceful drain: SIGTERM, clean exit, and the shutdown-complete
-	// marker in the log.
+	// marker in the log. The log is read to EOF (the server's exit
+	// closes it) before Wait, because Wait closes the pipe and would
+	// drop the lines the reader has not reached yet.
 	if err := server.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("signal: %v", err)
 	}
-	waitErr := make(chan error, 1)
-	go func() { waitErr <- server.Wait() }()
 	select {
-	case err := <-waitErr:
-		if err != nil {
-			logMu.Lock()
-			logs := serverLog.String()
-			logMu.Unlock()
-			t.Fatalf("tpserver exited dirty: %v\n%s", err, logs)
-		}
+	case <-logDone:
 	case <-time.After(20 * time.Second):
 		t.Fatal("tpserver did not exit after SIGTERM")
 	}
 	logMu.Lock()
 	logs := serverLog.String()
 	logMu.Unlock()
+	if err := server.Wait(); err != nil {
+		t.Fatalf("tpserver exited dirty: %v\n%s", err, logs)
+	}
 	if !strings.Contains(logs, "shutdown complete") {
 		t.Fatalf("no clean drain marker in server log:\n%s", logs)
 	}
