@@ -45,7 +45,7 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x ./...
 
 # chaos-smoke is the truncated chaos gate: F10b's heaviest crash-storm
-# cell (crash rate 0.05, a snapshot rotation after every commit), the
+# cell (crash rate 0.05, a cadence point after every commit), the
 # F13 kill-a-shard sweep (every kill-phase cell plus a primary killed
 # under concurrent load), the F14 TCP chaos matrix (resets, corruption,
 # truncation, partition, slowloris, and overload shedding over real

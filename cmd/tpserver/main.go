@@ -73,7 +73,7 @@ func run() error {
 		addr       = flag.String("addr", ":7700", "listen address")
 		threshold  = flag.Int64("threshold", 0, "auto-accept below this amount in cents (0 = confirm everything)")
 		dataDir    = flag.String("data", "", "durability directory (WAL + snapshots); empty = memory-only")
-		snapEvery  = flag.Int("snapshot-every", 64, "rotate the snapshot after this many journal commits (needs -data): a delta of what changed since the last full snapshot, or a full one once the deltas since it add up to its size")
+		snapEvery  = flag.Int("snapshot-every", 64, "check the WAL every this many journal commits (needs -data): write a full snapshot once the WAL since the last one has outgrown it, else sync a counters record")
 		adminAddr  = flag.String("admin", "", "admin plane listen address (/metrics, /healthz, /readyz, /trace, /debug/pprof); empty = disabled")
 		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		traceCap   = flag.Int("trace-buffer", 256, "completed session traces retained for /trace")

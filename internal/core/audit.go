@@ -252,10 +252,9 @@ func (l *AuditLog) restore(wire []byte) error {
 }
 
 // loadFields appends n encoded entries at r's position in data, after
-// verifying each as Restore does, from the log's current head on: a
-// snapshot's audit section onto an empty log, or a delta's entries onto
-// its base's. The entries are then taken as one copy; a refused run
-// leaves the log unchanged.
+// verifying each as Restore does, from the log's current head on (a
+// snapshot's audit section onto an empty log). The entries are then
+// taken as one copy; a refused run leaves the log unchanged.
 func (l *AuditLog) loadFields(r *cryptoutil.Reader, data []byte, n int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -60,6 +60,7 @@ const (
 	recCredential
 	recPlatformBound
 	recFallbackOutcome
+	recCounters
 )
 
 // String names the kind for diagnostics.
@@ -87,6 +88,8 @@ func (k recKind) String() string {
 		return "platform-bound"
 	case recFallbackOutcome:
 		return "fallback-outcome"
+	case recCounters:
+		return "counters"
 	default:
 		return fmt.Sprintf("rec(%d)", uint8(k))
 	}
@@ -201,6 +204,12 @@ func (j *journal) fallbackOutcomeCached(id uint64, o *Outcome) {
 	})
 }
 
+// countersRecorded journals the provider's persisted counters, as the
+// snapshot's stats section holds them.
+func (j *journal) countersRecorded(stats *ProviderStats) {
+	j.emit(recCounters, func(b *cryptoutil.Buffer) { putStats(b, stats) })
+}
+
 // commitReq is one request's journal waiting for group commit. done is
 // buffered so a leader can deliver results without blocking on waiters.
 type commitReq struct {
@@ -230,9 +239,9 @@ type committer struct {
 	// commits degenerate to singletons.
 	arriving atomic.Int64
 
-	// sinceSnap counts groups committed since the last snapshot
-	// (snapshot rotation cadence). batchSizes histograms the committed
-	// write-set sizes for the F12 experiment.
+	// sinceSnap counts groups committed since the last cadence point
+	// (see cadencePoint). batchSizes histograms the committed write-set
+	// sizes for the F12 experiment.
 	sinceSnap  int
 	batchSizes map[int]int
 }
@@ -356,17 +365,17 @@ func (p *Provider) commitLoop() {
 			c.sinceSnap += len(batch)
 			c.batchSizes[len(batch)]++
 			if p.snapEvery > 0 && c.sinceSnap >= p.snapEvery && len(c.queue) == 0 {
-				err = p.rotateInLoop()
+				err = p.cadenceInLoop()
 			}
 		}
 		c.mu.Unlock()
-		// Waiters are released only after any due rotation, and a
-		// rotation failure is their failure: the snapshot then lands at
-		// a deterministic point in the request stream (the commit that
-		// crossed the cadence, which also carries a mid-snapshot crash
-		// back to its session), not whenever the loop next happens to
-		// go quiet. Generation boundaries and crash cascades must not
-		// depend on goroutine scheduling.
+		// Waiters are released only after a due cadence point, and its
+		// failure is their failure: a rotation or counters group then
+		// lands at a deterministic point in the request stream (the
+		// commit that crossed the cadence, which also carries a crash
+		// inside it back to its session), not whenever the loop next
+		// happens to go quiet. Generation boundaries and crash cascades
+		// must not depend on goroutine scheduling.
 		for _, r := range batch {
 			r.done <- err
 		}
@@ -377,15 +386,15 @@ func (p *Provider) commitLoop() {
 	c.mu.Unlock()
 }
 
-// rotateInLoop rotates the snapshot from inside the commit loop, called
-// with c.mu held right after the batch that crossed the cadence and
-// before that batch's waiters are released. It takes stateMu (so no new
-// journal can be enqueued mid-snapshot) and re-checks the queue under
-// both locks — a request that slipped in between the two acquisitions
-// defers the rotation to a later batch. A rotation failure is returned
-// so the caller can report it to the batch's waiters (snapshotIdle has
-// already marked the provider dead by then).
-func (p *Provider) rotateInLoop() error {
+// cadenceInLoop runs the cadence point from inside the commit loop,
+// called with c.mu held right after the batch that crossed the cadence
+// and before that batch's waiters are released. It takes stateMu (so no
+// new journal can be enqueued mid-snapshot) and re-checks the queue
+// under both locks — a request that slipped in between the two
+// acquisitions defers the cadence point to a later batch. A failure is
+// returned so the caller can report it to the batch's waiters (the
+// provider is marked dead by then).
+func (p *Provider) cadenceInLoop() error {
 	c := &p.commit
 	// Lock order everywhere else is stateMu then c.mu; release and
 	// re-acquire in that order rather than holding c.mu across stateMu.
@@ -395,7 +404,7 @@ func (p *Provider) rotateInLoop() error {
 	c.mu.Lock()
 	if len(c.queue) == 0 && !p.isDead() {
 		c.mu.Unlock()
-		err = p.snapshotIdle(false)
+		err = p.cadencePoint()
 		c.mu.Lock()
 	}
 	p.stateMu.Unlock()
@@ -456,24 +465,53 @@ func (p *Provider) waitCommitterIdle() {
 	c.mu.Unlock()
 }
 
-// snapshotIdle writes the current state as a new generation: a full
-// snapshot when full is set, else a delta over the retained base when
-// one is due (see encode). The caller must hold stateMu with the
-// committer idle.
-func (p *Provider) snapshotIdle(full bool) error {
-	var delta snapWriter
-	if !full {
-		delta = p.st.WriteDeltaFrame
+// cadencePoint is the work due at the commit that crosses the snapshot
+// cadence; the caller holds stateMu with the committer idle. Once the
+// WAL since the last snapshot has reached that snapshot's payload size,
+// it writes a full snapshot, so recovery reads at most about twice a
+// snapshot's size. Until then it writes none, since every byte a
+// snapshot would add is already in the synced WAL; it appends the
+// counters instead, which no other record journals, as a group of their
+// own and syncs it, so a restore loses at most one cadence of counter
+// increments. That group is local: the commit hook does not ship it.
+func (p *Provider) cadencePoint() error {
+	if st := p.st.Stats(); st.WALBytes >= st.SnapshotBytes {
+		return p.snapshotIdle()
 	}
-	if err := p.encode(p.st.WriteSnapshotFrame, delta, true); err != nil {
+	p.mu.Lock()
+	stats := p.stats
+	p.mu.Unlock()
+	var j journal
+	j.countersRecorded(&stats)
+	if err := p.st.Append(j.group()); err != nil {
 		p.markDead()
 		return err
 	}
+	if err := p.st.Sync(); err != nil {
+		p.markDead()
+		return err
+	}
+	p.resetCadence()
+	return nil
+}
+
+// snapshotIdle writes the current state as a new generation. The caller
+// must hold stateMu with the committer idle.
+func (p *Provider) snapshotIdle() error {
+	if err := p.encodeSnapshot(p.st.WriteSnapshotFrame); err != nil {
+		p.markDead()
+		return err
+	}
+	p.resetCadence()
+	return nil
+}
+
+// resetCadence starts counting commits toward the next cadence point.
+func (p *Provider) resetCadence() {
 	c := &p.commit
 	c.mu.Lock()
 	c.sinceSnap = 0
 	c.mu.Unlock()
-	return nil
 }
 
 // CommitBatchSizes returns a copy of the group-commit batch-size
@@ -589,29 +627,32 @@ func statsFields(s *ProviderStats) []*int {
 	}
 }
 
-// providerSnapshotVersion versions the provider-state snapshot
-// payload, and providerDeltaVersion the delta payload.
-const (
-	providerSnapshotVersion = 1
-	providerDeltaVersion    = 1
-)
-
-// snapWriter writes one snapshot: frame, with the store's envelope
-// header reserved at its start, then the further parts, in order.
-type snapWriter func(frame []byte, more ...[]byte) error
-
-// snapState is what a rotation knows of the retained base: its payload
-// size, the delta payload bytes written since it, and where the
-// history and audit sections ended then. A delta rotation is due while
-// the deltas written since the base, the next one included, stay under
-// the base's size: that caps the bytes written per base at about twice
-// the base, and so recovery's reading. delta says the rotation being
-// written, or else the last one written, is a delta.
-type snapState struct {
-	baseSize, sinceBase int
-	history, audit      sectionMark
-	delta               bool
+// putStats appends the persisted counters: their count, then each as a
+// u64 in statsFields order.
+func putStats(b *cryptoutil.Buffer, s *ProviderStats) {
+	fields := statsFields(s)
+	b.PutUint32(uint32(len(fields)))
+	for _, f := range fields {
+		b.PutUint64(uint64(*f))
+	}
 }
+
+// readStats decodes counters putStats wrote into s, which may hold
+// fewer fields than this provider knows, never more.
+func readStats(r *cryptoutil.Reader, s *ProviderStats) error {
+	n := int(r.Uint32())
+	fields := statsFields(s)
+	if n > len(fields) {
+		return fmt.Errorf("core: %d stat fields, provider knows %d", n, len(fields))
+	}
+	for i := 0; i < n && r.Err() == nil; i++ {
+		*fields[i] = int(r.Uint64())
+	}
+	return r.Err()
+}
+
+// providerSnapshotVersion versions the provider-state snapshot payload.
+const providerSnapshotVersion = 1
 
 // encodeSnapshot serializes the provider's full durable state and hands
 // it to write in parts, which concatenate to the snapshot payload after
@@ -631,27 +672,7 @@ type snapState struct {
 // section is written in a canonical order (accounts by name, history and
 // audit in execution order, nonces bytewise, map keys sorted), so the
 // same state always produces the same bytes.
-func (p *Provider) encodeSnapshot(write snapWriter) error {
-	return p.encode(write, nil, false)
-}
-
-// encode writes the provider's state as encodeSnapshot does, with full;
-// or, when delta is not nil and a delta is due (a base is retained, the
-// arena's layout has not changed since it, and the deltas written since
-// it stay under its size), as a delta over the base, with delta, after
-// store.DeltaHeaderLen reserved bytes:
-//
-//  1. the reserved header, the delta version, the account count, and
-//     the history's and the audit log's item counts at the base and
-//     since it;
-//  2. the history fields appended since the base, as views;
-//  3. the audit fields appended since the base, as views;
-//  4. the tail, as in a full snapshot, followed by the balances section
-//     records of every account whose balance changed since the base,
-//     in name order, after their count.
-//
-// A rotation (base set, stateMu held) makes a full write the new base.
-func (p *Provider) encode(full, delta snapWriter, base bool) error {
+func (p *Provider) encodeSnapshot(write func(frame []byte, more ...[]byte) error) error {
 	l, a := p.ledger, p.audit
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -659,31 +680,6 @@ func (p *Provider) encode(full, delta snapWriter, base bool) error {
 	tail := p.encodeTail()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-
-	if delta != nil && p.snap.baseSize > 0 && !l.moved {
-		history, historySize := l.history.since(p.snap.history)
-		audit, auditSize := a.entries.since(p.snap.audit)
-		last := l.appendDirty(tail)
-		p.snapTail.Store(int64(len(last)))
-		head := make([]byte, store.DeltaHeaderLen, store.DeltaHeaderLen+1+5*4)
-		head = append(head, providerDeltaVersion)
-		for _, n := range []int{l.count, p.snap.history.n, l.history.n - p.snap.history.n,
-			p.snap.audit.n, a.entries.n - p.snap.audit.n} {
-			head = binary.BigEndian.AppendUint32(head, uint32(n))
-		}
-		size := len(head) - store.DeltaHeaderLen + historySize + auditSize + len(last)
-		if p.snap.sinceBase+size < p.snap.baseSize {
-			parts := make([][]byte, 0, len(history)+len(audit)+1)
-			parts = append(append(append(parts, history...), audit...), last)
-			p.snap.delta = true
-			if err := delta(head, parts...); err != nil {
-				return err
-			}
-			p.snap.sinceBase += size
-			return nil
-		}
-		tail = last[:len(tail)]
-	}
 
 	head := make([]byte, store.SnapshotHeaderLen, store.SnapshotHeaderLen+1+4)
 	head = append(head, providerSnapshotVersion)
@@ -693,22 +689,7 @@ func (p *Provider) encode(full, delta snapWriter, base bool) error {
 	parts = append(parts, l.balances)
 	parts = append(parts, history...)
 	parts = append(parts, audit...)
-	parts = append(parts, tail)
-	if base {
-		p.snap.delta = false
-	}
-	if err := full(head, parts...); err != nil {
-		return err
-	}
-	if base {
-		size := len(head) - store.SnapshotHeaderLen
-		for _, part := range parts {
-			size += len(part)
-		}
-		l.markBase()
-		p.snap = snapState{baseSize: size, history: l.history.mark(), audit: a.entries.mark()}
-	}
-	return nil
+	return write(head, append(parts, tail)...)
 }
 
 // encodeTail encodes the snapshot sections after the audit log: the
@@ -818,11 +799,7 @@ func (p *Provider) encodeTail() []byte {
 	b.PutUint64(uint64(issuedCount))
 	b.PutUint64(uint64(redeemedCount))
 
-	fields := statsFields(&stats)
-	b.PutUint32(uint32(len(fields)))
-	for _, f := range fields {
-		b.PutUint64(uint64(*f))
-	}
+	putStats(b, &stats)
 
 	p.snapTail.Store(int64(b.Len()))
 	return b.Bytes()
@@ -840,50 +817,6 @@ func (p *Provider) loadState(data []byte) error {
 	}
 	if err := r.ExpectEOF(); err != nil {
 		return fmt.Errorf("core: provider snapshot: %w", err)
-	}
-	return nil
-}
-
-// loadDelta restores the provider from a full snapshot payload, base,
-// and a delta payload over it (see encode): the base's balances,
-// history and audit sections as loadState takes them, then the delta's
-// history and audit entries appended — every audit chain link verified
-// across the two, on the stored bytes — its tail in place of the
-// base's, and its changed balances.
-func (p *Provider) loadDelta(base, delta []byte) error {
-	if err := p.loadSections(cryptoutil.NewReader(base), base); err != nil {
-		return err
-	}
-	r := cryptoutil.NewReader(delta)
-	if v := r.Uint8(); v != providerDeltaVersion {
-		return fmt.Errorf("core: unsupported provider delta version %d", v)
-	}
-	accounts, baseHistory, nHistory := int(r.Uint32()), int(r.Uint32()), int(r.Uint32())
-	baseAudit, nAudit := int(r.Uint32()), int(r.Uint32())
-	if r.Err() != nil {
-		return fmt.Errorf("core: delta header: %w", r.Err())
-	}
-	if baseAudit != p.audit.Len() {
-		return fmt.Errorf("core: delta over %d audit entries, base holds %d", baseAudit, p.audit.Len())
-	}
-	history, err := readFields(r, delta, nHistory, func(body []byte) error {
-		_, err := UnmarshalTransaction(body)
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("core: delta history: %w", err)
-	}
-	if err := p.audit.loadFields(r, delta, nAudit); err != nil {
-		return fmt.Errorf("core: delta audit: %w", err)
-	}
-	if err := p.loadTail(r); err != nil {
-		return err
-	}
-	if err := p.ledger.applyDelta(accounts, baseHistory, history, nHistory, r); err != nil {
-		return err
-	}
-	if err := r.ExpectEOF(); err != nil {
-		return fmt.Errorf("core: provider delta: %w", err)
 	}
 	return nil
 }
@@ -1013,19 +946,11 @@ func (p *Provider) loadTail(r *cryptoutil.Reader) error {
 	redeemedCount := int(r.Uint64())
 	p.nonces.Restore(issued, spent, issuedCount, redeemedCount)
 
-	nStats := int(r.Uint32())
 	p.mu.Lock()
-	fields := statsFields(&p.stats)
-	if nStats > len(fields) {
-		p.mu.Unlock()
-		return fmt.Errorf("core: snapshot carries %d stat fields, provider knows %d", nStats, len(fields))
-	}
-	for i := 0; i < nStats && r.Err() == nil; i++ {
-		*fields[i] = int(r.Uint64())
-	}
+	err := readStats(r, &p.stats)
 	p.mu.Unlock()
-	if r.Err() != nil {
-		return fmt.Errorf("core: snapshot tail: %w", r.Err())
+	if err != nil {
+		return fmt.Errorf("core: snapshot tail: %w", err)
 	}
 	return nil
 }
@@ -1150,6 +1075,13 @@ func (p *Provider) replayRecord(rec []byte) error {
 		fs.mu.Lock()
 		fs.outcomes[id] = *o
 		fs.mu.Unlock()
+	case recCounters:
+		p.mu.Lock()
+		err := readStats(r, &p.stats)
+		p.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("core: WAL record %s: %w", kind, err)
+		}
 	default:
 		return fmt.Errorf("core: unknown WAL record kind %d", uint8(kind))
 	}
@@ -1169,9 +1101,8 @@ func (p *Provider) AttachStore(st *store.Store) error {
 	st.SetMetrics(p.obsReg)
 	p.st = st
 	// No requests have gone through the durable path yet, so the
-	// committer is trivially idle and the snapshot is safe. It is full:
-	// the first base of this store, or of this provider.
-	return p.snapshotIdle(true)
+	// committer is trivially idle and the snapshot is safe.
+	return p.snapshotIdle()
 }
 
 // Store returns the attached durability store (nil if none).
@@ -1189,7 +1120,7 @@ func (p *Provider) SnapshotNow() error {
 		return store.ErrCrashed
 	}
 	p.waitCommitterIdle()
-	return p.snapshotIdle(true)
+	return p.snapshotIdle()
 }
 
 // Quiesced runs fn while the provider is fully quiesced: stateMu is
@@ -1211,13 +1142,13 @@ func (p *Provider) Quiesced(fn func() error) error {
 
 // QuiescedSegment runs fn with the store's current segment while the
 // provider is quiesced, as Quiesced does — the bootstrap of a follower.
-// A segment ships a full state, so a delta generation is first rotated
-// into a full snapshot; the segment is then no larger than one read
-// right after the last full rotation would have been.
+// A non-empty WAL is first folded into a fresh snapshot, so the segment
+// ships one full state and no records, no larger than a segment read
+// right after a rotation.
 func (p *Provider) QuiescedSegment(fn func(seg store.Segment) error) error {
 	return p.Quiesced(func() error {
-		if st := p.st.Stats(); st.Generation != st.BaseGeneration {
-			if err := p.snapshotIdle(true); err != nil {
+		if p.st.Stats().WALBytes > 0 {
+			if err := p.snapshotIdle(); err != nil {
 				return err
 			}
 		}
@@ -1230,9 +1161,8 @@ func (p *Provider) QuiescedSegment(fn func(seg store.Segment) error) error {
 }
 
 // Health reports the provider's operational readiness for the admin
-// plane: store attachment, WAL sync counts, the base generation
-// recovery would start from, last-snapshot age, and the dead flag a
-// store failure raises.
+// plane: store attachment, WAL sync counts, last-snapshot age, and the
+// dead flag a store failure raises.
 func (p *Provider) Health() obs.Readiness {
 	dead := p.isDead()
 	fenced := p.fenced.Load()
@@ -1246,7 +1176,6 @@ func (p *Provider) Health() obs.Readiness {
 	if p.st != nil {
 		st := p.st.Stats()
 		detail["wal_generation"] = st.Generation
-		detail["base_generation"] = st.BaseGeneration
 		detail["wal_appends"] = st.Appends
 		detail["wal_syncs"] = st.Syncs
 		if last := p.st.LastSnapshotTime(); !last.IsZero() {
@@ -1293,11 +1222,10 @@ func (p *Provider) isDead() bool { return p.dead.Load() }
 func (p *Provider) markDead() { p.dead.Store(true) }
 
 // RestoreProvider rebuilds a provider from a store: latest valid
-// snapshot — its base, then the delta over it when it is one — then
-// the WAL tail, finishing with a full rotation into a fresh generation
-// (which is how torn WAL tails are discarded durably). The audit hash
-// chain is re-verified end to end on the way: the snapshot and delta
-// loads and the replay check every entry's link as they take it. The
+// snapshot, then the WAL tail, finishing with a rotation into a fresh
+// generation (which is how torn WAL tails are discarded durably). The
+// audit hash chain is re-verified end to end on the way: the snapshot
+// load and the replay check every entry's link as they take it. The
 // caller re-applies configuration that is not state — the CA key,
 // provider RSA key, and PAL approvals on Verifier() — exactly as at
 // first construction.
@@ -1310,11 +1238,7 @@ func RestoreProvider(cfg ProviderConfig, st *store.Store) (*Provider, error) {
 	defer tr.Finish()
 
 	sp := tr.StartSpan("recover.snapshot")
-	if snap, delta := st.Snapshot(), st.Delta(); delta != nil {
-		if err := p.loadDelta(snap, delta); err != nil {
-			return nil, fmt.Errorf("core: restore snapshot and delta: %w", err)
-		}
-	} else if snap != nil {
+	if snap := st.Snapshot(); snap != nil {
 		if err := p.loadState(snap); err != nil {
 			return nil, fmt.Errorf("core: restore snapshot: %w", err)
 		}

@@ -28,14 +28,16 @@ type durableRig struct {
 	snapEvery int
 	lives     int
 
-	// deltas counts delta rotations completed, and deltaCrashes the
-	// crashes injected into one (see hook).
-	deltas, deltaCrashes int
+	// rotations counts the cadence-triggered rotations completed, and
+	// rotationCrashes the crashes injected into one (see hook).
+	rotations, rotationCrashes int
 }
 
-// rigFillerAccounts pads the rig's bank so a full snapshot outweighs
-// many deltas: with three accounts every rotation would be a full one.
-const rigFillerAccounts = 400
+// rigFillerAccounts spreads the rig's payments over a few more
+// accounts. Few, so the snapshot stays small: the WAL outgrows it
+// within a handful of payments, and the crash tests reach
+// cadence-triggered rotations.
+const rigFillerAccounts = 16
 
 func newDurableRig(t *testing.T, snapEvery int, plan *faults.CrashPlan, tear func(string, []byte) []byte) *durableRig {
 	t.Helper()
@@ -62,7 +64,7 @@ func newDurableRig(t *testing.T, snapEvery int, plan *faults.CrashPlan, tear fun
 	}
 	// Hook the crash plan only after the initial snapshot: setup is not
 	// part of the modelled workload.
-	d.backend.SetCrashHook(d.hook(r.provider))
+	d.backend.SetCrashHook(d.hook())
 	r.client.transport = netsim.NewPipe(netsim.Config{
 		Clock:  r.clock,
 		Random: sim.NewRand(0xD1A1),
@@ -104,24 +106,24 @@ func (d *durableRig) restart(t *testing.T) {
 	p.Verifier().ApprovePAL(PINPALName, cryptoutil.SHA1(PINPALImage()))
 	p.Verifier().ApprovePAL(BatchPALName, cryptoutil.SHA1(BatchPALImage()))
 	d.rig.provider = p
-	d.backend.SetCrashHook(d.hook(p))
+	d.backend.SetCrashHook(d.hook())
 	d.plan.Arm()
 }
 
-// hook is the crash plan's hook for provider p's life, counting the
-// delta rotations it completes and the crashes injected into one. A
-// rotation's operations run on the goroutine writing it, which set
-// p.snap.delta before the first of them.
-func (d *durableRig) hook(p *Provider) store.CrashHook {
+// hook is the crash plan's hook for a provider's life, counting the
+// rotations it completes and the crashes injected into one. It is set
+// after the life's first snapshot and nothing in the workload calls
+// SnapshotNow, so every rotation it sees is a cadence-triggered one.
+func (d *durableRig) hook() store.CrashHook {
 	return func(ev store.CrashEvent) bool {
 		crash := d.plan.Hook(ev)
 		rotating := ev.Op == store.OpCreate || ev.Op == store.OpRename || ev.Op == store.OpRemove ||
 			strings.HasSuffix(ev.Name, ".tmp")
-		if rotating && p.snap.delta {
+		if rotating {
 			if crash {
-				d.deltaCrashes++
+				d.rotationCrashes++
 			} else if ev.Op == store.OpRename && ev.Phase == store.PhaseAfter {
-				d.deltas++
+				d.rotations++
 			}
 		}
 		return crash
@@ -223,7 +225,7 @@ func assertRecoveryInvariants(t *testing.T, d *durableRig, wantBob int64) {
 // exercises pure WAL-tail replay (no rotation ever runs while armed, so
 // mid-snapshot is skipped there).
 func TestCrashPointSweepInvariants(t *testing.T) {
-	deltas, deltaCrashes := 0, 0
+	rotations, rotationCrashes := 0, 0
 	for _, point := range faults.CrashPoints() {
 		for _, snapEvery := range []int{0, 1, 3} {
 			if point == faults.CrashMidSnapshot && snapEvery == 0 {
@@ -241,31 +243,43 @@ func TestCrashPointSweepInvariants(t *testing.T) {
 					t.Fatal("scheduled crash never fired; sweep tested nothing")
 				}
 				assertRecoveryInvariants(t, d, 5*1_000)
-				deltas, deltaCrashes = deltas+d.deltas, deltaCrashes+d.deltaCrashes
+				rotations, rotationCrashes = rotations+d.rotations, rotationCrashes+d.rotationCrashes
 			})
 		}
 	}
-	if deltas == 0 || deltaCrashes == 0 {
-		t.Fatalf("sweep completed %d delta rotations and crashed %d: delta recovery untested", deltas, deltaCrashes)
+	if rotations == 0 || rotationCrashes == 0 {
+		t.Fatalf("sweep completed %d cadence-triggered rotations and crashed %d: rotation recovery untested",
+			rotations, rotationCrashes)
 	}
 }
 
 // TestCrashStormInvariants drives a longer workload under probabilistic
 // crashes at every point simultaneously, with torn writes and trailing
-// garbage on every recovery — the multi-crash interaction test.
+// garbage on every recovery — the multi-crash interaction test. A
+// restore rotates, so a life must outgrow the whole state before its
+// cadence rotates; crashes that come often keep most lives shorter than
+// that. Several seeded storms together cover cadence-triggered
+// rotations and crashes inside them.
 func TestCrashStormInvariants(t *testing.T) {
-	root := sim.NewRand(0x57A6)
-	plan := faults.NewCrashPlan(root.Fork("crash"), faults.UniformCrash(0.03))
-	tear := faults.RecoveryPolicy{TornWrite: true, TrailingGarbage: true}.Tear(root.Fork("tear"))
-	d := newDurableRig(t, 4, plan, tear)
-	driveCrashWorkload(t, d, 12, 40)
-	if plan.Stats().Total() == 0 {
-		t.Fatal("storm injected no crashes; raise the rate")
+	rotations, rotationCrashes := 0, 0
+	for i := 0; i < 8; i++ {
+		t.Run(fmt.Sprintf("storm-%d", i), func(t *testing.T) {
+			root := sim.NewRand(0x57A6).Fork(fmt.Sprintf("storm-%d", i))
+			plan := faults.NewCrashPlan(root.Fork("crash"), faults.UniformCrash(0.03))
+			tear := faults.RecoveryPolicy{TornWrite: true, TrailingGarbage: true}.Tear(root.Fork("tear"))
+			d := newDurableRig(t, 4, plan, tear)
+			driveCrashWorkload(t, d, 12, 40)
+			if plan.Stats().Total() == 0 {
+				t.Fatal("storm injected no crashes; raise the rate")
+			}
+			assertRecoveryInvariants(t, d, 12*1_000)
+			rotations, rotationCrashes = rotations+d.rotations, rotationCrashes+d.rotationCrashes
+		})
 	}
-	if d.deltas == 0 || d.deltaCrashes == 0 {
-		t.Fatalf("storm completed %d delta rotations and crashed %d: delta recovery untested", d.deltas, d.deltaCrashes)
+	if rotations == 0 || rotationCrashes == 0 {
+		t.Fatalf("storms completed %d cadence-triggered rotations and crashed %d: rotation recovery untested",
+			rotations, rotationCrashes)
 	}
-	assertRecoveryInvariants(t, d, 12*1_000)
 }
 
 // TestRetransmissionStraddlesCrash captures a raw ConfirmTx frame,

@@ -168,6 +168,9 @@ func FuzzReplayGroup(f *testing.F) {
 	for _, g := range journalSeedGroups() {
 		f.Add(g)
 	}
+	var counters journal
+	counters.countersRecorded(&ProviderStats{Submitted: 3, Challenged: 2, Confirmed: 2, SessionsOpened: 1})
+	f.Add(counters.group())
 	f.Fuzz(func(t *testing.T, group []byte) {
 		p := replayTarget()
 		if err := p.replayGroup(group); err != nil {

@@ -31,12 +31,6 @@ import (
 // The executed history is held the same way, as the snapshot's history
 // section: Apply encodes each transaction once, and that encoding is
 // what the snapshot writes and the WAL journal copies.
-//
-// For delta snapshots the ledger tracks what changed since the last full
-// snapshot, the base: a fixed bitmap over the index slots marks every
-// account whose balance changed, and moved records that the arena's
-// layout changed (an account created, or a re-sort), which a delta
-// cannot describe.
 type Ledger struct {
 	mu       sync.Mutex
 	balances []byte  // the balances section body, laid out as above
@@ -47,8 +41,6 @@ type Ledger struct {
 	seed     maphash.Seed
 	history  section         // executed transactions: the snapshot's history section
 	applied  map[string]bool // executed transaction IDs (idempotence)
-	dirty    []uint64        // one bit per index slot: balance changed since the base
-	moved    bool            // the arena's layout changed since the base
 }
 
 // accountOverhead is an account's size in the arena beyond its name:
@@ -114,8 +106,6 @@ func (l *Ledger) next(slot int) int {
 // full: a Go map beside the arena would cost several times its memory.
 func (l *Ledger) reindex() {
 	l.index = make([]int32, max(16, 2*l.count))
-	l.dirty = make([]uint64, (len(l.index)+63)/64)
-	l.moved = true
 	for off := 0; off < len(l.balances); {
 		name, cents := l.account(off)
 		slot := l.home(maphash.Bytes(l.seed, name))
@@ -206,7 +196,6 @@ func (l *Ledger) CreateAccount(name string, initialCents int64) error {
 	l.balances = binary.BigEndian.AppendUint64(l.balances, uint64(initialCents))
 	l.count++
 	l.last = off
-	l.moved = true
 	if 4*l.count > 3*len(l.index) {
 		l.reindex()
 	} else {
@@ -246,11 +235,11 @@ func (l *Ledger) apply(tx *Transaction, emit func(field []byte)) error {
 	if l.applied[tx.ID] {
 		return fmt.Errorf("%w: %s", ErrDuplicateTransaction, tx.ID)
 	}
-	from, fromSlot := l.find(tx.From)
+	from, _ := l.find(tx.From)
 	if from < 0 {
 		return fmt.Errorf("%w: %s", ErrUnknownAccount, tx.From)
 	}
-	to, toSlot := l.find(tx.To)
+	to, _ := l.find(tx.To)
 	if to < 0 {
 		return fmt.Errorf("%w: %s", ErrUnknownAccount, tx.To)
 	}
@@ -265,42 +254,12 @@ func (l *Ledger) apply(tx *Transaction, emit func(field []byte)) error {
 	}
 	l.setCents(from, fromCents-tx.AmountCents)
 	l.setCents(to, toCents+tx.AmountCents)
-	l.dirty[fromSlot/64] |= 1 << (fromSlot % 64)
-	l.dirty[toSlot/64] |= 1 << (toSlot % 64)
 	field := l.history.add(tx.size(), tx.put)
 	l.applied[tx.ID] = true
 	if emit != nil {
 		emit(field)
 	}
 	return nil
-}
-
-// markBase records the ledger's state as the base of later deltas: no
-// balance changed and no layout change since. The caller holds l.mu,
-// which it held while the base was written.
-func (l *Ledger) markBase() {
-	clear(l.dirty)
-	l.moved = false
-}
-
-// appendDirty appends to buf the balances section records (u32 name
-// length, name, u64 balance) of every account whose balance changed
-// since the base, in arena order, after their u32 count. The caller
-// holds l.mu.
-func (l *Ledger) appendDirty(buf []byte) []byte {
-	var offs []int32
-	for w, word := range l.dirty {
-		for ; word != 0; word &= word - 1 {
-			offs = append(offs, l.index[w*64+bits.TrailingZeros64(word)]-1)
-		}
-	}
-	slices.Sort(offs)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(offs)))
-	for _, off := range offs {
-		_, cents := l.account(int(off))
-		buf = append(buf, l.balances[off:cents+8]...)
-	}
-	return buf
 }
 
 // restoreState replaces the ledger's contents (crash recovery). The
@@ -316,51 +275,11 @@ func (l *Ledger) restoreState(count int, balances []byte, history []byte, n int)
 	l.sorted = true
 	l.reindex()
 	l.history = section{}
+	l.history.extend(history, n)
 	l.applied = make(map[string]bool, n)
-	l.extendHistory(history, n)
-}
-
-// extendHistory appends n encoded history fields the caller has
-// checked, as one copy, and records their IDs as applied. The caller
-// holds l.mu.
-func (l *Ledger) extendHistory(raw []byte, n int) {
-	l.history.extend(raw, n)
-	for r := cryptoutil.NewReader(raw); r.Remaining() > 0; {
-		l.applied[string(cryptoutil.NewReader(r.Field()).Field())] = true
-	}
-}
-
-// applyDelta applies a delta's ledger part, once the base's accounts
-// and history match the counts it was written over: n more checked
-// history fields, and dirty, the records of the accounts whose balance
-// changed, which must name known accounts in strictly ascending order.
-// A refused delta may leave the ledger partly changed; recovery then
-// discards the provider.
-func (l *Ledger) applyDelta(accounts, baseHistory int, history []byte, n int, dirty *cryptoutil.Reader) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if accounts != l.count || baseHistory != l.history.n {
-		return fmt.Errorf("core: delta over %d accounts and %d transactions, base holds %d and %d",
-			accounts, baseHistory, l.count, l.history.n)
-	}
-	l.extendHistory(history, n)
-	var prev []byte
-	for i, k := 0, int(dirty.Uint32()); i < k && dirty.Err() == nil; i++ {
-		name, cents := dirty.Field(), dirty.Uint64()
-		if dirty.Err() != nil {
-			break
-		}
-		if i > 0 && bytes.Compare(name, prev) <= 0 {
-			return fmt.Errorf("core: delta account %q out of order or duplicated after %q", name, prev)
-		}
-		prev = name
-		at, _ := l.find(string(name))
-		if at < 0 {
-			return fmt.Errorf("core: delta names %w %q", ErrUnknownAccount, name)
-		}
-		l.setCents(at, int64(cents))
-	}
-	return dirty.Err()
+	l.history.each(func(body []byte) {
+		l.applied[string(cryptoutil.NewReader(body).Field())] = true
+	})
 }
 
 // History decodes the executed transactions, in execution order.

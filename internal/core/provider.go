@@ -274,8 +274,6 @@ type Provider struct {
 	// snapTail is the length of the last snapshot's last part, the
 	// sections after the audit log, which sizes the next one's buffer.
 	snapTail atomic.Int64
-	// snap is the delta rotation state, guarded by stateMu.
-	snap snapState
 
 	// Fleet integration (see internal/fleet). epoch is the fencing
 	// generation this instance serves under; fenced is raised when a

@@ -93,41 +93,6 @@ func (s *section) each(fn func(body []byte)) {
 	}
 }
 
-// sectionMark is a position in a section: its item count then, and
-// where the next field went — the end of the last chunk, or just after
-// the count of a section with no chunks yet.
-type sectionMark struct {
-	n, chunk, off int
-}
-
-// mark returns the section's current end.
-func (s *section) mark() sectionMark {
-	if len(s.chunks) == 0 {
-		return sectionMark{off: 4}
-	}
-	last := len(s.chunks) - 1
-	return sectionMark{s.n, last, len(s.chunks[last])}
-}
-
-// since returns the fields added after m, as views of the chunks the
-// caller must only read, and their total length. Chunks are never
-// regrown, so a mark stays valid until the section is replaced.
-func (s *section) since(m sectionMark) (parts [][]byte, size int) {
-	if s.n == m.n {
-		return nil, 0
-	}
-	for i, c := range s.chunks[m.chunk:] {
-		if i == 0 {
-			c = c[m.off:]
-		}
-		if len(c) > 0 {
-			parts = append(parts, c)
-			size += len(c)
-		}
-	}
-	return parts, size
-}
-
 // extend appends raw, n fields the caller has checked, as one copy.
 func (s *section) extend(raw []byte, n int) {
 	if n == 0 {

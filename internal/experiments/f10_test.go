@@ -69,11 +69,11 @@ func TestF10CellDeterminism(t *testing.T) {
 	}
 }
 
-// F10b's heaviest cell — crash rate 0.05 with a rotation after every
-// commit — crashes dozens of times, some transactions many times over.
-// It must still finish every transaction with zero violations: crashed
-// attempts are recovered from, not counted against the budget that
-// catches crash-free failures.
+// F10b's heaviest cell — crash rate 0.05 with a cadence point after
+// every commit — crashes many times, some transactions several times
+// over. It must still finish every transaction with zero violations
+// (crashed attempts are recovered from, not counted against the budget
+// that catches crash-free failures), and its cadence must still rotate.
 func TestF10StormCellCompletes(t *testing.T) {
 	// RunF10 seeds cells by position: the F10a sweep (two snapshot
 	// intervals per crash point), then F10b rates × intervals, of which
@@ -85,6 +85,9 @@ func TestF10StormCellCompletes(t *testing.T) {
 	}
 	if cell.Crashes == 0 {
 		t.Fatal("storm cell injected no crashes")
+	}
+	if cell.Rotations == 0 {
+		t.Fatal("storm cell's cadence wrote no snapshot: rotations went untested")
 	}
 	if cell.Accepted != cell.Transactions {
 		t.Fatalf("accepted %d of %d transactions", cell.Accepted, cell.Transactions)

@@ -524,12 +524,14 @@ func TestShardAddFollowerDuringTraffic(t *testing.T) {
 	}
 }
 
-// deltaMember is localMember with a bank large enough, and a snapshot
-// cadence short enough, that the primary's rotations write deltas.
-func deltaMember(m int, backends map[string]*store.MemBackend) NodeConfig {
+// cadenceMember is localMember with a snapshot cadence short enough
+// for many cadence points, and a bank large enough that none of them
+// rotates: the primary's WAL outgrows no snapshot, so each cadence
+// point appends a counters group instead.
+func cadenceMember(m int, backends map[string]*store.MemBackend) NodeConfig {
 	life := func(epoch uint64) core.ProviderConfig {
 		return core.ProviderConfig{
-			Name: "delta-shard", Clock: sim.NewVirtualClock(), Random: sim.NewRand(epoch),
+			Name: "cadence-shard", Clock: sim.NewVirtualClock(), Random: sim.NewRand(epoch),
 			ConfirmThresholdCents: 1_000_000, Epoch: epoch, SnapshotEvery: 2,
 		}
 	}
@@ -552,30 +554,32 @@ func deltaMember(m int, backends map[string]*store.MemBackend) NodeConfig {
 	return cfg
 }
 
-// Adopting a follower while the primary's current generation is a
-// delta ships a full snapshot, and nothing else: the primary rotates to
-// a full generation first, so the segment holds no WAL records and is
-// no larger than a segment read right after a full rotation. A
-// provider restored from the adopted member's store — what promoting
-// it runs — holds every transaction exactly once.
-func TestShardAdoptAfterDeltaRotations(t *testing.T) {
+// Adopting a follower after cadence points that wrote no snapshot, with
+// a non-empty WAL, ships a full snapshot and nothing else: the primary
+// folds its WAL into a fresh snapshot first, so the segment holds no
+// WAL records and is no larger than a segment read right after a
+// rotation. A provider restored from the adopted member's store — what
+// promoting it runs — holds every transaction exactly once.
+func TestShardAdoptAfterCadencePoints(t *testing.T) {
 	ln := &LocalNet{}
 	backends := map[string]*store.MemBackend{}
-	s, err := ln.StartShard(0, 1, func(m int) NodeConfig { return deltaMember(m, backends) }, ShardHandleConfig{})
+	s, err := ln.StartShard(0, 1, func(m int) NodeConfig { return cadenceMember(m, backends) }, ShardHandleConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := s.Primary().Store().Stats()
 	n := 0
-	for st := s.Primary().Store().Stats(); n < 10 || st.Generation == st.BaseGeneration; st = s.Primary().Store().Stats() {
-		if n == 100 {
-			t.Fatalf("no delta generation after %d transactions: %+v", n, st)
-		}
+	for ; n < 10; n++ {
 		resp, err := s.Handle(submitFrame(t, fmt.Sprintf("tx-%d", n)))
 		expectAccepted(t, resp, err)
-		n++
+	}
+	st := s.Primary().Store().Stats()
+	if st.Snapshots != before.Snapshots || st.WALBytes == 0 {
+		t.Fatalf("after %d transactions: %d snapshots (was %d), %d WAL bytes; want no rotation and a non-empty WAL",
+			n, st.Snapshots, before.Snapshots, st.WALBytes)
 	}
 
-	cfg := deltaMember(2, backends)
+	cfg := cadenceMember(2, backends)
 	cfg.Member, cfg.StartRole, cfg.Net = 2, NodeRoleFollower, ln
 	fresh, err := ln.join(cfg)
 	if err != nil {
@@ -584,9 +588,9 @@ func TestShardAdoptAfterDeltaRotations(t *testing.T) {
 	if _, err := ln.ctl(0, MemberAddr{Member: s.PrimaryMember()}, ctlReq{adopt: &adoptCmd{Member: 2}}); err != nil {
 		t.Fatalf("adopt: %v", err)
 	}
-	st := s.Primary().Store().Stats()
-	if st.Generation != st.BaseGeneration {
-		t.Fatalf("primary still at delta generation %d over %d after the adoption", st.Generation, st.BaseGeneration)
+	if got := s.Primary().Store().Stats(); got.Generation != st.Generation+1 || got.WALBytes != 0 {
+		t.Fatalf("primary at generation %d with %d WAL bytes after the adoption; want %d and none",
+			got.Generation, got.WALBytes, st.Generation+1)
 	}
 	seg, err := s.Primary().Store().ReadSegment()
 	if err != nil {

@@ -15,17 +15,12 @@ import (
 
 // File naming: each generation g owns a snapshot "snap-<g>.snap" and a
 // log "wal-<g>.log" of records appended after that snapshot was taken.
-// A snapshot is full, or a delta that holds only what changed since a
-// retained full snapshot, its base, which it names with its CRC. A new
-// snapshot of either kind is written as "snap-<g>.tmp", synced, and
-// renamed into place before the old generation's files are removed, so
-// at every instant at least one complete (snapshot, WAL) pair is on
-// disk, with the base of a delta. A full rotation retires the previous
-// generation and its base; a delta rotation retires the previous
-// generation only, unless that is its base. Recovery scans for the
-// highest-numbered valid snapshot — a delta is valid only with its base
-// present and matching — and replays its WAL; stray *.tmp files and
-// every other generation are deleted (see Open for when it refuses).
+// A new snapshot is written as "snap-<g>.tmp", synced, and renamed into
+// place before the old generation's files are removed, so at every
+// instant at least one complete (snapshot, WAL) pair is on disk.
+// Recovery scans for the highest-numbered valid snapshot and replays
+// its WAL; stray *.tmp files and stale generations are deleted (see
+// Open for when it refuses).
 
 const (
 	snapPrefix = "snap-"
@@ -61,9 +56,12 @@ var ErrNoSnapshot = errors.New("store: no snapshot written yet")
 // and no older generation can stand in for it without losing records.
 var ErrNoFallback = errors.New("store: no safe fallback generation")
 
-// ErrDeltaSegment is returned by ReadSegment when the current
-// generation's snapshot is a delta: a segment ships a full state.
-var ErrDeltaSegment = errors.New("store: read segment: current snapshot is a delta")
+// ErrDeltaSnapshot is returned by Open when the generation it would
+// recover is a delta snapshot, which older versions of this store wrote
+// over a retained full one and this version does not read. Open then
+// removes nothing: open the store once with the version that wrote it
+// and shut that down cleanly, which writes a full snapshot.
+var ErrDeltaSnapshot = errors.New("store: delta snapshot (envelope version 2) is no longer supported")
 
 // Stats counts store activity since Open.
 type Stats struct {
@@ -76,12 +74,8 @@ type Stats struct {
 	// Syncs counts WAL fsyncs.
 	Syncs uint64
 
-	// Snapshots counts snapshots written (generation rotations), full
-	// and delta.
+	// Snapshots counts snapshots written (generation rotations).
 	Snapshots uint64
-
-	// DeltaSnapshots counts the snapshots written as deltas.
-	DeltaSnapshots uint64
 
 	// RecoveredRecords is the number of valid WAL records found at Open.
 	RecoveredRecords uint64
@@ -100,10 +94,14 @@ type Stats struct {
 	// Generation is the store's current generation number.
 	Generation uint64
 
-	// BaseGeneration is the generation of the full snapshot recovery
-	// would start from: the current one when it is full, else the base
-	// its delta applies to. 0 before the first snapshot.
-	BaseGeneration uint64
+	// SnapshotBytes is the payload size of the current generation's
+	// snapshot.
+	SnapshotBytes uint64
+
+	// WALBytes is the framed byte volume of the current generation's
+	// WAL: the valid prefix recovered at Open, plus what was appended
+	// since. A rotation empties it.
+	WALBytes uint64
 }
 
 // Store is a WAL + snapshot pair over a Backend. One Store owns the
@@ -119,17 +117,12 @@ type Store struct {
 	// feeding the admin plane's last-snapshot-age readiness check.
 	lastSnap time.Time
 
-	// recovered state from Open, consumed by the caller's restore pass:
-	// the base's state, the current generation's delta over it (nil
-	// when the generation is full) and the WAL records.
+	// recovered state from Open, consumed by the caller's restore pass.
 	snapshot []byte
-	delta    []byte
 	records  [][]byte
 
-	gen     uint64
-	base    uint64 // the retained full snapshot's generation; 0 before the first
-	baseCRC uint32 // its envelope CRC, which a delta names
-	wal     File   // nil until the first WriteSnapshot
+	gen uint64
+	wal File // nil until the first WriteSnapshot
 }
 
 // SetMetrics attaches a live registry: append/sync/snapshot latency
@@ -150,13 +143,14 @@ func (s *Store) LastSnapshotTime() time.Time {
 	return s.lastSnap
 }
 
-// Open scans the backend, selects the newest valid snapshot (a delta
-// with its base), and loads the valid prefix of its WAL. On a virgin
-// backend Snapshot() returns nil and the caller bootstraps with
-// WriteSnapshot. Stray temp files and stale generations are removed.
-// An invalid newest snapshot falls back to an older generation only
-// when that generation's WAL is present and no newer WAL exists;
-// otherwise Open fails with ErrNoFallback and removes nothing.
+// Open scans the backend, selects the newest valid snapshot, and loads
+// the valid prefix of its WAL. On a virgin backend Snapshot() returns
+// nil and the caller bootstraps with WriteSnapshot. Stray temp files
+// and stale generations are removed. An invalid newest snapshot falls
+// back to an older generation only when that generation's WAL is
+// present and no newer WAL exists; otherwise Open fails with
+// ErrNoFallback and removes nothing. A delta snapshot where Open would
+// recover fails it with ErrDeltaSnapshot, also removing nothing.
 func Open(b Backend) (*Store, error) {
 	names, err := b.List()
 	if err != nil {
@@ -187,7 +181,7 @@ func Open(b Backend) (*Store, error) {
 
 	chosen := false
 	for _, gen := range snapGens {
-		env, crc, state, err := s.readSnapshot(gen)
+		state, err := s.readSnapshot(gen)
 		if err != nil {
 			return nil, fmt.Errorf("store: open: %w", err)
 		}
@@ -195,22 +189,7 @@ func Open(b Backend) (*Store, error) {
 			s.stats.SkippedSnapshots++
 			continue
 		}
-		if !env.delta() {
-			s.gen, s.base, s.baseCRC, s.snapshot = gen, gen, crc, state
-			chosen = true
-			break
-		}
-		// A delta is only as good as its base: missing, damaged or not
-		// the file it names, and the delta is refused.
-		baseEnv, baseCRC, base, err := s.readSnapshot(env.base)
-		if err != nil {
-			return nil, fmt.Errorf("store: open: %w", err)
-		}
-		if base == nil || baseEnv.delta() || baseCRC != env.baseCRC {
-			s.stats.SkippedSnapshots++
-			continue
-		}
-		s.gen, s.base, s.baseCRC, s.snapshot, s.delta = gen, env.base, baseCRC, base, state
+		s.gen, s.snapshot = gen, state
 		chosen = true
 		break
 	}
@@ -229,24 +208,25 @@ func Open(b Backend) (*Store, error) {
 
 	if chosen {
 		s.stats.Generation = s.gen
-		s.stats.BaseGeneration = s.base
+		s.stats.SnapshotBytes = uint64(len(s.snapshot))
 		if walData, err := s.backend.ReadFile(walName(s.gen)); err == nil {
 			scan := scanWAL(walData)
 			s.records = scan.records
 			s.stats.RecoveredRecords = uint64(len(scan.records))
 			s.stats.RecoveredBytes = uint64(scan.validBytes)
 			s.stats.TruncatedBytes = uint64(scan.truncatedBytes)
+			s.stats.WALBytes = s.stats.RecoveredBytes
 		} else if !errors.Is(err, ErrNotExist) {
 			return nil, fmt.Errorf("store: open: %w", err)
 		}
 	}
 
-	// Drop every generation other than the chosen one and its base. The
-	// chosen WAL itself is kept untouched — the caller replays it and
+	// Drop every generation other than the chosen one. The chosen WAL
+	// itself is kept untouched — the caller replays it and
 	// then rotates via WriteSnapshot, which is how torn tails get
 	// discarded for good.
 	for _, gen := range snapGens {
-		if chosen && (gen == s.gen || gen == s.base) {
+		if chosen && gen == s.gen {
 			continue
 		}
 		if err := b.Remove(snapName(gen)); err != nil {
@@ -290,36 +270,32 @@ func Discard(b Backend) error {
 
 // readSnapshot reads and validates generation gen's snapshot. A missing
 // or invalid file, or one claiming another generation, yields a nil
-// state and no error; only a backend failure is an error.
-func (s *Store) readSnapshot(gen uint64) (envelope, uint32, []byte, error) {
+// state and no error; a backend failure and a delta snapshot are
+// errors.
+func (s *Store) readSnapshot(gen uint64) ([]byte, error) {
 	data, err := s.backend.ReadFile(snapName(gen))
 	if err != nil {
 		if errors.Is(err, ErrNotExist) {
-			return envelope{}, 0, nil, nil
+			return nil, nil
 		}
-		return envelope{}, 0, nil, err
+		return nil, err
 	}
-	env, crc, state, err := decodeSnapshot(data)
-	if err != nil || env.gen != gen {
-		return envelope{}, 0, nil, nil
+	got, state, err := decodeSnapshot(data)
+	if errors.Is(err, ErrDeltaSnapshot) {
+		return nil, fmt.Errorf("snapshot %d: %w", gen, err)
 	}
-	return env, crc, state, nil
+	if err != nil || got != gen {
+		return nil, nil
+	}
+	return state, nil
 }
 
-// Snapshot returns the full state blob recovered at Open: the base,
-// when the recovered generation is a delta (nil on a virgin backend).
+// Snapshot returns the state blob recovered at Open (nil on a virgin
+// backend).
 func (s *Store) Snapshot() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.snapshot
-}
-
-// Delta returns the delta recovered at Open, to apply over Snapshot
-// before the records (nil when the recovered generation is full).
-func (s *Store) Delta() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.delta
 }
 
 // Records returns the WAL records recovered at Open, in append order.
@@ -338,9 +314,8 @@ func (s *Store) Generation() uint64 {
 
 // WriteSnapshot persists state as a new generation and rotates the WAL:
 // temp-write + sync + rename, then a fresh empty WAL for the new
-// generation, then removal of the previous generation's files and its
-// base. After it returns, state is durable, it is the base later
-// deltas apply to, and the WAL is empty.
+// generation, then removal of the previous generation's files. After it
+// returns, state is durable and the WAL is empty.
 func (s *Store) WriteSnapshot(state []byte) error {
 	frame := make([]byte, SnapshotHeaderLen, SnapshotHeaderLen+len(state)+snapshotCRCLen)
 	return s.WriteSnapshotFrame(append(frame, state...))
@@ -357,29 +332,10 @@ func (s *Store) WriteSnapshot(state []byte) error {
 // reallocating for the CRC. The store owns frame and the parts until the
 // call returns, and keeps none of them.
 func (s *Store) WriteSnapshotFrame(frame []byte, more ...[]byte) error {
-	return s.rotate(false, frame, more)
-}
-
-// WriteDeltaFrame is WriteSnapshotFrame for a delta over the retained
-// base, encoded after DeltaHeaderLen reserved bytes of frame: the base
-// is kept, and what the delta means only the caller knows — recovery
-// hands it back beside the base (Delta). It fails before the first full
-// snapshot.
-func (s *Store) WriteDeltaFrame(frame []byte, more ...[]byte) error {
-	return s.rotate(true, frame, more)
-}
-
-// rotate writes a full or delta snapshot as the next generation and
-// retires what recovery no longer needs.
-func (s *Store) rotate(delta bool, frame []byte, more [][]byte) error {
-	hdr := SnapshotHeaderLen
-	if delta {
-		hdr = DeltaHeaderLen
-	}
-	if len(frame) < hdr {
+	if len(frame) < SnapshotHeaderLen {
 		return fmt.Errorf("store: snapshot frame of %d bytes has no header room", len(frame))
 	}
-	size := len(frame) - hdr
+	size := len(frame) - SnapshotHeaderLen
 	for _, part := range more {
 		size += len(part)
 	}
@@ -388,25 +344,17 @@ func (s *Store) rotate(delta bool, frame []byte, more [][]byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if delta && s.base == 0 {
-		return errors.New("store: delta snapshot with no base")
-	}
 	start := time.Now()
 
-	prevGen, prevBase := s.gen, s.base
-	hadPrev := s.wal != nil || s.snapshot != nil || s.stats.Snapshots > 0
-	env := envelope{gen: s.gen + 1}
-	if delta {
-		env.base, env.baseCRC = s.base, s.baseCRC
-	}
+	prevGen, hadPrev := s.gen, s.wal != nil || s.snapshot != nil || s.stats.Snapshots > 0
+	newGen := s.gen + 1
 
-	tmp := snapName(env.gen) + tmpSuffix
+	tmp := snapName(newGen) + tmpSuffix
 	f, err := s.backend.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("store: snapshot: %w", err)
 	}
-	crc, err := writeSnapshotParts(f, env, append([][]byte{frame}, more...))
-	if err != nil {
+	if err := writeSnapshotParts(f, newGen, append([][]byte{frame}, more...)); err != nil {
 		f.Close()
 		return fmt.Errorf("store: snapshot: %w", err)
 	}
@@ -417,7 +365,7 @@ func (s *Store) rotate(delta bool, frame []byte, more [][]byte) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("store: snapshot: %w", err)
 	}
-	if err := s.backend.Rename(tmp, snapName(env.gen)); err != nil {
+	if err := s.backend.Rename(tmp, snapName(newGen)); err != nil {
 		return fmt.Errorf("store: snapshot: %w", err)
 	}
 
@@ -426,49 +374,33 @@ func (s *Store) rotate(delta bool, frame []byte, more [][]byte) error {
 		s.wal.Close()
 		s.wal = nil
 	}
-	wal, err := s.backend.Create(walName(env.gen))
+	wal, err := s.backend.Create(walName(newGen))
 	if err != nil {
 		return fmt.Errorf("store: snapshot: %w", err)
 	}
 
-	s.gen = env.gen
+	s.gen = newGen
 	s.wal = wal
-	if !delta {
-		s.base, s.baseCRC = env.gen, crc
-	}
 	s.stats.Snapshots++
-	s.stats.Generation = env.gen
-	s.stats.BaseGeneration = s.base
-	s.snapshot, s.delta = nil, nil
+	s.stats.Generation = newGen
+	s.stats.SnapshotBytes = uint64(size)
+	s.stats.WALBytes = 0
+	s.snapshot = nil
 	s.records = nil
 	s.lastSnap = time.Now()
-	s.metrics.Gauge("store.generation").Set(int64(env.gen))
-	if delta {
-		s.stats.DeltaSnapshots++
-		s.metrics.Counter("store.delta_snapshots").Inc()
-		s.metrics.Observe("store.delta_snapshot_latency", time.Since(start))
-	} else {
-		s.metrics.Counter("store.snapshots").Inc()
-		s.metrics.Observe("store.snapshot_latency", time.Since(start))
-	}
+	s.metrics.Counter("store.snapshots").Inc()
+	s.metrics.Gauge("store.generation").Set(int64(newGen))
+	s.metrics.Observe("store.snapshot_latency", time.Since(start))
 
-	// Retire the previous generation, and after a full rotation its
-	// base. Failures here would leave stale files that the next Open
-	// cleans up, but under the simulated crash model a failure means the
-	// whole process is dead anyway.
+	// Retire the previous generation. Failures here would leave stale
+	// files that the next Open cleans up, but under the simulated crash
+	// model a failure means the whole process is dead anyway.
 	if hadPrev {
-		if prevGen != s.base {
-			if err := s.backend.Remove(snapName(prevGen)); err != nil {
-				return fmt.Errorf("store: snapshot: %w", err)
-			}
+		if err := s.backend.Remove(snapName(prevGen)); err != nil {
+			return fmt.Errorf("store: snapshot: %w", err)
 		}
 		if err := s.backend.Remove(walName(prevGen)); err != nil {
 			return fmt.Errorf("store: snapshot: %w", err)
-		}
-		if !delta && prevBase != 0 && prevBase != prevGen {
-			if err := s.backend.Remove(snapName(prevBase)); err != nil {
-				return fmt.Errorf("store: snapshot: %w", err)
-			}
 		}
 	}
 	return nil
@@ -492,6 +424,7 @@ func (s *Store) Append(rec []byte) error {
 	}
 	s.stats.Appends++
 	s.stats.AppendedBytes += uint64(len(frame))
+	s.stats.WALBytes += uint64(len(frame))
 	s.metrics.Counter("store.appends").Inc()
 	s.metrics.Counter("store.appended_bytes").Add(int64(len(frame)))
 	s.metrics.Observe("store.append_latency", time.Since(start))
@@ -522,6 +455,7 @@ func (s *Store) AppendAll(recs [][]byte) error {
 	}
 	s.stats.Appends += uint64(len(recs))
 	s.stats.AppendedBytes += uint64(len(buf))
+	s.stats.WALBytes += uint64(len(buf))
 	s.metrics.Counter("store.appends").Add(int64(len(recs)))
 	s.metrics.Counter("store.appended_bytes").Add(int64(len(buf)))
 	s.metrics.Observe("store.append_latency", time.Since(start))
@@ -561,9 +495,7 @@ type Segment struct {
 }
 
 // ReadSegment re-reads the current generation's snapshot and the valid
-// prefix of its WAL from the backend. The generation must be full: a
-// segment of a delta generation fails with ErrDeltaSegment, and the
-// caller writes a full snapshot first. Call it quiesced (no append/sync
+// prefix of its WAL from the backend. Call it quiesced (no append/sync
 // in flight) — typically right after Open+WriteSnapshot or with the
 // owning provider's committer idle — so the WAL read is a consistent
 // prefix of committed groups.
@@ -573,19 +505,16 @@ func (s *Store) ReadSegment() (Segment, error) {
 	if s.wal == nil && s.stats.Snapshots == 0 {
 		return Segment{}, ErrNoSnapshot
 	}
-	if s.base != s.gen {
-		return Segment{}, fmt.Errorf("%w: generation %d is a delta over %d", ErrDeltaSegment, s.gen, s.base)
-	}
 	data, err := s.backend.ReadFile(snapName(s.gen))
 	if err != nil {
 		return Segment{}, fmt.Errorf("store: read segment: %w", err)
 	}
-	env, _, state, err := decodeSnapshot(data)
+	gen, state, err := decodeSnapshot(data)
 	if err != nil {
 		return Segment{}, fmt.Errorf("store: read segment: %w", err)
 	}
-	if env.gen != s.gen || env.delta() {
-		return Segment{}, fmt.Errorf("store: read segment: snapshot generation %d, store at full generation %d", env.gen, s.gen)
+	if gen != s.gen {
+		return Segment{}, fmt.Errorf("store: read segment: snapshot generation %d, store at %d", gen, s.gen)
 	}
 	seg := Segment{Generation: s.gen, State: state}
 	walData, err := s.backend.ReadFile(walName(s.gen))

@@ -166,17 +166,14 @@ func TestWALBitFlips(t *testing.T) {
 // requires decode to reject every mutation.
 func TestSnapshotBitFlips(t *testing.T) {
 	enc := encodeSnapshot(7, []byte("provider-state-blob"))
-	delta := encodeEnvelope(envelope{gen: 9, base: 7, baseCRC: 0xC0FFEE}, []byte("delta-blob"))
-	for _, enc := range [][]byte{enc, delta} {
-		if _, _, _, err := decodeSnapshot(enc); err != nil {
-			t.Fatalf("clean decode: %v", err)
-		}
-		for bit := 0; bit < len(enc)*8; bit++ {
-			mut := append([]byte(nil), enc...)
-			mut[bit/8] ^= 1 << (bit % 8)
-			if _, _, _, err := decodeSnapshot(mut); err == nil {
-				t.Fatalf("bit %d: tampered snapshot accepted", bit)
-			}
+	if _, _, err := decodeSnapshot(enc); err != nil {
+		t.Fatalf("clean decode: %v", err)
+	}
+	for bit := 0; bit < len(enc)*8; bit++ {
+		mut := append([]byte(nil), enc...)
+		mut[bit/8] ^= 1 << (bit % 8)
+		if _, _, err := decodeSnapshot(mut); err == nil {
+			t.Fatalf("bit %d: tampered snapshot accepted", bit)
 		}
 	}
 }
@@ -448,6 +445,17 @@ func TestCorruptSnapshotRefusedWithNewerWAL(t *testing.T) {
 	}
 }
 
+// appendSynced appends and syncs one record.
+func appendSynced(t *testing.T, s *Store, rec string) {
+	t.Helper()
+	if err := s.Append([]byte(rec)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // mustFrame frames one WAL record.
 func mustFrame(t *testing.T, rec string) []byte {
 	t.Helper()
@@ -493,24 +501,12 @@ func TestDirBackendRoundTrip(t *testing.T) {
 	}
 }
 
-// encodeSnapshot wraps state in the full snapshot envelope.
+// encodeSnapshot wraps state in the snapshot envelope, built field by
+// field from its layout.
 func encodeSnapshot(gen uint64, state []byte) []byte {
-	return encodeEnvelope(envelope{gen: gen}, state)
-}
-
-// encodeEnvelope wraps state in a full or delta snapshot envelope,
-// built field by field from its layout.
-func encodeEnvelope(e envelope, state []byte) []byte {
 	env := binary.BigEndian.AppendUint32(nil, snapshotMagic)
-	if e.delta() {
-		env = append(env, deltaVersion)
-		env = binary.BigEndian.AppendUint64(env, e.gen)
-		env = binary.BigEndian.AppendUint64(env, e.base)
-		env = binary.BigEndian.AppendUint32(env, e.baseCRC)
-	} else {
-		env = append(env, snapshotVersion)
-		env = binary.BigEndian.AppendUint64(env, e.gen)
-	}
+	env = append(env, snapshotVersion)
+	env = binary.BigEndian.AppendUint64(env, gen)
 	env = binary.BigEndian.AppendUint32(env, uint32(len(state)))
 	env = append(env, state...)
 	return binary.BigEndian.AppendUint32(env, crc32.Checksum(env, castagnoli))
@@ -583,28 +579,25 @@ func snapshotParts(state []byte, at ...int) (frame []byte, more [][]byte) {
 }
 
 // FuzzDecodeSnapshot feeds arbitrary bytes to the snapshot envelope
-// decoder: it must never panic, and whatever it accepts, full or delta,
-// must be the exact envelope of the header and state it returns, with
-// the CRC it reports.
+// decoder: it must never panic, whatever it accepts must be the exact
+// envelope of the generation and state it returns, and only a
+// version-2 envelope may be refused as a delta.
 func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(encodeSnapshot(1, []byte("provider-state-blob")))
 	f.Add(encodeSnapshot(1<<40, nil))
 	f.Add(encodeSnapshot(7, bytes.Repeat([]byte{0xA5}, 300)))
-	f.Add(encodeEnvelope(envelope{gen: 9, base: 7, baseCRC: 0xC0FFEE}, []byte("delta-blob")))
-	f.Add(encodeEnvelope(envelope{gen: 2, base: 1, baseCRC: 0}, nil))
+	f.Add(encodeDelta(9, 7, 0xC0FFEE, []byte("delta-blob")))
+	f.Add(encodeDelta(2, 1, 0, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env, crc, state, err := decodeSnapshot(data)
+		gen, state, err := decodeSnapshot(data)
+		if errors.Is(err, ErrDeltaSnapshot) && data[4] != deltaVersion {
+			t.Fatalf("version %d envelope refused as a delta", data[4])
+		}
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(encodeEnvelope(env, state), data) {
-			t.Fatalf("accepted envelope %+v (%d-byte state) does not re-encode to its input", env, len(state))
-		}
-		if got := binary.BigEndian.Uint32(data[len(data)-snapshotCRCLen:]); got != crc {
-			t.Fatalf("reported CRC %08x, envelope carries %08x", crc, got)
-		}
-		if env.delta() && (env.base == 0 || env.base >= env.gen) {
-			t.Fatalf("accepted delta %d over base %d", env.gen, env.base)
+		if !bytes.Equal(encodeSnapshot(gen, state), data) {
+			t.Fatalf("accepted envelope of generation %d (%d-byte state) does not re-encode to its input", gen, len(state))
 		}
 	})
 }

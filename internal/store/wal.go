@@ -94,13 +94,12 @@ func scanWAL(data []byte) walScan {
 
 // Snapshot envelope: u32 magic | u8 version | u64 generation |
 // u32 length | payload | u32 CRC-32C(everything before the CRC).
-// Version 2 is a delta envelope, which names the full snapshot it
-// applies to between the generation and the length: u64 base
-// generation | u32 the base file's CRC. A snapshot is either wholly
-// valid or ignored; there is no partial acceptance, because the atomic
-// temp-write/fsync/rename protocol means a visible *.snap file should
-// always be complete — the CRC catches the cases where it is not (bit
-// rot, injected garbage).
+// A snapshot is either wholly valid or ignored; there is no partial
+// acceptance, because the atomic temp-write/fsync/rename protocol means
+// a visible *.snap file should always be complete — the CRC catches the
+// cases where it is not (bit rot, injected garbage). Version 2 was a
+// delta over an earlier full snapshot, which older stores wrote: a
+// CRC-valid one is recognised only to be refused (ErrDeltaSnapshot).
 
 const (
 	snapshotMagic   = 0x55545053 // "UTPS"
@@ -112,71 +111,44 @@ const (
 	// A caller of WriteSnapshotFrame encodes its state after this many
 	// reserved bytes, so the store frames the state in place.
 	SnapshotHeaderLen = 4 + 1 + 8 + 4
-
-	// DeltaHeaderLen is the size of the delta envelope's header, which
-	// a caller of WriteDeltaFrame reserves the same way.
-	DeltaHeaderLen = SnapshotHeaderLen + 8 + 4
 )
 
-// envelope is a snapshot file's header, less its length.
-type envelope struct {
-	gen     uint64
-	base    uint64 // the full snapshot a delta applies to; 0 for a full snapshot
-	baseCRC uint32 // the base file's CRC (a delta only)
-}
-
-// delta reports whether the envelope is a delta's.
-func (e envelope) delta() bool { return e.base != 0 }
-
-// headerLen is the envelope's header size.
-func (e envelope) headerLen() int {
-	if e.delta() {
-		return DeltaHeaderLen
-	}
-	return SnapshotHeaderLen
-}
-
-// writeSnapshotParts writes parts, a state preceded by env's header
-// length of reserved bytes of the first part, to w as a complete
-// envelope, one Write per part: it fills in the header, chains the CRC
-// over every part on a second goroutine while the parts before the last
-// are written, and appends the CRC to the last part (in place, given 4
-// bytes of spare capacity) before writing it. It returns the CRC, and
-// only once that goroutine is done, so the caller may reuse the parts.
-func writeSnapshotParts(w io.Writer, env envelope, parts [][]byte) (uint32, error) {
-	putSnapshotHeader(env, parts)
+// writeSnapshotParts writes parts, a state preceded by
+// SnapshotHeaderLen reserved bytes of the first part, to w as a
+// complete envelope for generation gen, one Write per part: it fills in
+// the header, chains the CRC over every part on a second goroutine
+// while the parts before the last are written, and appends the CRC to
+// the last part (in place, given 4 bytes of spare capacity) before
+// writing it. It returns only once that goroutine is done, so the
+// caller may reuse the parts.
+func writeSnapshotParts(w io.Writer, gen uint64, parts [][]byte) error {
+	putSnapshotHeader(gen, parts)
 	last := len(parts) - 1
 	sum := make(chan uint32, 1)
 	go func() { sum <- snapshotCRC(parts) }()
 	for _, part := range parts[:last] {
 		if _, err := w.Write(part); err != nil {
 			<-sum
-			return 0, err
+			return err
 		}
 	}
-	crc := <-sum
-	parts[last] = binary.BigEndian.AppendUint32(parts[last], crc)
+	parts[last] = binary.BigEndian.AppendUint32(parts[last], <-sum)
 	_, err := w.Write(parts[last])
-	return crc, err
+	return err
 }
 
 // putSnapshotHeader fills in the envelope header reserved at the start
 // of parts[0] for a state of parts' total length less the header.
-func putSnapshotHeader(env envelope, parts [][]byte) {
+func putSnapshotHeader(gen uint64, parts [][]byte) {
 	frame := parts[0]
-	size := -env.headerLen()
+	size := -SnapshotHeaderLen
 	for _, part := range parts {
 		size += len(part)
 	}
 	binary.BigEndian.PutUint32(frame[0:4], snapshotMagic)
 	frame[4] = snapshotVersion
-	binary.BigEndian.PutUint64(frame[5:13], env.gen)
-	if env.delta() {
-		frame[4] = deltaVersion
-		binary.BigEndian.PutUint64(frame[13:21], env.base)
-		binary.BigEndian.PutUint32(frame[21:25], env.baseCRC)
-	}
-	binary.BigEndian.PutUint32(frame[env.headerLen()-4:], uint32(size))
+	binary.BigEndian.PutUint64(frame[5:13], gen)
+	binary.BigEndian.PutUint32(frame[13:17], uint32(size))
 }
 
 // snapshotCRC chains the envelope's CRC-32C over every part.
@@ -188,39 +160,31 @@ func snapshotCRC(parts [][]byte) uint32 {
 	return sum
 }
 
-// decodeSnapshot validates an envelope, full or delta, and returns its
-// header, its CRC and a copy of its state.
-func decodeSnapshot(data []byte) (envelope, uint32, []byte, error) {
-	var env envelope
+// decodeSnapshot validates an envelope and returns (generation, a copy
+// of its state). A CRC-valid delta envelope fails with
+// ErrDeltaSnapshot.
+func decodeSnapshot(data []byte) (uint64, []byte, error) {
 	if len(data) < SnapshotHeaderLen+snapshotCRCLen {
-		return env, 0, nil, fmt.Errorf("store: snapshot too short (%d bytes)", len(data))
+		return 0, nil, fmt.Errorf("store: snapshot too short (%d bytes)", len(data))
 	}
 	if binary.BigEndian.Uint32(data[0:4]) != snapshotMagic {
-		return env, 0, nil, errors.New("store: snapshot magic mismatch")
+		return 0, nil, errors.New("store: snapshot magic mismatch")
 	}
-	env.gen = binary.BigEndian.Uint64(data[5:13])
-	switch data[4] {
-	case snapshotVersion:
-	case deltaVersion:
-		if len(data) < DeltaHeaderLen+snapshotCRCLen {
-			return env, 0, nil, fmt.Errorf("store: delta snapshot too short (%d bytes)", len(data))
-		}
-		env.base = binary.BigEndian.Uint64(data[13:21])
-		env.baseCRC = binary.BigEndian.Uint32(data[21:25])
-		if env.base == 0 || env.base >= env.gen {
-			return env, 0, nil, fmt.Errorf("store: delta snapshot %d names base %d", env.gen, env.base)
-		}
-	default:
-		return env, 0, nil, fmt.Errorf("store: unsupported snapshot version %d", data[4])
+	gen := binary.BigEndian.Uint64(data[5:13])
+	end := len(data) - snapshotCRCLen
+	crcOK := crc32.Checksum(data[:end], castagnoli) == binary.BigEndian.Uint32(data[end:])
+	switch {
+	case data[4] == deltaVersion && crcOK:
+		return gen, nil, ErrDeltaSnapshot
+	case data[4] != snapshotVersion:
+		return 0, nil, fmt.Errorf("store: unsupported snapshot version %d", data[4])
 	}
-	hdr := env.headerLen()
-	n := int(binary.BigEndian.Uint32(data[hdr-4 : hdr]))
-	if len(data) != hdr+n+snapshotCRCLen {
-		return env, 0, nil, fmt.Errorf("store: snapshot length mismatch (%d payload, %d total)", n, len(data))
+	n := int(binary.BigEndian.Uint32(data[13:17]))
+	if len(data) != SnapshotHeaderLen+n+snapshotCRCLen {
+		return 0, nil, fmt.Errorf("store: snapshot length mismatch (%d payload, %d total)", n, len(data))
 	}
-	crc := binary.BigEndian.Uint32(data[hdr+n:])
-	if crc32.Checksum(data[:hdr+n], castagnoli) != crc {
-		return env, 0, nil, errors.New("store: snapshot CRC mismatch")
+	if !crcOK {
+		return 0, nil, errors.New("store: snapshot CRC mismatch")
 	}
-	return env, crc, bytes.Clone(data[hdr : hdr+n]), nil
+	return gen, bytes.Clone(data[SnapshotHeaderLen:end]), nil
 }
