@@ -5,7 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"unitp/internal/cryptoutil"
 	"unitp/internal/platform"
@@ -348,82 +347,6 @@ func TestEvidenceMarshalRoundTrip(t *testing.T) {
 	}
 	if _, err := UnmarshalEvidence(wire[:8]); err == nil {
 		t.Fatal("truncated evidence accepted")
-	}
-}
-
-func TestNonceCacheIssueRedeem(t *testing.T) {
-	c := NewNonceCache(nil, sim.NewRand(1), 0)
-	n := c.Issue()
-	if c.Outstanding() != 1 {
-		t.Fatalf("outstanding = %d", c.Outstanding())
-	}
-	if err := c.Redeem(n); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Redeem(n); !errors.Is(err, ErrNonceReplayed) {
-		t.Fatalf("replay: %v", err)
-	}
-	var forged Nonce
-	forged[0] = 0xEE
-	if err := c.Redeem(forged); !errors.Is(err, ErrNonceUnknown) {
-		t.Fatalf("forged: %v", err)
-	}
-	issued, redeemed := c.Stats()
-	if issued != 1 || redeemed != 1 {
-		t.Fatalf("stats = %d, %d", issued, redeemed)
-	}
-}
-
-func TestNonceCacheTTL(t *testing.T) {
-	clock := sim.NewVirtualClock()
-	c := NewNonceCache(clock, sim.NewRand(2), time.Minute)
-	n := c.Issue()
-	clock.Sleep(2 * time.Minute)
-	if err := c.Redeem(n); !errors.Is(err, ErrNonceExpired) {
-		t.Fatalf("expired: %v", err)
-	}
-	// Within TTL works.
-	n2 := c.Issue()
-	clock.Sleep(30 * time.Second)
-	if err := c.Redeem(n2); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNonceCacheGC(t *testing.T) {
-	clock := sim.NewVirtualClock()
-	c := NewNonceCache(clock, sim.NewRand(3), time.Minute)
-	for i := 0; i < 5; i++ {
-		c.Issue()
-	}
-	clock.Sleep(2 * time.Minute)
-	fresh := c.Issue()
-	if got := c.Outstanding(); got != 1 {
-		t.Fatalf("outstanding = %d, want 1", got)
-	}
-	if got := c.GC(); got != 5 {
-		t.Fatalf("GC collected %d, want 5", got)
-	}
-	if err := c.Redeem(fresh); err != nil {
-		t.Fatal(err)
-	}
-	// Zero-TTL cache never GCs.
-	c2 := NewNonceCache(clock, sim.NewRand(4), 0)
-	c2.Issue()
-	if got := c2.GC(); got != 0 {
-		t.Fatalf("zero-TTL GC = %d", got)
-	}
-}
-
-func TestNoncesAreUnique(t *testing.T) {
-	c := NewNonceCache(nil, sim.NewRand(5), 0)
-	seen := make(map[Nonce]bool)
-	for i := 0; i < 1000; i++ {
-		n := c.Issue()
-		if seen[n] {
-			t.Fatal("nonce collision")
-		}
-		seen[n] = true
 	}
 }
 

@@ -414,8 +414,9 @@ func (v *Verifier) verifyQuoteSig(ev *Evidence) error {
 //  4. quoted PCR 17 equals the capped launch state of an approved PAL;
 //  5. quoted PCR 23 equals the expected output binding.
 //
-// Nonce single-use enforcement is the caller's job (NonceCache), since
-// the cache is shared across verifications.
+// Nonce single-use enforcement is the caller's job: the provider acts
+// on a verified quote only after consuming its nonce from the table of
+// challenges it issued.
 func (v *Verifier) Verify(ev *Evidence, want Expectations) (*Result, error) {
 	if ev == nil || ev.Cert == nil || ev.Quote == nil {
 		return nil, fmt.Errorf("attest: verify: nil evidence")

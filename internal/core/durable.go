@@ -652,7 +652,10 @@ func readStats(r *cryptoutil.Reader, s *ProviderStats) error {
 }
 
 // providerSnapshotVersion versions the provider-state snapshot payload.
-const providerSnapshotVersion = 1
+// Version 2 dropped version 1's nonce-cache section (issued nonces,
+// spent nonces and their two counts) from the tail; a version 1 payload
+// still restores, its nonce-cache section skipped.
+const providerSnapshotVersion = 2
 
 // encodeSnapshot serializes the provider's full durable state and hands
 // it to write in parts, which concatenate to the snapshot payload after
@@ -693,7 +696,7 @@ func (p *Provider) encodeSnapshot(write func(frame []byte, more ...[]byte) error
 }
 
 // encodeTail encodes the snapshot sections after the audit log: the
-// session, key, fallback, nonce and counter state.
+// session, key, fallback and counter state.
 func (p *Provider) encodeTail() []byte {
 	// Size the buffer for the previous tail plus room to grow: the
 	// state changes little between rotations.
@@ -785,20 +788,6 @@ func (p *Provider) encodeTail() []byte {
 		putOutcomeField(b, &fallback[i].o)
 	}
 
-	// Nonce cache: issued set, spent set, counters.
-	issued, spent, issuedCount, redeemedCount := p.nonces.Export()
-	b.PutUint32(uint32(len(issued)))
-	for i := range issued {
-		b.PutRaw(issued[i].Nonce[:])
-		b.PutUint64(uint64(issued[i].At.UnixNano()))
-	}
-	b.PutUint32(uint32(len(spent)))
-	for i := range spent {
-		b.PutRaw(spent[i][:])
-	}
-	b.PutUint64(uint64(issuedCount))
-	b.PutUint64(uint64(redeemedCount))
-
 	putStats(b, &stats)
 
 	p.snapTail.Store(int64(b.Len()))
@@ -809,10 +798,11 @@ func (p *Provider) encodeTail() []byte {
 // entries are verified as AuditLog.Restore does, every chain link.
 func (p *Provider) loadState(data []byte) error {
 	r := cryptoutil.NewReader(data)
-	if err := p.loadSections(r, data); err != nil {
+	version, err := p.loadSections(r, data)
+	if err != nil {
 		return err
 	}
-	if err := p.loadTail(r); err != nil {
+	if err := p.loadTail(r, version); err != nil {
 		return err
 	}
 	if err := r.ExpectEOF(); err != nil {
@@ -822,10 +812,12 @@ func (p *Provider) loadState(data []byte) error {
 }
 
 // loadSections restores the snapshot sections before the tail: the
-// balances, the history and the audit log.
-func (p *Provider) loadSections(r *cryptoutil.Reader, data []byte) error {
-	if v := r.Uint8(); v != providerSnapshotVersion {
-		return fmt.Errorf("core: unsupported provider snapshot version %d", v)
+// balances, the history and the audit log. It returns the payload's
+// version, which the tail's layout depends on.
+func (p *Provider) loadSections(r *cryptoutil.Reader, data []byte) (uint8, error) {
+	version := r.Uint8()
+	if version != 1 && version != providerSnapshotVersion {
+		return 0, fmt.Errorf("core: unsupported provider snapshot version %d", version)
 	}
 
 	// Accounts must arrive in strictly ascending name order: that is
@@ -839,17 +831,17 @@ func (p *Provider) loadSections(r *cryptoutil.Reader, data []byte) error {
 		name := r.Field()
 		r.Uint64()
 		if r.Err() == nil && i > 0 && bytes.Compare(name, prev) <= 0 {
-			return fmt.Errorf("core: snapshot account %q out of order or duplicated after %q", name, prev)
+			return 0, fmt.Errorf("core: snapshot account %q out of order or duplicated after %q", name, prev)
 		}
 		prev = name
 	}
 	if r.Err() != nil {
-		return fmt.Errorf("core: snapshot balances: %w", r.Err())
+		return 0, fmt.Errorf("core: snapshot balances: %w", r.Err())
 	}
 	start := len(data) - size
 	size -= r.Remaining()
 	if size > math.MaxInt32 {
-		return fmt.Errorf("core: snapshot balances of %d bytes", size)
+		return 0, fmt.Errorf("core: snapshot balances of %d bytes", size)
 	}
 	balances := bytes.Clone(data[start : start+size])
 	// The history and audit sections are checked in place, then each is
@@ -861,18 +853,18 @@ func (p *Provider) loadSections(r *cryptoutil.Reader, data []byte) error {
 		return err
 	})
 	if err != nil {
-		return fmt.Errorf("core: snapshot history: %w", err)
+		return 0, fmt.Errorf("core: snapshot history: %w", err)
 	}
 	p.ledger.restoreState(count, balances, history, n)
 	if err := p.audit.loadFields(r, data, int(r.Uint32())); err != nil {
-		return fmt.Errorf("core: snapshot audit: %w", err)
+		return 0, fmt.Errorf("core: snapshot audit: %w", err)
 	}
-	return nil
+	return version, nil
 }
 
 // loadTail restores the snapshot's tail, the sections after the audit
-// log, at r's position.
-func (p *Provider) loadTail(r *cryptoutil.Reader) error {
+// log, at r's position, from a payload of the given version.
+func (p *Provider) loadTail(r *cryptoutil.Reader, version uint8) error {
 	for i, n := 0, int(r.Uint32()); i < n && r.Err() == nil; i++ {
 		var nonce attest.Nonce
 		copy(nonce[:], r.Raw(attest.NonceSize))
@@ -929,22 +921,14 @@ func (p *Provider) loadTail(r *cryptoutil.Reader) error {
 		fs.mu.Unlock()
 	}
 
-	var issued []attest.IssuedNonce
-	for i, n := 0, int(r.Uint32()); i < n && r.Err() == nil; i++ {
-		var in attest.IssuedNonce
-		copy(in.Nonce[:], r.Raw(attest.NonceSize))
-		in.At = time.Unix(0, int64(r.Uint64()))
-		issued = append(issued, in)
+	if version == 1 {
+		// The retired nonce cache: issued nonces with their issue
+		// times, spent nonces, then the two counts. The pending
+		// section above already holds every live challenge.
+		r.Skip(int(r.Uint32()) * (attest.NonceSize + 8))
+		r.Skip(int(r.Uint32()) * attest.NonceSize)
+		r.Skip(16)
 	}
-	var spent []attest.Nonce
-	for i, n := 0, int(r.Uint32()); i < n && r.Err() == nil; i++ {
-		var nonce attest.Nonce
-		copy(nonce[:], r.Raw(attest.NonceSize))
-		spent = append(spent, nonce)
-	}
-	issuedCount := int(r.Uint64())
-	redeemedCount := int(r.Uint64())
-	p.nonces.Restore(issued, spent, issuedCount, redeemedCount)
 
 	p.mu.Lock()
 	err := readStats(r, &p.stats)
@@ -1005,22 +989,13 @@ func (p *Provider) replayRecord(rec []byte) error {
 		if err != nil {
 			return err
 		}
-		p.nonces.RestoreIssued(nonce, pend.issuedAt)
 		sh := p.shardFor(nonce)
 		sh.mu.Lock()
 		sh.pending[nonce] = pend
 		sh.mu.Unlock()
-	case recPendingDropped:
+	case recPendingDropped, recNonceRedeemed:
 		var nonce attest.Nonce
 		copy(nonce[:], r.Raw(attest.NonceSize))
-		sh := p.shardFor(nonce)
-		sh.mu.Lock()
-		delete(sh.pending, nonce)
-		sh.mu.Unlock()
-	case recNonceRedeemed:
-		var nonce attest.Nonce
-		copy(nonce[:], r.Raw(attest.NonceSize))
-		p.nonces.RestoreSpent(nonce)
 		sh := p.shardFor(nonce)
 		sh.mu.Lock()
 		delete(sh.pending, nonce)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -160,8 +161,8 @@ func driveCrashWorkload(t *testing.T, d *durableRig, numTx, maxAttempts int) {
 // assertRecoveryInvariants restarts once more and checks every durable
 // invariant the paper's provider depends on: exactly-once execution,
 // restored state identical to the live state it replaced, a verifying
-// audit chain (structural and full auditor replay), and no
-// double-redeemed nonces.
+// audit chain (structural and full auditor replay), and a challenge
+// table identical to the live one.
 func assertRecoveryInvariants(t *testing.T, d *durableRig, wantBob int64) {
 	t.Helper()
 	live := d.provider
@@ -211,12 +212,47 @@ func assertRecoveryInvariants(t *testing.T, d *durableRig, wantBob int64) {
 		t.Fatalf("auditor replay covered %d of %d entries", report.Entries, len(entries))
 	}
 
-	// Each redemption consumed a distinct nonce: a double redemption
-	// would bump the counter without growing the spent set.
-	_, spent, _, redeemed := p.nonces.Export()
-	if len(spent) != redeemed {
-		t.Fatalf("double redemption: %d spent nonces for %d redemptions", len(spent), redeemed)
+	// The challenge table is the only record of an issued nonce, so it
+	// must come back exactly: a pending nonce lost would refuse a live
+	// proof, an answered one lost or changed would let a retransmitted
+	// proof be redeemed twice or answered differently.
+	livePending, liveAnswered := challengeTable(live)
+	pending, answered := challengeTable(p)
+	if len(pending) != len(livePending) {
+		t.Fatalf("restored %d pending challenges, live had %d", len(pending), len(livePending))
 	}
+	for n := range livePending {
+		if !pending[n] {
+			t.Fatalf("pending nonce %x lost across restart", n)
+		}
+	}
+	if len(answered) != len(liveAnswered) {
+		t.Fatalf("restored %d answered challenges, live had %d", len(answered), len(liveAnswered))
+	}
+	for n, a := range liveAnswered {
+		got, ok := answered[n]
+		if !ok || !got.at.Equal(a.at) || !reflect.DeepEqual(got.outcome, a.outcome) {
+			t.Fatalf("answered nonce %x: restored %+v (held %v), live %+v", n, got, ok, a)
+		}
+	}
+}
+
+// challengeTable collects a provider's pending nonces and answered
+// challenges across its stripes.
+func challengeTable(p *Provider) (map[attest.Nonce]bool, map[attest.Nonce]answeredChallenge) {
+	pending, answered := map[attest.Nonce]bool{}, map[attest.Nonce]answeredChallenge{}
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		for n := range sh.pending {
+			pending[n] = true
+		}
+		for n, a := range sh.answered {
+			answered[n] = a
+		}
+		sh.mu.Unlock()
+	}
+	return pending, answered
 }
 
 // TestCrashPointSweepInvariants schedules exactly one crash at every

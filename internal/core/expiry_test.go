@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"unitp/internal/attest"
+	"unitp/internal/faults"
 	"unitp/internal/sim"
 )
 
@@ -127,8 +128,30 @@ func TestMaybeGCBoundsPendingState(t *testing.T) {
 	}
 }
 
+// TestReplayAfterTTLRejectedBeforeGC retransmits a confirmed proof at
+// the TTL (the cached answer) and just past it (a stale rejection, no
+// GC having run), on a live provider and on one restored from its
+// store right after the confirmation: the pending/answered table is
+// the only record of the challenge, so the restored one must decide
+// the same way, and the ledger moves once.
 func TestReplayAfterTTLRejectedBeforeGC(t *testing.T) {
-	r := newRig(t, nil)
+	for _, restart := range []bool{false, true} {
+		t.Run(map[bool]string{false: "live", true: "restart"}[restart], func(t *testing.T) {
+			testReplayAfterTTL(t, restart)
+		})
+	}
+}
+
+func testReplayAfterTTL(t *testing.T, restart bool) {
+	var d *durableRig
+	var r *rig
+	if restart {
+		d = newDurableRig(t, 0, faults.NewCrashPlan(sim.NewRand(5), faults.CrashRates{}),
+			faults.RecoveryPolicy{}.Tear(sim.NewRand(6)))
+		r = d.rig
+	} else {
+		r = newRig(t, nil)
+	}
 	captured := captureOutbound[*ConfirmTx](r)
 	r.pressOnce('y')
 	original, err := r.client.SubmitTransaction(payment("tx-echo", "bob", 5_000))
@@ -137,6 +160,9 @@ func TestReplayAfterTTLRejectedBeforeGC(t *testing.T) {
 	}
 	if !original.Accepted {
 		t.Fatalf("setup: %+v", original)
+	}
+	if restart {
+		d.restart(t)
 	}
 
 	// A retransmission exactly at the TTL still gets the cached answer.
@@ -149,9 +175,12 @@ func TestReplayAfterTTLRejectedBeforeGC(t *testing.T) {
 	nonce := msg.(*ConfirmTx).Nonce
 	sh := r.provider.shardFor(nonce)
 	sh.mu.Lock()
-	cachedAt := sh.answered[nonce].at
+	cached, ok := sh.answered[nonce]
 	sh.mu.Unlock()
-	r.clock.Sleep(cachedAt.Add(5 * time.Minute).Sub(r.clock.Now()))
+	if !ok {
+		t.Fatal("no cached outcome for the confirmed nonce")
+	}
+	r.clock.Sleep(cached.at.Add(5 * time.Minute).Sub(r.clock.Now()))
 	if replayed := replayLast(t, r, *captured); !replayed.Accepted {
 		t.Fatalf("replay at the TTL = %+v", replayed)
 	}

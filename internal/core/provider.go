@@ -225,7 +225,7 @@ type Provider struct {
 	mu        sync.Mutex
 	name      string
 	verifier  *attest.Verifier
-	nonces    *attest.NonceCache
+	nonces    *sim.Rand // challenge nonces; shards is their only record
 	clock     sim.Clock
 	rng       *sim.Rand
 	key       *rsa.PrivateKey
@@ -238,7 +238,6 @@ type Provider struct {
 	creds     map[string][32]byte // username -> credential digest
 	platforms map[string]string   // account -> bound platform ID
 	captcha   *captcha.Service
-	counters  *metrics.CounterSet
 	obsReg    *obs.Registry
 	tracer    *obs.Tracer
 	ins       providerInstruments
@@ -320,14 +319,10 @@ type providerInstruments struct {
 	// registry's histogram is duration-valued, and the F12 experiment
 	// reads the exact integer distribution from CommitBatchSizes.
 	commitBatchSize *metrics.BoundedHistogram
-
-	// Pre-resolved CounterSet counters (experiment tables).
-	corruptSet   *metrics.Counter
-	downgradeSet *metrics.Counter
 }
 
 // resolveInstruments (re)binds every instrument against the current
-// registry and counter set.
+// registry.
 func (p *Provider) resolveInstruments() {
 	m := p.obsReg
 	p.ins = providerInstruments{
@@ -354,8 +349,6 @@ func (p *Provider) resolveInstruments() {
 		recoveries:          m.Counter("provider.recoveries"),
 		commitLatency:       m.Histogram("provider.commit_latency"),
 		commitBatchSize:     m.Histogram("provider.commit_batch_size"),
-		corruptSet:          p.counters.Counter("corrupt-frames"),
-		downgradeSet:        p.counters.Counter("downgrades"),
 	}
 }
 
@@ -385,7 +378,7 @@ func NewProvider(cfg ProviderConfig) *Provider {
 	p := &Provider{
 		name:      cfg.Name,
 		verifier:  attest.NewVerifier(cfg.CAPub),
-		nonces:    attest.NewNonceCache(clock, rng.Fork("nonces"), ttl),
+		nonces:    rng.Fork("nonces"),
 		clock:     clock,
 		rng:       rng,
 		key:       cfg.Key,
@@ -396,7 +389,6 @@ func NewProvider(cfg ProviderConfig) *Provider {
 		creds:     make(map[string][32]byte),
 		platforms: make(map[string]string),
 		captcha:   captcha.NewService(rng.Fork("captcha")),
-		counters:  metrics.NewCounterSet(),
 		obsReg:    cfg.Metrics,
 		tracer:    cfg.Tracer,
 		thresh:    cfg.ConfirmThresholdCents,
@@ -445,7 +437,6 @@ func NewProvider(cfg ProviderConfig) *Provider {
 // own lock, so a GC pass never blocks the whole map. Returns the number
 // collected.
 func (p *Provider) GC() int {
-	p.nonces.GC()
 	now := p.clock.Now()
 	n, evicted := 0, 0
 	for i := range p.shards {
@@ -510,10 +501,12 @@ func (p *Provider) maybeGC() {
 	}
 }
 
-// issueChallenge allocates a nonce and records the pending context.
+// issueChallenge draws a fresh nonce and records the pending context
+// under it: the pending entry is the challenge's only record.
 func (p *Provider) issueChallenge(pend pendingChallenge, j *journal) attest.Nonce {
 	p.maybeGC()
-	nonce := p.nonces.Issue()
+	var nonce attest.Nonce
+	_, _ = p.nonces.Read(nonce[:])
 	pend.issuedAt = p.clock.Now()
 	sh := p.shardFor(nonce)
 	sh.mu.Lock()
@@ -523,8 +516,8 @@ func (p *Provider) issueChallenge(pend pendingChallenge, j *journal) attest.Nonc
 	return nonce
 }
 
-// takePending consumes a pending challenge of the expected kind and
-// redeems its nonce. It returns (pending, nil, "") on success, a cached
+// takePending consumes a pending challenge of the expected kind, which
+// redeems its nonce: a nonce has a pending entry at most once. It returns (pending, nil, "") on success, a cached
 // outcome for an already-answered nonce (idempotent retransmissions),
 // or a rejection reason. The consume-or-replay decision is atomic under
 // the nonce's stripe lock.
@@ -563,11 +556,6 @@ func (p *Provider) takePending(nonce attest.Nonce, kind pendingKind, j *journal)
 			s.ExpiredChallenges++
 		})
 		return pendingChallenge{}, nil, "challenge expired"
-	}
-	if err := p.nonces.Redeem(nonce); err != nil {
-		j.pendingDropped(nonce)
-		p.count(func(s *ProviderStats) { s.RejectedStale++ })
-		return pendingChallenge{}, nil, err.Error()
 	}
 	j.nonceRedeemed(nonce)
 	return pend, nil, ""
@@ -622,10 +610,6 @@ func (p *Provider) Stats() ProviderStats {
 	}
 	return s
 }
-
-// Counters exposes the provider's named rejection counters (corrupt
-// frames, stale nonces, downgrades) for experiment tables.
-func (p *Provider) Counters() *metrics.CounterSet { return p.counters }
 
 // PublicKeyDER returns the provider's public key in PKCS#1 DER form, or
 // nil when provisioning is disabled.
@@ -701,7 +685,6 @@ func (p *Provider) Handle(req []byte) ([]byte, error) {
 		// rejection rate, then let the transport layer decide whether
 		// the sender retries.
 		p.count(func(s *ProviderStats) { s.CorruptFrames++ })
-		p.ins.corruptSet.Inc()
 		p.ins.corruptFrames.Inc()
 		tr.Event("provider.corrupt_frame", err.Error())
 		return nil, err
@@ -1055,7 +1038,6 @@ func (p *Provider) provisionOutcome(m *ProvisionComplete, pre *preProvision, j *
 // mechanism was bypassed.
 func (p *Provider) handleFallbackRequest(m *FallbackRequest, j *journal) any {
 	p.count(func(s *ProviderStats) { s.DowngradesRequested++ })
-	p.ins.downgradeSet.Inc()
 	p.auditAppend(AuditEntry{
 		Kind: AuditDowngrade,
 		At:   p.clock.Now(),

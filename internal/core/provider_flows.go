@@ -97,22 +97,16 @@ func (p *Provider) verifyEvidence(raw []byte, want attest.Expectations, expected
 	return res, failReason
 }
 
-// handleLoginRequest issues a PIN-entry challenge for an enrolled user.
+// handleLoginRequest issues a PIN-entry challenge for any username,
+// enrolled or not, so the response's shape does not reveal which
+// usernames exist; loginOutcome fails the proof of an unenrolled one.
 func (p *Provider) handleLoginRequest(m *LoginRequest, j *journal) any {
 	if len(m.Username) > maxNameLen {
 		return &Outcome{Accepted: false, Reason: fmt.Sprintf("username of %d bytes exceeds %d", len(m.Username), maxNameLen)}
 	}
-	p.mu.Lock()
-	_, enrolled := p.creds[m.Username]
-	p.mu.Unlock()
-	if !enrolled {
-		// Challenge anyway (constant-shape response) but remember the
-		// user is unknown — prevents username probing via response
-		// type while still failing the proof.
-		_ = enrolled
-	}
 	nonce := p.issueChallenge(pendingChallenge{kind: pendingLogin, username: m.Username}, j)
 	p.count(func(s *ProviderStats) { s.Challenged++ })
+	p.ins.challenged.Inc()
 	return &LoginChallenge{Nonce: nonce, Username: m.Username}
 }
 
@@ -176,6 +170,7 @@ func (p *Provider) loginOutcome(m *LoginProof, pend pendingChallenge, pre *preLo
 // then challenge the whole batch at once.
 func (p *Provider) handleSubmitBatch(m *SubmitBatch, j *journal) any {
 	p.count(func(s *ProviderStats) { s.Submitted += len(m.Txs) })
+	p.ins.submitted.Add(int64(len(m.Txs)))
 	if len(m.Txs) == 0 || len(m.Txs) > maxBatchSize {
 		return &Outcome{Accepted: false, Reason: fmt.Sprintf("batch size %d outside [1, %d]", len(m.Txs), maxBatchSize)}
 	}
@@ -194,6 +189,7 @@ func (p *Provider) handleSubmitBatch(m *SubmitBatch, j *journal) any {
 	copy(batch, m.Txs)
 	nonce := p.issueChallenge(pendingChallenge{kind: pendingBatch, batch: batch}, j)
 	p.count(func(s *ProviderStats) { s.Challenged++ })
+	p.ins.challenged.Inc()
 	return &BatchChallenge{Nonce: nonce, Txs: batch}
 }
 

@@ -105,9 +105,6 @@ func TestSubmitResilientDegradesToCaptcha(t *testing.T) {
 	if st.CorruptFrames == 0 {
 		t.Fatalf("corrupt frames not counted: %+v", st)
 	}
-	if got := r.provider.Counters().Snapshot(); got["corrupt-frames"] == 0 || got["downgrades"] != 1 {
-		t.Fatalf("counters = %v", got)
-	}
 
 	// The downgrade and the fallback execution are both in the
 	// hash-chained audit log, and an independent replay sees them.

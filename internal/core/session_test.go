@@ -519,3 +519,34 @@ func TestCertCacheCountersSurfaceInRegistry(t *testing.T) {
 		t.Fatalf("registry hits = %d, verifier = %d", got, hits)
 	}
 }
+
+// TestRegistryCountersMatchStats checks the registry's provider.challenged
+// and provider.submitted count what Stats counts across every
+// challenge-issuing flow: a submit, a batch, a login and a session open.
+func TestRegistryCountersMatchStats(t *testing.T) {
+	p := newRigProvider(t, sim.NewVirtualClock(), nil)
+	reg := obs.NewRegistry()
+	p.SetObservability(reg, nil)
+	tx := func(id string) Transaction {
+		return Transaction{ID: id, From: "alice", To: "bob", AmountCents: 1_000, Currency: "EUR"}
+	}
+	one := tx("reg-1")
+	for _, msg := range []any{
+		&SubmitTx{Tx: &one},
+		&SubmitBatch{Txs: []Transaction{tx("reg-b1"), tx("reg-b2")}},
+		&LoginRequest{Username: "alice"},
+		&SessionOpen{PlatformID: "client-platform", Account: "alice"},
+	} {
+		mustHandle(t, p, msg)
+	}
+	st := p.Stats()
+	if st.Challenged != 4 || st.Submitted != 3 {
+		t.Fatalf("stats: %d challenged, %d submitted; want 4 and 3", st.Challenged, st.Submitted)
+	}
+	if got := reg.Counter("provider.challenged").Value(); got != int64(st.Challenged) {
+		t.Errorf("provider.challenged = %d, Stats().Challenged = %d", got, st.Challenged)
+	}
+	if got := reg.Counter("provider.submitted").Value(); got != int64(st.Submitted) {
+		t.Errorf("provider.submitted = %d, Stats().Submitted = %d", got, st.Submitted)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -16,10 +17,19 @@ import (
 
 // pinnedStateSHA256 is the SHA-256 of seededSnapshotProvider's
 // encodeState output. The snapshot payload is a persisted format
-// (version 1): a change to this constant means restored providers and
+// (version 2): a change to this constant means restored providers and
 // followers bootstrapped from older snapshots would read different
 // bytes, so it may only change together with the format version.
-const pinnedStateSHA256 = "7d6af7d50110b2a9d485773149b53cd8aeba152b1f803a26a4ba8cba39a026be"
+const pinnedStateSHA256 = "78af8bb60ad61f86543a0b6a82fc4a84636c3b04d55f4ae97610f059521302e3"
+
+// stateV1File holds the version 1 payload of seededSnapshotProvider,
+// written by the encoder before version 2, and pinnedStateV1SHA256 is
+// its SHA-256. Version 1 carried the retired nonce cache (issued and
+// spent nonces) after the fallback outcomes.
+const (
+	stateV1File         = "testdata/state-v1.bin"
+	pinnedStateV1SHA256 = "7d6af7d50110b2a9d485773149b53cd8aeba152b1f803a26a4ba8cba39a026be"
+)
 
 // encodeState returns the snapshot payload alone: encodeSnapshot's
 // parts concatenated, without the space reserved for the store's
@@ -45,7 +55,7 @@ func (p *Provider) encodeState() []byte {
 // denial, a CAPTCHA downgrade and an open attested session's entries,
 // pending challenges of four kinds, answered challenges, a fallback
 // outcome, a presence token, an HMAC key, a credential, a platform
-// binding and both halves of the nonce cache.
+// binding.
 //
 // Everything is driven through Handle except what needs a TPM quote:
 // the pooled RSA keys are not byte-stable across processes, so the
@@ -164,6 +174,30 @@ func TestEncodeStatePinnedBytes(t *testing.T) {
 	}
 }
 
+// TestLoadStateV1 restores the committed version 1 payload of
+// seededSnapshotProvider and checks it re-encodes to exactly that
+// provider's version 2 payload: nothing but the retired nonce-cache
+// section is lost, and a store written before version 2 still opens.
+func TestLoadStateV1(t *testing.T) {
+	v1, err := os.ReadFile(stateV1File)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(v1); hex.EncodeToString(sum[:]) != pinnedStateV1SHA256 {
+		t.Fatalf("%s SHA-256 = %x, want %s", stateV1File, sum, pinnedStateV1SHA256)
+	}
+	p := NewProvider(ProviderConfig{Name: "v1"})
+	if err := p.loadState(v1); err != nil {
+		t.Fatalf("version 1 payload refused: %v", err)
+	}
+	if got, want := p.encodeState(), seededSnapshotProvider(t).encodeState(); !bytes.Equal(got, want) {
+		t.Fatalf("version 1 payload re-encodes to %d bytes, not the %d-byte version 2 payload", len(got), len(want))
+	}
+	if n := p.PendingChallenges(); n != 4 {
+		t.Fatalf("restored %d pending challenges, want 4", n)
+	}
+}
+
 // handBuiltState encodes a minimal snapshot payload by hand: the given
 // accounts (in the order given) and every other section empty.
 func handBuiltState(names ...string) []byte {
@@ -175,13 +209,10 @@ func handBuiltState(names ...string) []byte {
 		b.PutUint64(uint64(100 * (i + 1)))
 	}
 	// History, audit, pending, answered, HMAC keys, presence tokens,
-	// credentials, platform bindings, fallback outcomes, issued nonces,
-	// spent nonces: all empty.
-	for i := 0; i < 11; i++ {
+	// credentials, platform bindings, fallback outcomes: all empty.
+	for i := 0; i < 9; i++ {
 		b.PutUint32(0)
 	}
-	b.PutUint64(0) // nonces issued
-	b.PutUint64(0) // nonces redeemed
 	b.PutUint32(0) // stats fields
 	return b.Bytes()
 }
@@ -216,6 +247,11 @@ func TestLoadStateRejectsUnorderedAccounts(t *testing.T) {
 // must never panic, and a payload it accepts must re-encode to a
 // fixed point of decode/encode.
 func FuzzLoadState(f *testing.F) {
+	v1, err := os.ReadFile(stateV1File)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
 	f.Add(seededSnapshotProvider(f).encodeState())
 	f.Add(NewProvider(ProviderConfig{Name: "empty"}).encodeState())
 	f.Add(handBuiltState("alice", "bob"))

@@ -136,31 +136,6 @@ func TestCounterAddNegativePanics(t *testing.T) {
 	c.Add(-1)
 }
 
-func TestCounterSetConcurrent(t *testing.T) {
-	// First-use creation and increments race from many goroutines; the
-	// -race build is the real assertion, the totals the sanity check.
-	s := NewCounterSet()
-	names := []string{"a", "b", "c", "d"}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 250; i++ {
-				s.Counter(names[(g+i)%len(names)]).Inc()
-			}
-		}(g)
-	}
-	wg.Wait()
-	total := int64(0)
-	for _, v := range s.Snapshot() {
-		total += v
-	}
-	if total != 8*250 {
-		t.Fatalf("total = %d, want %d", total, 8*250)
-	}
-}
-
 func TestHistogramPercentileBoundaryRanks(t *testing.T) {
 	var h Histogram
 	h.Record(5 * time.Millisecond)

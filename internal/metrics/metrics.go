@@ -156,57 +156,6 @@ func (c *Counter) Add(delta int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n.Load() }
 
-// CounterSet is a named group of counters (e.g. a provider's rejection
-// taxonomy). Counters are created on first use; iteration order is
-// first-use order so rendered tables stay stable. Safe for concurrent
-// use.
-type CounterSet struct {
-	mu    sync.Mutex
-	order []string
-	m     map[string]*Counter
-}
-
-// NewCounterSet returns an empty set.
-func NewCounterSet() *CounterSet {
-	return &CounterSet{m: make(map[string]*Counter)}
-}
-
-// Counter returns the named counter, creating it at zero on first use.
-func (s *CounterSet) Counter(name string) *Counter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.m[name]
-	if !ok {
-		c = &Counter{}
-		s.m[name] = c
-		s.order = append(s.order, name)
-	}
-	return c
-}
-
-// Snapshot returns the current values keyed by name.
-func (s *CounterSet) Snapshot() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.m))
-	for name, c := range s.m {
-		out[name] = c.Value()
-	}
-	return out
-}
-
-// Render formats the set as a two-column table.
-func (s *CounterSet) Render(title string) string {
-	s.mu.Lock()
-	names := append([]string(nil), s.order...)
-	s.mu.Unlock()
-	t := NewTable(title, "counter", "count")
-	for _, name := range names {
-		t.AddRow(name, fmt.Sprintf("%d", s.Counter(name).Value()))
-	}
-	return t.Render()
-}
-
 // Millis renders a duration as milliseconds with 1 decimal.
 func Millis(d time.Duration) string {
 	return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000)
