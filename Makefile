@@ -55,9 +55,13 @@ bench-smoke:
 # on any lost or doubled transaction, broken audit chain, or unexpected
 # failover count. Every cell is audited by internal/check, whose tests
 # run first: a checker that stops catching its seeded faults fails the
-# gate too.
+# gate too. The two CAPTCHA-fallback fleet tests run before the cells:
+# a fallback answered across a failover executes exactly once, and
+# fallbacks outstanding on two shards each execute on their account's
+# shard.
 chaos-smoke:
 	$(GO) test ./internal/check -count=1 -v
+	$(GO) test ./internal/fleet -run 'TestShardFallbackAcrossFailover|TestRouterFallbackRoutesByAccount' -count=1 -v
 	$(GO) test ./internal/experiments -run 'TestF10StormCellCompletes|TestF13ChaosSmoke|TestF13MatrixCells|TestF13KillUnderLoadExactlyOnce|TestF14ChaosSmoke|TestF14ChaosCellsExactlyOnce|TestF15ProcSmoke' -count=1 -v
 
 # results regenerates every table/figure into results/.

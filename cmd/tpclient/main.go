@@ -85,10 +85,16 @@ func run() error {
 	}
 	// Wall clock: the modelled TPM latencies are actually felt, so the
 	// demo conveys the paper's timing story. The EK and AIK are fresh
-	// keys: the simulation key pool is public.
+	// keys: the simulation key pool is public. The machine's stream,
+	// which the TPM's storage root key, GetRandom output and signatures
+	// come from, is keyed from crypto/rand for the same reason.
+	random, err := sim.NewRandFrom(rand.Reader)
+	if err != nil {
+		return err
+	}
 	machine, err := platform.New(platform.Config{
 		Clock:      sim.WallClock{},
-		Random:     sim.NewRand(uint64(time.Now().UnixNano())),
+		Random:     random,
 		TPMProfile: profile,
 		Keys:       tpm.FreshKeySource(rand.Reader, cryptoutil.DefaultRSABits),
 	})

@@ -52,8 +52,8 @@ type Service struct {
 // did.
 const alphabet = "abcdefghjkmnpqrstuvwxyz23456789"
 
-// challengeLen is the transcription length.
-const challengeLen = 6
+// TextLen is the transcription length.
+const TextLen = 6
 
 // NewService creates a CAPTCHA service.
 func NewService(rng *sim.Rand) *Service {
@@ -66,17 +66,22 @@ func NewService(rng *sim.Rand) *Service {
 	}
 }
 
+// Text draws one transcription of TextLen characters from rng.
+func Text(rng *sim.Rand) string {
+	var sb strings.Builder
+	for i := 0; i < TextLen; i++ {
+		sb.WriteByte(alphabet[rng.Intn(len(alphabet))])
+	}
+	return sb.String()
+}
+
 // Issue creates a challenge.
 func (s *Service) Issue() Challenge {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var sb strings.Builder
-	for i := 0; i < challengeLen; i++ {
-		sb.WriteByte(alphabet[s.rng.Intn(len(alphabet))])
-	}
 	id := s.nextID
 	s.nextID++
-	text := sb.String()
+	text := Text(s.rng)
 	s.pending[id] = text
 	s.issued++
 	return Challenge{ID: id, Text: text}

@@ -10,7 +10,7 @@ import (
 func TestIssueAndAnswerCorrect(t *testing.T) {
 	svc := NewService(sim.NewRand(1))
 	ch := svc.Issue()
-	if len(ch.Text) != challengeLen {
+	if len(ch.Text) != TextLen {
 		t.Fatalf("challenge text %q", ch.Text)
 	}
 	ok, err := svc.Answer(ch.ID, ch.Text)

@@ -56,6 +56,15 @@ type Report struct {
 	// detail; empty when the run is correct.
 	Violations []Violation
 
+	// Vacuous lists, in declaration order, the rules the run gave
+	// nothing to check, whose silence therefore proves nothing: lost
+	// with no accepted transaction; doubled, unsubmitted and amount
+	// mismatch with none executed; unreconciled balance with neither an
+	// opening balance nor an executed transfer; audit chain when every
+	// shard's replay covered no entry (an auto-accepted transfer writes
+	// none).
+	Vacuous []Rule
+
 	// Audits holds each shard's audit replay report, in shard order:
 	// nil for a shard whose replay failed.
 	Audits []*core.AuditReport
@@ -86,7 +95,9 @@ var auditEntries = func(p *core.Provider) []core.AuditEntry { return p.AuditLog(
 func Run(accepted map[string]int64, shards []Shard) *Report {
 	rep := &Report{Audits: make([]*core.AuditReport, len(shards))}
 	executed := map[string]int{}
+	opened, audited := false, false
 	for s, sh := range shards {
+		opened = opened || len(sh.Initial) > 0
 		net := map[string]int64{}
 		for _, tx := range sh.Provider.Ledger().History() {
 			executed[tx.ID]++
@@ -113,6 +124,7 @@ func Run(accepted map[string]int64, shards []Shard) *Report {
 		if err != nil {
 			rep.add(AuditChain, "shard %d: %v", s, err)
 		}
+		audited = audited || err != nil || rep.Audits[s].Entries > 0
 	}
 	for id := range accepted {
 		if executed[id] == 0 {
@@ -127,5 +139,17 @@ func Run(accepted map[string]int64, shards []Shard) *Report {
 	slices.SortFunc(rep.Violations, func(a, b Violation) int {
 		return cmp.Or(strings.Compare(string(a.Rule), string(b.Rule)), strings.Compare(a.Detail, b.Detail))
 	})
+	if len(accepted) == 0 {
+		rep.Vacuous = append(rep.Vacuous, Lost)
+	}
+	if len(executed) == 0 {
+		rep.Vacuous = append(rep.Vacuous, Doubled, Unsubmitted, AmountMismatch)
+		if !opened {
+			rep.Vacuous = append(rep.Vacuous, Unreconciled)
+		}
+	}
+	if !audited {
+		rep.Vacuous = append(rep.Vacuous, AuditChain)
+	}
 	return rep
 }

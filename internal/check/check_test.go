@@ -23,6 +23,17 @@ func tx(id string, cents int64) *core.Transaction {
 // links to check.
 func shardRunning(t *testing.T, txs ...*core.Transaction) Shard {
 	t.Helper()
+	sh := shardAutoAccepting(t, txs...)
+	for _, tx := range txs {
+		sh.Provider.AuditLog().Append(core.AuditEntry{Kind: core.AuditConfirm, TxID: tx.ID, TxDigest: tx.Digest(), Confirmed: true})
+	}
+	return sh
+}
+
+// shardAutoAccepting is shardRunning without the audit entries: its
+// log stays empty, as an auto-accepting deployment's does.
+func shardAutoAccepting(t *testing.T, txs ...*core.Transaction) Shard {
+	t.Helper()
 	p := core.NewProvider(core.ProviderConfig{
 		Name:                  "check-test",
 		Clock:                 sim.NewVirtualClock(),
@@ -50,14 +61,14 @@ func shardRunning(t *testing.T, txs ...*core.Transaction) Shard {
 		if out, ok := msg.(*core.Outcome); !ok || !out.Accepted {
 			t.Fatalf("%s not executed: %#v", tx.ID, msg)
 		}
-		p.AuditLog().Append(core.AuditEntry{Kind: core.AuditConfirm, TxID: tx.ID, TxDigest: tx.Digest(), Confirmed: true})
 	}
 	return Shard{Provider: p, Initial: opening}
 }
 
 // TestRunCatchesEachFault seeds one fault per rule and requires the
 // checker to report exactly that rule: removing a rule's check makes
-// its case fail, and no rule fires on another rule's fault.
+// its case fail, and no rule fires on another rule's fault. Each case
+// also names the rules its run gave nothing to check.
 func TestRunCatchesEachFault(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -65,6 +76,7 @@ func TestRunCatchesEachFault(t *testing.T) {
 		shards   func(t *testing.T) []Shard
 		tamper   func(entries []core.AuditEntry)
 		want     []Rule
+		vacuous  []Rule
 	}{
 		{
 			name:     "clean run",
@@ -124,6 +136,18 @@ func TestRunCatchesEachFault(t *testing.T) {
 			tamper:   func(entries []core.AuditEntry) { entries[len(entries)-1].PrevChain[0] ^= 1 },
 			want:     []Rule{AuditChain},
 		},
+		{
+			name:     "auto-accept only",
+			accepted: map[string]int64{"t1": 5, "t2": 7},
+			shards:   func(t *testing.T) []Shard { return []Shard{shardAutoAccepting(t, tx("t1", 5), tx("t2", 7))} },
+			vacuous:  []Rule{AuditChain},
+		},
+		{
+			name:     "nothing accepted or executed",
+			accepted: map[string]int64{},
+			shards:   func(t *testing.T) []Shard { return []Shard{shardAutoAccepting(t)} },
+			vacuous:  []Rule{Lost, Doubled, Unsubmitted, AmountMismatch, AuditChain},
+		},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if c.tamper != nil {
@@ -147,6 +171,9 @@ func TestRunCatchesEachFault(t *testing.T) {
 			}
 			if (rep.Err() == nil) != (len(c.want) == 0) {
 				t.Fatalf("Err() = %v with %d violations", rep.Err(), len(rep.Violations))
+			}
+			if !slices.Equal(rep.Vacuous, c.vacuous) {
+				t.Fatalf("vacuous rules = %v, want %v", rep.Vacuous, c.vacuous)
 			}
 		})
 	}

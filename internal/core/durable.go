@@ -2,12 +2,10 @@ package core
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -59,6 +57,10 @@ const (
 	recHMACKey
 	recCredential
 	recPlatformBound
+	// recFallbackOutcome held an answered CAPTCHA's outcome under its
+	// per-life counter ID. It is no longer written: a CAPTCHA is a
+	// challenge like any other and its outcome an outcome-cached record.
+	// Replay reads and discards one from an older WAL.
 	recFallbackOutcome
 	recCounters
 )
@@ -194,13 +196,6 @@ func (j *journal) platformBound(account, platformID string) {
 	j.emit(recPlatformBound, func(b *cryptoutil.Buffer) {
 		b.PutString(account)
 		b.PutString(platformID)
-	})
-}
-
-func (j *journal) fallbackOutcomeCached(id uint64, o *Outcome) {
-	j.emit(recFallbackOutcome, func(b *cryptoutil.Buffer) {
-		b.PutUint64(id)
-		putOutcomeField(b, o)
 	})
 }
 
@@ -653,9 +648,12 @@ func readStats(r *cryptoutil.Reader, s *ProviderStats) error {
 
 // providerSnapshotVersion versions the provider-state snapshot payload.
 // Version 2 dropped version 1's nonce-cache section (issued nonces,
-// spent nonces and their two counts) from the tail; a version 1 payload
-// still restores, its nonce-cache section skipped.
-const providerSnapshotVersion = 2
+// spent nonces and their two counts) from the tail, and version 3 the
+// answered-CAPTCHA section before it. Version 1 and 2 payloads still
+// restore, the retired sections skipped: the CAPTCHA outcomes sit under
+// per-life counter IDs that no client can present again, and the
+// ledger's idempotence still refuses to execute their orders twice.
+const providerSnapshotVersion = 3
 
 // encodeSnapshot serializes the provider's full durable state and hands
 // it to write in parts, which concatenate to the snapshot payload after
@@ -696,7 +694,7 @@ func (p *Provider) encodeSnapshot(write func(frame []byte, more ...[]byte) error
 }
 
 // encodeTail encodes the snapshot sections after the audit log: the
-// session, key, fallback and counter state.
+// session, key and counter state.
 func (p *Provider) encodeTail() []byte {
 	// Size the buffer for the previous tail plus room to grow: the
 	// state changes little between rotations.
@@ -767,27 +765,6 @@ func (p *Provider) encodeTail() []byte {
 	}
 	stats := p.stats
 	p.mu.Unlock()
-
-	type fallbackEntry struct {
-		id uint64
-		o  Outcome
-	}
-	var fallback []fallbackEntry
-	for i := range p.fbShards {
-		fs := &p.fbShards[i]
-		fs.mu.Lock()
-		for id, o := range fs.outcomes {
-			fallback = append(fallback, fallbackEntry{id, o})
-		}
-		fs.mu.Unlock()
-	}
-	slices.SortFunc(fallback, func(a, b fallbackEntry) int { return cmp.Compare(a.id, b.id) })
-	b.PutUint32(uint32(len(fallback)))
-	for i := range fallback {
-		b.PutUint64(fallback[i].id)
-		putOutcomeField(b, &fallback[i].o)
-	}
-
 	putStats(b, &stats)
 
 	p.snapTail.Store(int64(b.Len()))
@@ -816,7 +793,7 @@ func (p *Provider) loadState(data []byte) error {
 // version, which the tail's layout depends on.
 func (p *Provider) loadSections(r *cryptoutil.Reader, data []byte) (uint8, error) {
 	version := r.Uint8()
-	if version != 1 && version != providerSnapshotVersion {
+	if version < 1 || version > providerSnapshotVersion {
 		return 0, fmt.Errorf("core: unsupported provider snapshot version %d", version)
 	}
 
@@ -909,18 +886,15 @@ func (p *Provider) loadTail(r *cryptoutil.Reader, version uint8) error {
 		p.platforms[k] = r.String()
 	}
 	p.mu.Unlock()
-	for i, n := 0, int(r.Uint32()); i < n && r.Err() == nil; i++ {
-		id := r.Uint64()
-		o, err := unmarshalOutcome(r.Bytes())
-		if err != nil {
-			return fmt.Errorf("core: snapshot fallback: %w", err)
-		}
-		fs := p.fbShardFor(id)
-		fs.mu.Lock()
-		fs.outcomes[id] = *o
-		fs.mu.Unlock()
-	}
 
+	if version < 3 {
+		// The retired answered-CAPTCHA section: counter IDs and their
+		// outcomes.
+		for i, n := 0, int(r.Uint32()); i < n && r.Err() == nil; i++ {
+			r.Uint64()
+			r.Field()
+		}
+	}
 	if version == 1 {
 		// The retired nonce cache: issued nonces with their issue
 		// times, spent nonces, then the two counts. The pending
@@ -1041,15 +1015,10 @@ func (p *Provider) replayRecord(rec []byte) error {
 		p.platforms[account] = platform
 		p.mu.Unlock()
 	case recFallbackOutcome:
-		id := r.Uint64()
-		o, err := unmarshalOutcome(r.Bytes())
-		if err != nil {
-			return err
-		}
-		fs := p.fbShardFor(id)
-		fs.mu.Lock()
-		fs.outcomes[id] = *o
-		fs.mu.Unlock()
+		// Retired: an older WAL's answered CAPTCHA, keyed by an ID no
+		// client can present again.
+		r.Uint64()
+		r.Field()
 	case recCounters:
 		p.mu.Lock()
 		err := readStats(r, &p.stats)

@@ -155,7 +155,12 @@ func journalSeedGroups() [][]byte {
 	rest.hmacKeyInstalled("platform-seed", []byte("hmac-key"))
 	rest.credentialEnrolled("alice", [32]byte{9})
 	rest.platformBound("alice", "platform-seed")
-	rest.fallbackOutcomeCached(77, outcome)
+	// A retired answered-CAPTCHA record, which replay reads and
+	// discards.
+	rest.emit(recFallbackOutcome, func(b *cryptoutil.Buffer) {
+		b.PutUint64(77)
+		putOutcomeField(b, outcome)
+	})
 	return [][]byte{submit.group(), confirm.group(), rest.group()}
 }
 

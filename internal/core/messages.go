@@ -296,28 +296,30 @@ type FallbackRequest struct {
 	// Failures is the consecutive-failure count that triggered the
 	// downgrade.
 	Failures uint32
+
+	// Tx is the order to execute if the CAPTCHA passes; the challenge
+	// is bound to it, as a confirmation challenge is.
+	Tx *Transaction
 }
 
 // FallbackChallenge is a CAPTCHA issued on the degraded path.
 type FallbackChallenge struct {
-	// ID identifies the challenge.
-	ID uint64
+	// Nonce is the single-use challenge value.
+	Nonce attest.Nonce
 
 	// Text is the transcription the human must produce.
 	Text string
 }
 
-// FallbackAnswer carries the transcription and the transaction to
-// execute under the weaker, CAPTCHA-gated regime.
+// FallbackAnswer carries the transcription for one CAPTCHA; a correct
+// one executes the challenge's order under the weaker, CAPTCHA-gated
+// regime.
 type FallbackAnswer struct {
-	// ID identifies the challenge being answered.
-	ID uint64
+	// Nonce identifies the challenge being answered.
+	Nonce attest.Nonce
 
 	// Response is the human's transcription.
 	Response string
-
-	// Tx is the order to execute if the CAPTCHA passes.
-	Tx *Transaction
 }
 
 // SessionOpen asks for an attested-session challenge: one full quote
@@ -569,15 +571,15 @@ func EncodeMessage(msg any) ([]byte, error) {
 		b.PutString(m.PlatformID)
 		b.PutString(m.Reason)
 		b.PutUint32(m.Failures)
+		m.Tx.put(b)
 	case *FallbackChallenge:
 		b.PutUint8(uint8(MsgFallbackChallenge))
-		b.PutUint64(m.ID)
+		b.PutRaw(m.Nonce[:])
 		b.PutString(m.Text)
 	case *FallbackAnswer:
 		b.PutUint8(uint8(MsgFallbackAnswer))
-		b.PutUint64(m.ID)
+		b.PutRaw(m.Nonce[:])
 		b.PutString(m.Response)
-		m.Tx.put(b)
 	case *SessionOpen:
 		b.PutUint8(uint8(MsgSessionOpen))
 		b.PutString(m.PlatformID)
@@ -721,17 +723,17 @@ func DecodeMessage(data []byte) (any, error) {
 		m.PlatformID = r.String()
 		m.Reason = r.String()
 		m.Failures = r.Uint32()
+		m.Tx, err = readTransaction(r)
 		msg = m
 	case MsgFallbackChallenge:
 		m := &FallbackChallenge{}
-		m.ID = r.Uint64()
+		copy(m.Nonce[:], r.Raw(attest.NonceSize))
 		m.Text = r.String()
 		msg = m
 	case MsgFallbackAnswer:
 		m := &FallbackAnswer{}
-		m.ID = r.Uint64()
+		copy(m.Nonce[:], r.Raw(attest.NonceSize))
 		m.Response = r.String()
-		m.Tx, err = readTransaction(r)
 		msg = m
 	case MsgSessionOpen:
 		m := &SessionOpen{}

@@ -40,9 +40,9 @@ func TestMessageRoundTrips(t *testing.T) {
 		&ProvisionRequest{PlatformID: "plat-1"},
 		&ProvisionChallenge{Nonce: nonce, ProviderPubDER: []byte{0x30, 0x82}},
 		&ProvisionComplete{Nonce: nonce, PlatformID: "plat-1", EncKey: []byte{1}, Evidence: []byte{2}},
-		&FallbackRequest{PlatformID: "plat-1", Reason: "netsim: timeout", Failures: 3},
-		&FallbackChallenge{ID: 7, Text: "xk4g9"},
-		&FallbackAnswer{ID: 7, Response: "xk4g9", Tx: sampleTx()},
+		&FallbackRequest{PlatformID: "plat-1", Reason: "netsim: timeout", Failures: 3, Tx: sampleTx()},
+		&FallbackChallenge{Nonce: nonce, Text: "xk4g9"},
+		&FallbackAnswer{Nonce: nonce, Response: "xk4g9"},
 	}
 	for _, msg := range msgs {
 		wire, err := EncodeMessage(msg)
@@ -284,9 +284,9 @@ func FuzzDecodeMessage(f *testing.F) {
 		&SubmitBatch{Txs: []Transaction{*sampleTx(), *sampleTx()}},
 		&BatchChallenge{Nonce: nonce, Txs: []Transaction{*sampleTx()}},
 		&ConfirmBatch{Nonce: nonce, Decisions: []bool{true, false}, Mode: ModeQuote, Evidence: []byte{5}},
-		&FallbackRequest{PlatformID: "plat-1", Reason: "netsim: timeout", Failures: 3},
-		&FallbackChallenge{ID: 7, Text: "xk4g9"},
-		&FallbackAnswer{ID: 7, Response: "xk4g9", Tx: sampleTx()},
+		&FallbackRequest{PlatformID: "plat-1", Reason: "netsim: timeout", Failures: 3, Tx: sampleTx()},
+		&FallbackChallenge{Nonce: nonce, Text: "xk4g9"},
+		&FallbackAnswer{Nonce: nonce, Response: "xk4g9"},
 		&SessionOpen{PlatformID: "plat-1", Account: "alice"},
 		&SessionChallenge{Nonce: nonce, ProviderPubDER: []byte{0x30}, KexPub: []byte{6}, MaxTx: 64, MaxAgeNano: 1e9},
 		&SessionProve{Nonce: nonce, PlatformID: "plat-1", Account: "alice", SessionID: 9, EncKey: []byte{7}, Evidence: []byte{8}},

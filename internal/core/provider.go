@@ -66,7 +66,8 @@ type ProviderStats struct {
 	// RejectedForged counts confirmations whose evidence failed
 	// verification — the attack detections.
 	RejectedForged int
-	// RejectedStale counts unknown/expired/replayed challenges.
+	// RejectedStale counts proofs and answers, CAPTCHA answers
+	// included, for an unknown, expired or already consumed challenge.
 	RejectedStale int
 	// PresenceGranted counts human-presence tokens issued.
 	PresenceGranted int
@@ -100,8 +101,9 @@ type ProviderStats struct {
 	// FallbackPassed counts transactions executed on the degraded,
 	// CAPTCHA-gated path.
 	FallbackPassed int
-	// FallbackFailed counts failed CAPTCHA answers on the degraded
-	// path.
+	// FallbackFailed counts wrong CAPTCHA transcriptions on the
+	// degraded path; an answer for an unknown or expired CAPTCHA counts
+	// as RejectedStale.
 	FallbackFailed int
 	// SessionsOpened counts attested sessions established (one full
 	// quote verification each).
@@ -137,6 +139,10 @@ const (
 	// reuses the username field for the account, so the journal wire
 	// format is unchanged.
 	pendingSession
+	// pendingFallback is a CAPTCHA on the degraded path, bound to its
+	// order like a confirmation challenge; its pendingChallenge reuses
+	// the username field for the transcription.
+	pendingFallback
 )
 
 // pendingChallenge is one outstanding nonce's context.
@@ -226,18 +232,17 @@ type Provider struct {
 	name      string
 	verifier  *attest.Verifier
 	nonces    *sim.Rand // challenge nonces; shards is their only record
+	captchas  *sim.Rand // CAPTCHA transcriptions
 	clock     sim.Clock
 	rng       *sim.Rand
 	key       *rsa.PrivateKey
 	ledger    *Ledger
 	audit     *AuditLog
-	shards    [numShards]sessionShard  // pending + answered, striped by nonce
-	fbShards  [numShards]fallbackShard // answered CAPTCHA IDs, striped by ID
+	shards    [numShards]sessionShard // pending + answered, striped by nonce
 	hmacKeys  map[string][]byte
 	presence  map[string]bool     // issued presence tokens
 	creds     map[string][32]byte // username -> credential digest
 	platforms map[string]string   // account -> bound platform ID
-	captcha   *captcha.Service
 	obsReg    *obs.Registry
 	tracer    *obs.Tracer
 	ins       providerInstruments
@@ -379,6 +384,7 @@ func NewProvider(cfg ProviderConfig) *Provider {
 		name:      cfg.Name,
 		verifier:  attest.NewVerifier(cfg.CAPub),
 		nonces:    rng.Fork("nonces"),
+		captchas:  rng.Fork("captcha"),
 		clock:     clock,
 		rng:       rng,
 		key:       cfg.Key,
@@ -388,7 +394,6 @@ func NewProvider(cfg ProviderConfig) *Provider {
 		presence:  make(map[string]bool),
 		creds:     make(map[string][32]byte),
 		platforms: make(map[string]string),
-		captcha:   captcha.NewService(rng.Fork("captcha")),
 		obsReg:    cfg.Metrics,
 		tracer:    cfg.Tracer,
 		thresh:    cfg.ConfirmThresholdCents,
@@ -399,9 +404,6 @@ func NewProvider(cfg ProviderConfig) *Provider {
 	for i := range p.shards {
 		p.shards[i].pending = make(map[attest.Nonce]pendingChallenge)
 		p.shards[i].answered = make(map[attest.Nonce]answeredChallenge)
-	}
-	for i := range p.fbShards {
-		p.fbShards[i].outcomes = make(map[uint64]Outcome)
 	}
 	p.sessions = make(map[uint64]*attSession)
 	p.sessMaxTx = cfg.SessionMaxTx
@@ -1032,20 +1034,32 @@ func (p *Provider) provisionOutcome(m *ProvisionComplete, pre *preProvision, j *
 }
 
 // handleFallbackRequest starts the degraded path: a client whose trusted
-// path keeps failing asks for the legacy CAPTCHA gate. The downgrade
-// itself is recorded in the tamper-evident audit log — a dispute over a
-// CAPTCHA-gated transfer must be able to show when and why the strong
-// mechanism was bypassed.
+// path keeps failing asks for the legacy CAPTCHA gate for one order. The
+// downgrade itself is recorded in the tamper-evident audit log — a
+// dispute over a CAPTCHA-gated transfer must be able to show when and
+// why the strong mechanism was bypassed. The CAPTCHA is a challenge like
+// any other: a fresh nonce whose pending entry holds the order and the
+// transcription.
 func (p *Provider) handleFallbackRequest(m *FallbackRequest, j *journal) any {
 	p.count(func(s *ProviderStats) { s.DowngradesRequested++ })
+	if err := m.Tx.Validate(); err != nil {
+		return &Outcome{Accepted: false, Reason: err.Error(), TxID: safeTxID(m.Tx)}
+	}
+	// The pending record holds the transcription beside the order.
+	if size := 4 + m.Tx.size() + captcha.TextLen; size > maxPendingTxBytes {
+		return &Outcome{Accepted: false, Reason: fmt.Sprintf("%v: fallback order of %d bytes exceeds %d",
+			ErrInvalidTransaction, size, maxPendingTxBytes), TxID: m.Tx.ID}
+	}
 	p.auditAppend(AuditEntry{
 		Kind: AuditDowngrade,
 		At:   p.clock.Now(),
 		Note: fmt.Sprintf("platform %q degraded to captcha after %d trusted-path failures: %s",
 			clipName(m.PlatformID), m.Failures, clipName(m.Reason)),
 	}, j)
-	ch := p.captcha.Issue()
-	return &FallbackChallenge{ID: ch.ID, Text: ch.Text}
+	text := captcha.Text(p.captchas)
+	txCopy := *m.Tx
+	nonce := p.issueChallenge(pendingChallenge{kind: pendingFallback, tx: &txCopy, username: text}, j)
+	return &FallbackChallenge{Nonce: nonce, Text: text}
 }
 
 // clipName cuts client text an audit note quotes to maxNameLen bytes,
@@ -1058,66 +1072,45 @@ func clipName(s string) string {
 }
 
 // handleFallbackAnswer grades a CAPTCHA answer and, on success, executes
-// the transaction under the weaker regime: Accepted but explicitly not
-// Authentic, and audit-logged as a fallback execution with no evidence.
+// the challenge's order under the weaker regime: Accepted but explicitly
+// not Authentic, and audit-logged as a fallback execution with no
+// evidence.
 func (p *Provider) handleFallbackAnswer(m *FallbackAnswer, j *journal) any {
-	fs := p.fbShardFor(m.ID)
-	fs.mu.Lock()
-	if prev, ok := fs.outcomes[m.ID]; ok {
-		// A retransmitted answer (lost response) replays the recorded
-		// outcome; the transaction never executes twice.
-		fs.mu.Unlock()
-		replay := prev
-		return &replay
+	pend, cached, rejection := p.takePending(m.Nonce, pendingFallback, j)
+	if cached != nil {
+		return cached
 	}
-	fs.mu.Unlock()
-
-	passed, err := p.captcha.Answer(m.ID, m.Response)
-	if err != nil {
-		p.count(func(s *ProviderStats) { s.FallbackFailed++ })
-		return &Outcome{Accepted: false, Reason: "unknown or expired challenge", Retryable: true}
+	if rejection != "" {
+		return &Outcome{Accepted: false, Reason: rejection, Retryable: true}
 	}
-	outcome := p.fallbackOutcome(m, passed, j)
-	fs.mu.Lock()
-	fs.outcomes[m.ID] = *outcome
-	fs.mu.Unlock()
-	j.fallbackOutcomeCached(m.ID, outcome)
-	return outcome
+	return p.rememberOutcome(m.Nonce, p.fallbackOutcome(pend.tx, m.Response == pend.username, j), j)
 }
 
 // fallbackOutcome computes the outcome of a live (non-replayed) CAPTCHA
-// answer.
-func (p *Provider) fallbackOutcome(m *FallbackAnswer, passed bool, j *journal) *Outcome {
+// answer for the order tx.
+func (p *Provider) fallbackOutcome(tx *Transaction, passed bool, j *journal) *Outcome {
 	if !passed {
 		p.count(func(s *ProviderStats) { s.FallbackFailed++ })
-		return &Outcome{Accepted: false, Reason: "captcha failed", TxID: safeTxID(m.Tx), Retryable: true}
+		return &Outcome{Accepted: false, Reason: "captcha failed", TxID: tx.ID, Retryable: true}
 	}
-	if m.Tx == nil {
-		p.count(func(s *ProviderStats) { s.FallbackFailed++ })
-		return &Outcome{Accepted: false, Reason: "missing transaction"}
-	}
-	if err := m.Tx.Validate(); err != nil {
-		p.count(func(s *ProviderStats) { s.FallbackFailed++ })
-		return &Outcome{Accepted: false, Reason: err.Error(), TxID: m.Tx.ID}
-	}
-	if err := p.applyTx(m.Tx, j); err != nil {
+	if err := p.applyTx(tx, j); err != nil {
 		if errors.Is(err, ErrDuplicateTransaction) {
 			// The order already executed in an earlier life or session;
 			// don't debit twice, don't double-log.
-			return &Outcome{Accepted: true, Authentic: false, Reason: "already executed", TxID: m.Tx.ID}
+			return &Outcome{Accepted: true, Authentic: false, Reason: "already executed", TxID: tx.ID}
 		}
 		p.count(func(s *ProviderStats) { s.LedgerRejected++ })
-		return &Outcome{Accepted: false, Reason: err.Error(), TxID: m.Tx.ID}
+		return &Outcome{Accepted: false, Reason: err.Error(), TxID: tx.ID}
 	}
 	p.auditAppend(AuditEntry{
 		Kind:     AuditFallbackTx,
 		At:       p.clock.Now(),
-		TxID:     m.Tx.ID,
-		TxDigest: m.Tx.Digest(),
+		TxID:     tx.ID,
+		TxDigest: tx.Digest(),
 		Note:     "executed on captcha-gated fallback path (no attestation)",
 	}, j)
 	p.count(func(s *ProviderStats) { s.FallbackPassed++ })
-	return &Outcome{Accepted: true, Authentic: false, Reason: "captcha passed (degraded path)", TxID: m.Tx.ID}
+	return &Outcome{Accepted: true, Authentic: false, Reason: "captcha passed (degraded path)", TxID: tx.ID}
 }
 
 // count applies a mutation to the stats under the lock.

@@ -173,10 +173,11 @@ func (c *Client) SubmitResilient(tx *Transaction) (*SessionResult, error) {
 }
 
 // fallbackSubmit pushes the transaction through the CAPTCHA gate: it
-// announces the downgrade (which the provider audit-logs), solves the
-// returned challenge with the configured solver model, and sends the
-// answer together with the transaction. A wrong transcription burns one
-// fallback attempt and requests a fresh challenge.
+// announces the downgrade together with the transaction (the provider
+// audit-logs the downgrade and binds the CAPTCHA to the order), solves
+// the returned challenge with the configured solver model, and sends
+// the answer. A wrong transcription burns one fallback attempt and
+// requests a fresh challenge.
 func (c *Client) fallbackSubmit(tx *Transaction, rc RecoveryConfig, reason string) (*Outcome, error) {
 	tr, owner := c.beginSession("fallback " + tx.ID)
 	defer c.endSession(tr, owner)
@@ -188,6 +189,7 @@ func (c *Client) fallbackSubmit(tx *Transaction, rc RecoveryConfig, reason strin
 			PlatformID: c.cert.PlatformID,
 			Reason:     reason,
 			Failures:   uint32(c.failStreak),
+			Tx:         tx,
 		})
 		if err != nil {
 			if retryableSessionError(err) {
@@ -202,9 +204,9 @@ func (c *Client) fallbackSubmit(tx *Transaction, rc RecoveryConfig, reason strin
 			}
 			return nil, fmt.Errorf("%w: %T to FallbackRequest", ErrUnexpectedResponse, resp)
 		}
-		answer := rc.Solver.Attempt(clock, rc.Rng, captcha.Challenge{ID: ch.ID, Text: ch.Text})
-		tr.Event("fallback.answer", fmt.Sprintf("challenge=%d", ch.ID))
-		resp, err = c.roundTrip(&FallbackAnswer{ID: ch.ID, Response: answer, Tx: tx})
+		answer := rc.Solver.Attempt(clock, rc.Rng, captcha.Challenge{Text: ch.Text})
+		tr.Event("fallback.answer", fmt.Sprintf("try=%d", try+1))
+		resp, err = c.roundTrip(&FallbackAnswer{Nonce: ch.Nonce, Response: answer})
 		if err != nil {
 			if retryableSessionError(err) {
 				continue

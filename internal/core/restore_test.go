@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"unitp/internal/attest"
+	"unitp/internal/captcha"
 	"unitp/internal/cryptoutil"
 	"unitp/internal/sim"
 	"unitp/internal/store"
@@ -283,7 +284,10 @@ func TestFallbackNoteBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	// %q spells each NUL byte with four characters.
-	req := &FallbackRequest{PlatformID: strings.Repeat("\x00", 300_000), Failures: 3, Reason: strings.Repeat("r", 900_000)}
+	req := &FallbackRequest{
+		PlatformID: strings.Repeat("\x00", 300_000), Failures: 3, Reason: strings.Repeat("r", 900_000),
+		Tx: &Transaction{ID: "fb", From: "alice", To: "bob", AmountCents: 1, Currency: "EUR"},
+	}
 	if _, ok := mustDecode(t, mustHandle(t, p, req)).(*FallbackChallenge); !ok {
 		t.Fatal("fallback request not challenged")
 	}
@@ -293,5 +297,144 @@ func TestFallbackNoteBound(t *testing.T) {
 	}
 	if n := r.AuditLog().Len(); n != 1 {
 		t.Fatalf("restored audit log holds %d entries, want the downgrade", n)
+	}
+}
+
+// requestFallback asks p for a CAPTCHA that gates tx.
+func requestFallback(t *testing.T, p *Provider, tx *Transaction) *FallbackChallenge {
+	t.Helper()
+	resp := mustDecode(t, mustHandle(t, p, &FallbackRequest{
+		PlatformID: "platform-1", Reason: "pal launch failed", Failures: 3, Tx: tx,
+	}))
+	ch, ok := resp.(*FallbackChallenge)
+	if !ok {
+		t.Fatalf("fallback request for %s answered %+v", tx.ID, resp)
+	}
+	return ch
+}
+
+// answerFallback sends one transcription for a CAPTCHA.
+func answerFallback(t *testing.T, p *Provider, ch *FallbackChallenge, response string) *Outcome {
+	t.Helper()
+	out, ok := mustDecode(t, mustHandle(t, p, &FallbackAnswer{Nonce: ch.Nonce, Response: response})).(*Outcome)
+	if !ok {
+		t.Fatal("fallback answer not answered with an outcome")
+	}
+	return out
+}
+
+// durableFallbackProvider is a lean provider over a fresh in-memory
+// store, with alice holding aliceCents and bob nothing.
+func durableFallbackProvider(t *testing.T, cfg ProviderConfig, aliceCents int64) (*Provider, *store.Store, *store.MemBackend) {
+	t.Helper()
+	backend := store.NewMemBackend()
+	st, err := store.Open(backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewProvider(cfg)
+	for acct, cents := range map[string]int64{"alice": aliceCents, "bob": 0} {
+		if err := p.Ledger().CreateAccount(acct, cents); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.AttachStore(st); err != nil {
+		t.Fatal(err)
+	}
+	return p, st, backend
+}
+
+// A CAPTCHA is a challenge in the provider's one table, so it survives
+// a restore like every other: a retransmitted answer replays its
+// recorded outcome, a CAPTCHA issued before the crash is still
+// redeemable, and a fresh CAPTCHA after it is a fresh nonce that
+// executes its own order, never an earlier life's.
+func TestFallbackChallengeSurvivesRestart(t *testing.T) {
+	cfg := leanRestoreConfig(sim.NewVirtualClock())
+	p, _, backend := durableFallbackProvider(t, cfg, 1_000_000)
+	tx := func(id string) *Transaction {
+		return &Transaction{ID: id, From: "alice", To: "bob", AmountCents: 1_000, Currency: "EUR"}
+	}
+	answered := requestFallback(t, p, tx("t1"))
+	first := answerFallback(t, p, answered, answered.Text)
+	if !first.Accepted || first.TxID != "t1" {
+		t.Fatalf("fallback for t1 answered %+v", first)
+	}
+	open := requestFallback(t, p, tx("t3"))
+
+	r, err := reopen(t, cfg, backend)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if again := answerFallback(t, r, answered, answered.Text); *again != *first {
+		t.Fatalf("retransmitted answer after restore = %+v, want the recorded %+v", again, first)
+	}
+	if out := answerFallback(t, r, open, open.Text); !out.Accepted || out.TxID != "t3" {
+		t.Fatalf("CAPTCHA issued before the crash answered %+v, want t3 executed", out)
+	}
+	fresh := requestFallback(t, r, tx("t2"))
+	if out := answerFallback(t, r, fresh, fresh.Text); !out.Accepted || out.TxID != "t2" {
+		t.Fatalf("fresh fallback for t2 answered %+v, want t2 executed", out)
+	}
+	seen := map[string]int{}
+	for _, h := range r.Ledger().History() {
+		seen[h.ID]++
+	}
+	if seen["t1"] != 1 || seen["t2"] != 1 || seen["t3"] != 1 || len(seen) != 3 {
+		t.Fatalf("executed %v, want t1, t2 and t3 once each", seen)
+	}
+	if bal, err := r.Ledger().Balance("bob"); err != nil || bal != 3_000 {
+		t.Fatalf("bob holds %d (%v), want 3000", bal, err)
+	}
+
+	// A wrong transcription counts as a failed CAPTCHA; an answer for a
+	// nonce never issued is stale, like every other stale proof.
+	before := r.Stats()
+	wrong := requestFallback(t, r, tx("t4"))
+	if out := answerFallback(t, r, wrong, "wrong"); out.Accepted || !out.Retryable || out.TxID != "t4" {
+		t.Fatalf("wrong transcription answered %+v", out)
+	}
+	if out := answerFallback(t, r, &FallbackChallenge{Nonce: attest.Nonce{0xFA}}, "x"); out.Accepted || !out.Retryable {
+		t.Fatalf("unknown CAPTCHA answered %+v", out)
+	}
+	after := r.Stats()
+	if after.FallbackFailed != before.FallbackFailed+1 || after.RejectedStale != before.RejectedStale+1 {
+		t.Fatalf("FallbackFailed %d -> %d, RejectedStale %d -> %d, want one more of each",
+			before.FallbackFailed, after.FallbackFailed, before.RejectedStale, after.RejectedStale)
+	}
+}
+
+// The pending record of a CAPTCHA holds its order beside the
+// transcription. The largest order Validate accepts would take that
+// record past the field bound, so the request refuses it and journals
+// nothing; the largest order that fits makes a record of exactly the
+// bound, restores from the WAL and executes.
+func TestFallbackSizeBound(t *testing.T) {
+	clock := sim.NewVirtualClock()
+	cfg := leanRestoreConfig(clock)
+	p, st, backend := durableFallbackProvider(t, cfg, 1<<40)
+
+	largest := sizedTx("largest", 1000, maxTxSize)
+	resp := mustDecode(t, mustHandle(t, p, &FallbackRequest{PlatformID: "platform-1", Failures: 3, Tx: largest}))
+	if out, ok := resp.(*Outcome); !ok || out.Accepted || !strings.Contains(out.Reason, ErrInvalidTransaction.Error()) {
+		t.Fatalf("fallback for the largest order answered %+v, want an invalid-transaction refusal", resp)
+	}
+	if n := st.Stats().Appends; n != 0 {
+		t.Fatalf("refusal journaled %d WAL groups", n)
+	}
+
+	fits := sizedTx("fits", 1000, maxTxSize-captcha.TextLen)
+	ch := requestFallback(t, p, fits)
+	j := &journal{}
+	j.challengeIssued(ch.Nonce, pendingChallenge{kind: pendingFallback, tx: fits, username: ch.Text, issuedAt: clock.Now()})
+	if got := len(j.group()) - 5 - 4; got != cryptoutil.MaxFieldLen {
+		t.Fatalf("pending record of the largest fallback order is %d bytes, want %d", got, cryptoutil.MaxFieldLen)
+	}
+	r, err := reopen(t, cfg, backend)
+	if err != nil {
+		t.Fatalf("restore from the WAL tail: %v", err)
+	}
+	if out := answerFallback(t, r, ch, ch.Text); !out.Accepted || out.TxID != "fits" {
+		t.Fatalf("restored CAPTCHA answered %+v, want its order executed", out)
 	}
 }

@@ -13,8 +13,7 @@ import (
 // Splitting them into lock-striped shards keyed by nonce means two
 // sessions on different nonces never contend on the same lock, which is
 // what lets the verify stage (preverify.go) peek at pending context and
-// run its crypto concurrently across requests. The fallback-outcome
-// cache is striped the same way, keyed by CAPTCHA challenge ID.
+// run its crypto concurrently across requests.
 //
 // Shard invariant: a nonce's pending entry and its answered entry live
 // in the SAME shard (both are keyed by the nonce), so the consume-or-
@@ -37,12 +36,6 @@ type sessionShard struct {
 	sweptOutcomes   int
 }
 
-// fallbackShard is one stripe of the answered-CAPTCHA outcome cache.
-type fallbackShard struct {
-	mu       sync.Mutex
-	outcomes map[uint64]Outcome
-}
-
 // shardIndex maps a nonce onto its stripe (FNV-1a over the nonce bytes).
 func shardIndex(n attest.Nonce) int {
 	h := uint32(2166136261)
@@ -55,11 +48,6 @@ func shardIndex(n attest.Nonce) int {
 // shardFor returns the stripe owning a nonce.
 func (p *Provider) shardFor(n attest.Nonce) *sessionShard {
 	return &p.shards[shardIndex(n)]
-}
-
-// fbShardFor returns the stripe owning a CAPTCHA challenge ID.
-func (p *Provider) fbShardFor(id uint64) *fallbackShard {
-	return &p.fbShards[id&(numShards-1)]
 }
 
 // peekLive reports the pending challenge for a nonce exactly when the

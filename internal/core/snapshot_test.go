@@ -17,19 +17,25 @@ import (
 
 // pinnedStateSHA256 is the SHA-256 of seededSnapshotProvider's
 // encodeState output. The snapshot payload is a persisted format
-// (version 2): a change to this constant means restored providers and
+// (version 3): a change to this constant means restored providers and
 // followers bootstrapped from older snapshots would read different
 // bytes, so it may only change together with the format version.
-const pinnedStateSHA256 = "78af8bb60ad61f86543a0b6a82fc4a84636c3b04d55f4ae97610f059521302e3"
+const pinnedStateSHA256 = "7b1271d34b8460051cbfd982db9e61f25357621df65fec9a45523d64c1ce6b08"
 
-// stateV1File holds the version 1 payload of seededSnapshotProvider,
-// written by the encoder before version 2, and pinnedStateV1SHA256 is
-// its SHA-256. Version 1 carried the retired nonce cache (issued and
-// spent nonces) after the fallback outcomes.
-const (
-	stateV1File         = "testdata/state-v1.bin"
-	pinnedStateV1SHA256 = "7d6af7d50110b2a9d485773149b53cd8aeba152b1f803a26a4ba8cba39a026be"
-)
+// legacyStates are seededSnapshotProvider's payloads as earlier
+// encoders wrote them, each with its SHA-256. Version 1 carried the
+// retired nonce cache (issued and spent nonces) after the
+// answered-CAPTCHA section, which version 2 still carried; in both, the
+// CAPTCHA was keyed by a per-life counter ID rather than a nonce.
+var legacyStates = []struct{ version, file, sha256 string }{
+	{"v1", "testdata/state-v1.bin", "7d6af7d50110b2a9d485773149b53cd8aeba152b1f803a26a4ba8cba39a026be"},
+	{"v2", "testdata/state-v2.bin", "78af8bb60ad61f86543a0b6a82fc4a84636c3b04d55f4ae97610f059521302e3"},
+}
+
+// pinnedLegacyReencodeSHA256 is the SHA-256 of the version 3 payload
+// every legacy state re-encodes to: its own state less the retired
+// sections.
+const pinnedLegacyReencodeSHA256 = "f25651f8c754b1a7d66afd47a48ff0a9837b25637132d21bd385173f58ddd2ee"
 
 // encodeState returns the snapshot payload alone: encodeSnapshot's
 // parts concatenated, without the space reserved for the store's
@@ -53,9 +59,9 @@ func (p *Provider) encodeState() []byte {
 // snapshot section: accounts created out of name order, executed
 // history, an audit chain with HMAC confirmations, an authenticated
 // denial, a CAPTCHA downgrade and an open attested session's entries,
-// pending challenges of four kinds, answered challenges, a fallback
-// outcome, a presence token, an HMAC key, a credential, a platform
-// binding.
+// pending challenges of four kinds, answered challenges (a wrongly
+// answered CAPTCHA among them), a presence token, an HMAC key, a
+// credential, a platform binding.
 //
 // Everything is driven through Handle except what needs a TPM quote:
 // the pooled RSA keys are not byte-stable across processes, so the
@@ -126,15 +132,16 @@ func seededSnapshotProvider(t testing.TB) *Provider {
 	})
 
 	// A CAPTCHA fallback answered wrongly: a downgrade audit entry and a
-	// cached (rejected) fallback outcome.
+	// cached (rejected) outcome.
 	resp := mustDecode(t, mustHandle(t, p, &FallbackRequest{
 		PlatformID: "platform-7", Reason: "pal launch failed", Failures: 3,
+		Tx: tx("pin-fb", "alice", "carol", 4_000),
 	}))
 	fc, ok := resp.(*FallbackChallenge)
 	if !ok {
 		t.Fatalf("fallback request answered %T", resp)
 	}
-	mustHandle(t, p, &FallbackAnswer{ID: fc.ID, Response: "wrong", Tx: tx("pin-fb", "alice", "carol", 4_000)})
+	mustHandle(t, p, &FallbackAnswer{Nonce: fc.Nonce, Response: "wrong"})
 
 	// Challenges issued and never answered stay pending.
 	challenge(tx("pin-pending", "alice", "acct-0002", 50_000))
@@ -174,27 +181,32 @@ func TestEncodeStatePinnedBytes(t *testing.T) {
 	}
 }
 
-// TestLoadStateV1 restores the committed version 1 payload of
-// seededSnapshotProvider and checks it re-encodes to exactly that
-// provider's version 2 payload: nothing but the retired nonce-cache
-// section is lost, and a store written before version 2 still opens.
-func TestLoadStateV1(t *testing.T) {
-	v1, err := os.ReadFile(stateV1File)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum := sha256.Sum256(v1); hex.EncodeToString(sum[:]) != pinnedStateV1SHA256 {
-		t.Fatalf("%s SHA-256 = %x, want %s", stateV1File, sum, pinnedStateV1SHA256)
-	}
-	p := NewProvider(ProviderConfig{Name: "v1"})
-	if err := p.loadState(v1); err != nil {
-		t.Fatalf("version 1 payload refused: %v", err)
-	}
-	if got, want := p.encodeState(), seededSnapshotProvider(t).encodeState(); !bytes.Equal(got, want) {
-		t.Fatalf("version 1 payload re-encodes to %d bytes, not the %d-byte version 2 payload", len(got), len(want))
-	}
-	if n := p.PendingChallenges(); n != 4 {
-		t.Fatalf("restored %d pending challenges, want 4", n)
+// TestLoadStateLegacy restores each committed legacy payload of
+// seededSnapshotProvider: it must hold the four pending challenges and
+// re-encode to the pinned version 3 payload, so nothing but the retired
+// sections is lost and a store written by an older encoder still opens.
+func TestLoadStateLegacy(t *testing.T) {
+	for _, legacy := range legacyStates {
+		t.Run(legacy.version, func(t *testing.T) {
+			data, err := os.ReadFile(legacy.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != legacy.sha256 {
+				t.Fatalf("%s SHA-256 = %x, want %s", legacy.file, sum, legacy.sha256)
+			}
+			p := NewProvider(ProviderConfig{Name: "legacy"})
+			if err := p.loadState(data); err != nil {
+				t.Fatalf("payload refused: %v", err)
+			}
+			if n := p.PendingChallenges(); n != 4 {
+				t.Fatalf("restored %d pending challenges, want 4", n)
+			}
+			state := p.encodeState()
+			if sum := sha256.Sum256(state); hex.EncodeToString(sum[:]) != pinnedLegacyReencodeSHA256 {
+				t.Fatalf("re-encoded SHA-256 = %x (%d bytes), want %s", sum, len(state), pinnedLegacyReencodeSHA256)
+			}
+		})
 	}
 }
 
@@ -209,8 +221,8 @@ func handBuiltState(names ...string) []byte {
 		b.PutUint64(uint64(100 * (i + 1)))
 	}
 	// History, audit, pending, answered, HMAC keys, presence tokens,
-	// credentials, platform bindings, fallback outcomes: all empty.
-	for i := 0; i < 9; i++ {
+	// credentials, platform bindings: all empty.
+	for i := 0; i < 8; i++ {
 		b.PutUint32(0)
 	}
 	b.PutUint32(0) // stats fields
@@ -247,11 +259,13 @@ func TestLoadStateRejectsUnorderedAccounts(t *testing.T) {
 // must never panic, and a payload it accepts must re-encode to a
 // fixed point of decode/encode.
 func FuzzLoadState(f *testing.F) {
-	v1, err := os.ReadFile(stateV1File)
-	if err != nil {
-		f.Fatal(err)
+	for _, legacy := range legacyStates {
+		data, err := os.ReadFile(legacy.file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
-	f.Add(v1)
 	f.Add(seededSnapshotProvider(f).encodeState())
 	f.Add(NewProvider(ProviderConfig{Name: "empty"}).encodeState())
 	f.Add(handBuiltState("alice", "bob"))

@@ -6,10 +6,12 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
+	"unitp/internal/check"
 	"unitp/internal/core"
 	"unitp/internal/netsim"
 	"unitp/internal/tpm"
@@ -122,6 +124,17 @@ func joinSections(sections ...string) string {
 // linkForExperiments is the default network path of the latency
 // experiments.
 func linkForExperiments() netsim.Link { return netsim.LinkBroadband() }
+
+// checkCell renders a check's violation count for a results table,
+// naming the audit-chain rule when it had no entry to check (an
+// auto-accepted transfer writes none), so a clean zero does not read as
+// a verified chain.
+func checkCell(rep *check.Report) string {
+	if slices.Contains(rep.Vacuous, check.AuditChain) {
+		return fmt.Sprintf("%d (audit chain vacuous)", len(rep.Violations))
+	}
+	return fmt.Sprintf("%d", len(rep.Violations))
+}
 
 // submitted decodes the transactions in a drain's SubmitTx frames, ID
 // to amount: what a drain that saw every frame accepted has accepted.

@@ -579,30 +579,30 @@ func f13ScaleWall(txsPerWorker, reps int) (string, error) {
 // f13KillLoadCell drains a 4-shard fleet under concurrent load while
 // the plan kills shard 0's primary mid-drain in the given phase, then
 // audits exactly-once and reports the failover latency.
-func f13KillLoadCell(phase faults.KillPhase, shards, txsPerWorker int, onDisk bool, tag string) (accepted, failovers, violations int, failoverMS float64, err error) {
+func f13KillLoadCell(phase faults.KillPhase, shards, txsPerWorker int, onDisk bool, tag string) (accepted, failovers int, rep *check.Report, failoverMS float64, err error) {
 	homed := f13HomedAccounts(shards, f13Workers)
 	plan := faults.NewFleetPlan()
 	// Kill mid-drain: half of shard 0's expected commit volume.
 	plan.KillPrimary(0, phase, uint64(f13Workers*txsPerWorker/2))
 	f, err := newF13Fleet(shards, 1, homed, plan, onDisk, tag)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return 0, 0, nil, 0, err
 	}
 	defer f.close()
 	frames, err := f13MintLoad(homed, f13Workers, txsPerWorker)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return 0, 0, nil, 0, err
 	}
 	_, accepted, err = f13Drain(f.router, frames)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return 0, 0, nil, 0, err
 	}
 	for _, sh := range f.router.Shards() {
 		failovers += sh.Failovers()
 	}
-	violations = len(check.Run(submitted(frames), f13Shards(f.router, f.initial)).Violations)
+	rep = check.Run(submitted(frames), f13Shards(f.router, f.initial))
 	failoverMS = f.reg.Snapshot().Histograms["fleet.failover_latency"].MaxMS
-	return accepted, failovers, violations, failoverMS, nil
+	return accepted, failovers, rep, failoverMS, nil
 }
 
 // f13KillLoad runs both kill phases under load and renders the table.
@@ -615,17 +615,17 @@ func f13KillLoad(shards, txsPerWorker int) (string, int, bool, error) {
 	totalViolations := 0
 	withinDeadline := true
 	for _, phase := range []faults.KillPhase{faults.KillBeforeShip, faults.KillAfterShip} {
-		accepted, failovers, violations, ms, err := f13KillLoadCell(
+		accepted, failovers, rep, ms, err := f13KillLoadCell(
 			phase, shards, txsPerWorker, true, "f13c-"+phase.String())
 		if err != nil {
 			return "", 0, false, err
 		}
-		totalViolations += violations
+		totalViolations += len(rep.Violations)
 		if time.Duration(ms*float64(time.Millisecond)) > f13Deadline {
 			withinDeadline = false
 		}
 		table.AddRow(phase.String(), fmt.Sprintf("%d", total), fmt.Sprintf("%d", accepted),
-			fmt.Sprintf("%d", failovers), fmt.Sprintf("%d", violations), fmt.Sprintf("%7.1f", ms))
+			fmt.Sprintf("%d", failovers), checkCell(rep), fmt.Sprintf("%7.1f", ms))
 	}
 	return table.Render(), totalViolations, withinDeadline, nil
 }
@@ -700,14 +700,14 @@ func RunF13Smoke() (*Result, error) {
 	var loadViolations int
 	killLines := ""
 	for _, phase := range []faults.KillPhase{faults.KillBeforeShip, faults.KillAfterShip} {
-		accepted, failovers, violations, _, err := f13KillLoadCell(
+		accepted, failovers, rep, _, err := f13KillLoadCell(
 			phase, 2, 25, false, "f13s-"+phase.String())
 		if err != nil {
 			return nil, err
 		}
-		loadViolations += violations
-		killLines += fmt.Sprintf("smoke kill-under-load (%s): accepted=%d failovers=%d violations=%d\n",
-			phase, accepted, failovers, violations)
+		loadViolations += len(rep.Violations)
+		killLines += fmt.Sprintf("smoke kill-under-load (%s): accepted=%d failovers=%d violations=%s\n",
+			phase, accepted, failovers, checkCell(rep))
 	}
 	verdict := "PASS"
 	if matrixViolations+loadViolations != 0 {

@@ -49,7 +49,7 @@ func TestF13MatrixDeterministic(t *testing.T) {
 // doubled, balances conserved.
 func TestF13KillUnderLoadExactlyOnce(t *testing.T) {
 	for _, phase := range []faults.KillPhase{faults.KillBeforeShip, faults.KillAfterShip} {
-		accepted, failovers, violations, _, err := f13KillLoadCell(
+		accepted, failovers, rep, _, err := f13KillLoadCell(
 			phase, 2, 25, false, "f13-load-test-"+phase.String())
 		if err != nil {
 			t.Fatalf("%s: %v", phase, err)
@@ -61,8 +61,8 @@ func TestF13KillUnderLoadExactlyOnce(t *testing.T) {
 		if failovers != 1 {
 			t.Errorf("%s: %d failovers, want 1", phase, failovers)
 		}
-		if violations != 0 {
-			t.Errorf("%s: %d violations", phase, violations)
+		if err := rep.Err(); err != nil {
+			t.Errorf("%s: %v", phase, err)
 		}
 	}
 }

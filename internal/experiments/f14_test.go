@@ -18,8 +18,8 @@ func TestF14ChaosCellsExactlyOnce(t *testing.T) {
 		if cell.Accepted != workers*per {
 			t.Errorf("%s: accepted %d of %d", c.name, cell.Accepted, workers*per)
 		}
-		if cell.Violations != 0 {
-			t.Errorf("%s: %d violations", c.name, cell.Violations)
+		if err := cell.Check.Err(); err != nil {
+			t.Errorf("%s: %v", c.name, err)
 		}
 	}
 }
@@ -29,15 +29,15 @@ func TestF14ChaosCellsExactlyOnce(t *testing.T) {
 // goodput lands inside the documented band, and the ledger audits
 // clean.
 func TestF14OverloadRateShedsWithinBand(t *testing.T) {
-	goodput, shed, violations, err := runF14OverloadRate(4, 25)
+	goodput, shed, rep, err := runF14OverloadRate(4, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if shed == 0 {
 		t.Error("no frames shed under 4x-over-limit load")
 	}
-	if violations != 0 {
-		t.Errorf("%d violations", violations)
+	if err := rep.Err(); err != nil {
+		t.Error(err)
 	}
 	low, high := f14GoodputBand[0]*f14RateLimit, f14GoodputBand[1]*f14RateLimit
 	if goodput < low || goodput > high {

@@ -38,8 +38,8 @@ func TestF15DeposedPrimaryRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.violations != 0 {
-		t.Fatalf("rejoin cell: %d exactly-once violations", row.violations)
+	if err := row.rep.Err(); err != nil {
+		t.Fatalf("rejoin cell: %v", err)
 	}
 	if row.failovers != 1 {
 		t.Fatalf("rejoin cell: %d failovers, want 1", row.failovers)

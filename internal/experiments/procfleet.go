@@ -628,7 +628,7 @@ func (pf *procFleet) bootError(err error) error {
 // member's provider from its data directory, and runs the checker over
 // the restored providers against the drained acceptances. Every shard
 // opens with the ledger the tpserver node roles seed.
-func (pf *procFleet) procAudit(accepted map[string]int64) (int, error) {
+func (pf *procFleet) procAudit(accepted map[string]int64) (*check.Report, error) {
 	initial := workload.NodeAccounts(pf.seedN)
 	var shards []check.Shard
 	defer func() {
@@ -653,15 +653,15 @@ func (pf *procFleet) procAudit(accepted map[string]int64) (int, error) {
 			}
 		}
 		if winner < 0 {
-			return 0, fmt.Errorf("procfleet: shard %d has no durable primary lineage", s)
+			return nil, fmt.Errorf("procfleet: shard %d has no durable primary lineage", s)
 		}
 		sb, err := store.OpenDir(filepath.Join(pf.members[s][winner].dataDir, "state"))
 		if err != nil {
-			return 0, fmt.Errorf("procfleet: shard %d audit open: %w", s, err)
+			return nil, fmt.Errorf("procfleet: shard %d audit open: %w", s, err)
 		}
 		st, err := store.Open(sb)
 		if err != nil {
-			return 0, fmt.Errorf("procfleet: shard %d audit store: %w", s, err)
+			return nil, fmt.Errorf("procfleet: shard %d audit store: %w", s, err)
 		}
 		p, err := core.RestoreProvider(core.ProviderConfig{
 			Name:                  fmt.Sprintf("f15-audit-s%d", s),
@@ -672,11 +672,11 @@ func (pf *procFleet) procAudit(accepted map[string]int64) (int, error) {
 		}, st)
 		if err != nil {
 			st.Close()
-			return 0, fmt.Errorf("procfleet: shard %d post-mortem restore: %w", s, err)
+			return nil, fmt.Errorf("procfleet: shard %d post-mortem restore: %w", s, err)
 		}
 		shards = append(shards, check.Shard{Provider: p, Initial: initial})
 	}
-	return len(check.Run(accepted, shards).Violations), nil
+	return check.Run(accepted, shards), nil
 }
 
 // procFreeAddr grabs an ephemeral localhost port and releases it for

@@ -21,8 +21,9 @@
 // availability, and availability is restored by failover.
 //
 // Exactly-once across failover needs no extra machinery: the applied
-// set in the ledger, the nonce replay cache, and the CAPTCHA outcome
-// cache all travel in the replicated groups, so a retransmission that
+// set in the ledger and the challenge table (pending challenges,
+// CAPTCHAs included, and answered outcomes) both travel in the
+// replicated groups, so a retransmission that
 // straddles a failover lands on a promoted follower that either already
 // has the answer (replayed from its cache) or never saw the unanswered
 // attempt (the client's retry executes it exactly once).

@@ -13,17 +13,18 @@ import (
 // partitions the account space across shards by consistent hashing and
 // drives failover when a shard's primary dies under it.
 //
-// Session-opening messages (submissions, logins, provisioning) route by
-// their natural key — the debited account, the username, the platform —
-// so one user's state lives on exactly one shard. Batches must debit
+// Session-opening messages (submissions, CAPTCHA fallbacks, logins,
+// provisioning) route by their natural key — the debited account, the
+// username, the platform — so one user's state lives on exactly one
+// shard. Batches must debit
 // accounts that all live on one shard; a batch straddling shards is
 // refused with ErrCrossShard rather than silently executed where half
 // its accounts don't exist. Mid-session messages (confirmations,
 // proofs, CAPTCHA answers) carry no account; the router remembers which
-// shard issued each challenge nonce and CAPTCHA ID and routes the
-// answer back to it. The sticky entry is dropped once the answer is
-// delivered, and the pin tables are bounded (abandoned challenges age
-// out deterministically); an answer for a nonce the router has never
+// shard issued each challenge nonce and routes the answer back to it.
+// The sticky entry is dropped once the answer is delivered, and the pin
+// table is bounded (abandoned challenges age out deterministically); an
+// answer for a nonce the router has never
 // seen (or has forgotten) falls back to hashing the nonce itself,
 // landing on a deterministic shard whose replay/staleness machinery
 // gives the client a well-formed retryable rejection.
@@ -33,12 +34,11 @@ type Router struct {
 	metrics *obs.Registry
 	routed  []string // per-shard routed-counter names
 
-	mu           sync.Mutex
-	nonceRoute   *pinTable[attest.Nonce]
-	captchaRoute *pinTable[uint64]
+	mu         sync.Mutex
+	nonceRoute *pinTable[attest.Nonce]
 }
 
-// maxRoutePins bounds each pin table to 2×maxRoutePins entries — far
+// maxRoutePins bounds the pin table to 2×maxRoutePins entries — far
 // above any realistic concurrent-session count, small enough that a
 // router abandoned challenges leak into stays bounded for good.
 const maxRoutePins = 1 << 14
@@ -52,12 +52,11 @@ func NewRouter(shards []*ShardHandle, metrics *obs.Registry) *Router {
 		routed[i] = fmt.Sprintf("fleet.shard%d.routed", i)
 	}
 	return &Router{
-		ring:         NewRing(len(shards), DefaultVirtualNodes),
-		shards:       shards,
-		metrics:      metrics,
-		routed:       routed,
-		nonceRoute:   newPinTable[attest.Nonce](maxRoutePins),
-		captchaRoute: newPinTable[uint64](maxRoutePins),
+		ring:       NewRing(len(shards), DefaultVirtualNodes),
+		shards:     shards,
+		metrics:    metrics,
+		routed:     routed,
+		nonceRoute: newPinTable[attest.Nonce](maxRoutePins),
 	}
 }
 
@@ -114,6 +113,10 @@ func (r *Router) route(req []byte) (int, error) {
 		if m.Tx != nil {
 			return r.ring.Shard(m.Tx.From), nil
 		}
+	case *core.FallbackRequest:
+		if m.Tx != nil {
+			return r.ring.Shard(m.Tx.From), nil
+		}
 	case *core.SubmitBatch:
 		if len(m.Txs) > 0 {
 			idx := r.ring.Shard(m.Txs[0].From)
@@ -133,8 +136,6 @@ func (r *Router) route(req []byte) (int, error) {
 		return r.ring.Shard(m.Account), nil
 	case *core.ProvisionRequest:
 		return r.ring.Shard(m.PlatformID), nil
-	case *core.FallbackRequest:
-		return r.ring.Shard(m.PlatformID), nil
 	case *core.ConfirmTx:
 		return r.nonceShard(m.Nonce), nil
 	case *core.ConfirmBatch:
@@ -150,13 +151,7 @@ func (r *Router) route(req []byte) (int, error) {
 	case *core.ConfirmTxSession:
 		return r.nonceShard(m.Nonce), nil
 	case *core.FallbackAnswer:
-		r.mu.Lock()
-		idx, ok := r.captchaRoute.get(m.ID)
-		r.mu.Unlock()
-		if ok {
-			return idx, nil
-		}
-		return r.ring.Shard(fmt.Sprintf("captcha-%d", m.ID)), nil
+		return r.nonceShard(m.Nonce), nil
 	}
 	// Keyless requests (presence) hash their empty key: any shard can
 	// serve them, this one deterministically does.
@@ -201,9 +196,7 @@ func (r *Router) observe(idx int, req, resp []byte) {
 			r.pinNonce(m.Nonce, idx)
 			return
 		case *core.FallbackChallenge:
-			r.mu.Lock()
-			r.captchaRoute.put(m.ID, idx)
-			r.mu.Unlock()
+			r.pinNonce(m.Nonce, idx)
 			return
 		}
 	}
@@ -228,9 +221,7 @@ func (r *Router) observe(idx int, req, resp []byte) {
 		case *core.ConfirmTxSession:
 			r.unpinNonce(m.Nonce)
 		case *core.FallbackAnswer:
-			r.mu.Lock()
-			r.captchaRoute.del(m.ID)
-			r.mu.Unlock()
+			r.unpinNonce(m.Nonce)
 		}
 	}
 }

@@ -659,3 +659,179 @@ func restoreBackendCopy(t *testing.T, b *store.MemBackend) *core.Provider {
 	}
 	return p
 }
+
+// fallbackMember is localMember with the named accounts opened beside
+// payer and sink, each holding 1,000,000 cents.
+func fallbackMember(shard, m int, plan *faults.FleetPlan, accounts ...string) NodeConfig {
+	cfg := localMember(shard, m, plan, nil, nil)
+	build := cfg.Build
+	cfg.Build = func(epoch uint64) (*core.Provider, error) {
+		p, err := build(epoch)
+		for _, name := range accounts {
+			if err == nil {
+				err = p.Ledger().CreateAccount(name, 1_000_000)
+			}
+		}
+		return p, err
+	}
+	return cfg
+}
+
+// requestFallback asks handle for a CAPTCHA that gates tx, in the name
+// of the client platform platformID.
+func requestFallback(t *testing.T, handle func([]byte) ([]byte, error), platformID string, tx *core.Transaction) *core.FallbackChallenge {
+	t.Helper()
+	frame, err := core.EncodeMessage(&core.FallbackRequest{
+		PlatformID: platformID, Reason: "pal launch failed", Failures: 3, Tx: tx,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := handle(frame)
+	if err != nil {
+		t.Fatalf("fallback request for %s: %v", tx.ID, err)
+	}
+	msg, err := core.DecodeMessage(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, ok := msg.(*core.FallbackChallenge)
+	if !ok {
+		t.Fatalf("fallback request for %s answered %+v", tx.ID, msg)
+	}
+	return ch
+}
+
+// answerFrame encodes the correct transcription of a CAPTCHA.
+func answerFrame(t *testing.T, ch *core.FallbackChallenge) []byte {
+	t.Helper()
+	frame, err := core.EncodeMessage(&core.FallbackAnswer{Nonce: ch.Nonce, Response: ch.Text})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// executions counts how often p's ledger executed the transaction id.
+func executions(p *core.Provider, id string) int {
+	n := 0
+	for _, tx := range p.Ledger().History() {
+		if tx.ID == id {
+			n++
+		}
+	}
+	return n
+}
+
+// CAPTCHA fallbacks route like submissions, by the debited account, and
+// their answers follow the challenge nonce back to the issuing shard.
+// Two fallbacks are outstanding on different shards at once; each
+// client's platform ID hashes to the other shard, so routing by it
+// would execute the order where its account does not live.
+func TestRouterFallbackRoutesByAccount(t *testing.T) {
+	ring := NewRing(2, DefaultVirtualNodes)
+	home, platform := [2]string{}, [2]string{}
+	for i := 0; home[0] == "" || home[1] == "" || platform[0] == "" || platform[1] == ""; i++ {
+		name := fmt.Sprintf("acct-%d", i)
+		if s := ring.Shard(name); home[s] == "" {
+			home[s] = name
+		}
+		plat := fmt.Sprintf("plat-%d", i)
+		if s := ring.Shard(plat); platform[1-s] == "" {
+			platform[1-s] = plat
+		}
+	}
+	ln := &LocalNet{}
+	shards := make([]*ShardHandle, 2)
+	for s := range shards {
+		h, err := ln.StartShard(s, 1, func(m int) NodeConfig {
+			return fallbackMember(s, m, nil, home[0], home[1])
+		}, ShardHandleConfig{})
+		if err != nil {
+			t.Fatalf("StartShard: %v", err)
+		}
+		shards[s] = h
+	}
+	r := NewRouter(shards, nil)
+
+	var txs [2]*core.Transaction
+	var chs [2]*core.FallbackChallenge
+	for s := range txs {
+		txs[s] = &core.Transaction{ID: fmt.Sprintf("fb-%d", s), From: home[s], To: "sink", AmountCents: 500, Currency: "EUR"}
+		chs[s] = requestFallback(t, r.Handle, platform[s], txs[s])
+	}
+	for s := range txs {
+		resp, err := r.Handle(answerFrame(t, chs[s]))
+		if out := expectAccepted(t, resp, err); out.TxID != txs[s].ID {
+			t.Fatalf("answer for %s executed %q", txs[s].ID, out.TxID)
+		}
+	}
+	for s, h := range shards {
+		for o, tx := range txs {
+			want := 0
+			if o == s {
+				want = 1
+			}
+			if n := executions(h.Primary(), tx.ID); n != want {
+				t.Errorf("shard %d executed %s (debiting %s) %d times, want %d", s, tx.ID, tx.From, n, want)
+			}
+		}
+	}
+}
+
+// A CAPTCHA issued before a failover is redeemable after it: the
+// pending challenge ships with the request's group, so the promoted
+// follower holds it. Whether the primary dies between request and
+// answer, or while committing the answer before or after shipping it,
+// the client's answer is accepted and the transfer executes exactly
+// once, and a retransmission replays the same outcome.
+func TestShardFallbackAcrossFailover(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		phase faults.KillPhase // killed at the answer's commit, unless between
+	}{
+		{name: "killed between request and answer"},
+		{name: "answer killed before ship", phase: faults.KillBeforeShip},
+		{name: "answer killed after ship", phase: faults.KillAfterShip},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			plan := faults.NewFleetPlan()
+			if c.phase != 0 {
+				plan.KillPrimary(0, c.phase, 2)
+			}
+			ln := &LocalNet{}
+			h, err := ln.StartShard(0, 1, func(m int) NodeConfig {
+				return localMember(0, m, plan, nil, nil)
+			}, ShardHandleConfig{})
+			if err != nil {
+				t.Fatalf("StartShard: %v", err)
+			}
+			r := NewRouter([]*ShardHandle{h}, nil)
+
+			tx := &core.Transaction{ID: "fb", From: "payer", To: "sink", AmountCents: 700, Currency: "EUR"}
+			ch := requestFallback(t, r.Handle, "plat-1", tx)
+			if c.phase == 0 {
+				h.Primary().Kill()
+			}
+			answer := answerFrame(t, ch)
+			resp, err := r.Handle(answer)
+			first := expectAccepted(t, resp, err)
+			if first.TxID != tx.ID {
+				t.Fatalf("answer executed %q, want %s", first.TxID, tx.ID)
+			}
+			if h.Failovers() != 1 {
+				t.Fatalf("%d failovers, want 1", h.Failovers())
+			}
+			resp, err = r.Handle(answer)
+			if again := expectAccepted(t, resp, err); *again != *first {
+				t.Fatalf("retransmitted answer = %+v, want the recorded %+v", again, first)
+			}
+			if n := executions(h.Primary(), tx.ID); n != 1 {
+				t.Fatalf("transfer executed %d times on the promoted primary, want 1", n)
+			}
+			if bal, err := h.Primary().Ledger().Balance("payer"); err != nil || bal != 1_000_000-700 {
+				t.Fatalf("payer holds %d (%v), want %d", bal, err, 1_000_000-700)
+			}
+		})
+	}
+}

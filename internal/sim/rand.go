@@ -3,6 +3,7 @@ package sim
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"sync"
@@ -37,6 +38,18 @@ func NewRand(seed uint64) *Rand {
 	r := &Rand{}
 	r.key = sha256.Sum256(seedBytes[:])
 	return r
+}
+
+// NewRandFrom returns a source keyed with 32 bytes read from r: with
+// crypto/rand, a stream nobody can predict (a deployed client's TPM
+// draws its storage root key, GetRandom output and signatures from its
+// machine's stream).
+func NewRandFrom(r io.Reader) (*Rand, error) {
+	rnd := &Rand{}
+	if _, err := io.ReadFull(r, rnd.key[:]); err != nil {
+		return nil, fmt.Errorf("sim: key random source: %w", err)
+	}
+	return rnd, nil
 }
 
 // Fork derives an independent stream labelled by name. Subsystems fork the

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"crypto/rand"
 	"math"
 	"testing"
 	"testing/quick"
@@ -297,5 +298,30 @@ func TestRandUniformityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// NewRandFrom keys the stream with the reader's bytes: two sources keyed
+// from crypto/rand differ, and the same key gives the same stream.
+func TestNewRandFromKeysStream(t *testing.T) {
+	a, err := NewRandFrom(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewRandFrom(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Uint64() == b.Uint64() && a.Uint64() == b.Uint64() {
+		t.Fatal("two sources keyed from crypto/rand produce the same stream")
+	}
+	key := bytes.Repeat([]byte{7}, 32)
+	c, _ := NewRandFrom(bytes.NewReader(key))
+	d, _ := NewRandFrom(bytes.NewReader(key))
+	if c.Uint64() != d.Uint64() {
+		t.Fatal("one key gave two streams")
+	}
+	if _, err := NewRandFrom(bytes.NewReader(key[:31])); err == nil {
+		t.Fatal("a short key was accepted")
 	}
 }
